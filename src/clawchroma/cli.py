@@ -54,7 +54,6 @@ def _cmd_color(args) -> int:
     print(
         f"colors-used {coloring.colors_used} "
         f"(direct={trace.direct_colors} kempe={trace.kempe_swaps} "
-        f"pair_recolor={trace.pair_recolor_moves} cascade={trace.cascade_moves} "
         f"exact={trace.exact_fallbacks})",
         file=sys.stderr,
     )

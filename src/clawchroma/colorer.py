@@ -9,20 +9,12 @@ Each new vertex is colored by the first applicable mechanism:
 
   direct         some palette color is absent from the neighborhood
   kempe_swap     one two-class component swap frees a color at the vertex
-  pair_recolor   clique-anchored move: two non-adjacent neighbors (one in a
-                 maximum clique through the vertex, one outside missing only
-                 that clique vertex) merge onto a shared color, the displaced
-                 clique vertex takes over a freed color
-  cascade        clique-anchored move: colors rotate along a maximal sequence
-                 of clique vertices, with a two-class component interchange
-                 unlocking the rotation when needed
   exact_fallback exact recoloring of the whole prefix at the target size,
                  guaranteed to exist for in-class prefixes
 
-The two clique moves only fire when their structural hypotheses hold
-(vertex on a maximum-size clique, clique number >= 4, tight palette); they
-are optimizations whose hit rate the RepairTrace reports. Correctness never
-depends on them: the exact fallback alone is sufficient.
+Correctness rests on the exact fallback alone: a failed Kempe attempt writes
+no color, so it only decides how often the fallback runs. The RepairTrace
+records which mechanism colored each vertex.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels as K
-from .bitops import iter_bits, mask_components, mask_is_clique
+from .bitops import iter_bits, mask_components
 from .coloring import ORACLE_MAX_VERTICES, Coloring, verify_proper
 from .errors import (
     BoundViolatedError,
@@ -43,8 +35,6 @@ from .recognition import is_in_class
 
 DIRECT = "direct"
 KEMPE_SWAP = "kempe_swap"
-PAIR_RECOLOR = "pair_recolor"
-CASCADE = "cascade"
 EXACT_FALLBACK = "exact_fallback"
 
 
@@ -55,21 +45,20 @@ class RepairTrace:
     steps: tuple[tuple[int, str], ...]
     direct_colors: int
     kempe_swaps: int
-    pair_recolor_moves: int
-    cascade_moves: int
     exact_fallbacks: int
+    # always 0: kept only because the benchmark tracer still reads them
+    pair_recolor_moves: int = 0
+    cascade_moves: int = 0
 
     @classmethod
     def from_steps(cls, steps: list[tuple[int, str]]) -> "RepairTrace":
-        counts = {DIRECT: 0, KEMPE_SWAP: 0, PAIR_RECOLOR: 0, CASCADE: 0, EXACT_FALLBACK: 0}
+        counts = {DIRECT: 0, KEMPE_SWAP: 0, EXACT_FALLBACK: 0}
         for _, mech in steps:
             counts[mech] += 1
         return cls(
             tuple(steps),
             counts[DIRECT],
             counts[KEMPE_SWAP],
-            counts[PAIR_RECOLOR],
-            counts[CASCADE],
             counts[EXACT_FALLBACK],
         )
 
@@ -104,245 +93,6 @@ def _try_kempe_swap(adj, colors, u, nb, prefix, target) -> bool:
     return False
 
 
-def _has_other_colored_neighbor(adj, colors, prefix, v, c, exclude) -> bool:
-    m = adj[v] & prefix & ~(1 << exclude)
-    while m:
-        b = m & -m
-        w = b.bit_length() - 1
-        m ^= b
-        if colors[w] == c:
-            return True
-    return False
-
-
-def _clique_anchor(adj, n, colors, u, nb, prefix, omega_p, target):
-    """Shared hypothesis check for the two clique moves.
-
-    Requires a tight palette (target == prefix clique number >= 4) and u on
-    a maximum-size clique; returns (clique-in-neighborhood mask, rest mask,
-    color->holder map, missing color) or None.
-    """
-    if target != omega_p or omega_p < 4:
-        return None
-    kmask = K.lex_min_max_clique(adj, n, nb)
-    if kmask.bit_count() + 1 != omega_p:
-        return None
-    rest = nb & ~kmask
-    holder = {}
-    kcolors = 0
-    for q in iter_bits(kmask):
-        c = colors[q]
-        holder[c] = q
-        kcolors |= 1 << (c - 1)
-    missing = ((1 << target) - 1) & ~kcolors
-    if missing.bit_count() != 1:
-        return None
-    return kmask, rest, holder, missing.bit_length()
-
-
-def _try_pair_recolor(adj, n, colors, u, nb, prefix, omega_p, target) -> bool:
-    anchor = _clique_anchor(adj, n, colors, u, nb, prefix, omega_p, target)
-    if anchor is None:
-        return False
-    kmask, rest, holder, w_c = anchor
-    if rest == 0 or not mask_is_clique(adj, rest):
-        return False
-    # every rest vertex must miss exactly one clique vertex, all distinct
-    seen = 0
-    miss = {}
-    for r in iter_bits(rest):
-        non = kmask & ~adj[r]
-        if non.bit_count() != 1 or non & seen:
-            return False
-        seen |= non
-        miss[r] = non.bit_length() - 1
-    x = -1
-    rest_colors = 0
-    for r in iter_bits(rest):
-        rest_colors |= 1 << (colors[r] - 1)
-        if colors[r] == w_c:
-            x = r
-    if x < 0:
-        return False
-    y = miss[x]
-    one_c = colors[y]
-    if rest_colors >> (one_c - 1) & 1:
-        return False
-    kcolors = ((1 << target) - 1) & ~(1 << (w_c - 1))
-    cand = kcolors & ~rest_colors & ~(1 << (one_c - 1))
-    for cb in iter_bits(cand):
-        two_c = cb + 1
-        z = holder[two_c]
-        # x and y take over color two_c, so z must be their only two_c-neighbor
-        if _has_other_colored_neighbor(adj, colors, prefix, x, two_c, z):
-            continue
-        if _has_other_colored_neighbor(adj, colors, prefix, y, two_c, z):
-            continue
-        if not _has_other_colored_neighbor(adj, colors, prefix, z, one_c, y):
-            alpha = one_c
-        elif not _has_other_colored_neighbor(adj, colors, prefix, z, w_c, x):
-            alpha = w_c
-        else:
-            continue
-        colors[x] = two_c
-        colors[y] = two_c
-        colors[z] = alpha
-        colors[u] = w_c if alpha == one_c else one_c
-        return True
-    return False
-
-
-def _apply_shift(colors, u, seq, seq_colors, i, gamma) -> None:
-    """Recolor seq[i] to gamma and rotate each earlier v_j to v_{j+1}'s color."""
-    colors[seq[i]] = gamma
-    for j in range(1, i):
-        colors[seq[j]] = seq_colors[j]
-    if i > 0:
-        colors[u] = seq_colors[0]
-
-
-def _swap_two_colors(colors, comp, a, b) -> None:
-    for v in iter_bits(comp):
-        colors[v] = b if colors[v] == a else a
-
-
-def _two_class_path_degree(adj, comp, v) -> int | None:
-    """Degree of v in comp when comp is a path; None when comp is not a path."""
-    edges2 = 0
-    for w in iter_bits(comp):
-        d = (adj[w] & comp).bit_count()
-        if d >= 3:
-            return None
-        edges2 += d
-    if edges2 == 2 * comp.bit_count():  # 2-regular: a cycle
-        return None
-    return (adj[v] & comp).bit_count()
-
-
-def _try_cascade(adj, n, colors, u, nb, prefix, omega_p, target) -> bool:
-    anchor = _clique_anchor(adj, n, colors, u, nb, prefix, omega_p, target)
-    if anchor is None:
-        return False
-    kmask, rest, holder, d_c = anchor
-    if not mask_is_clique(adj, rest):
-        return False
-    for r in iter_bits(rest):
-        if adj[r] & kmask:
-            return False
-    qmask = kmask | (1 << u)
-    all_c = (1 << target) - 1
-
-    seq = [u]
-    seq_colors: list[int] = []
-    in_seq = 0
-    t_idx = -1
-    while True:
-        cur = seq[-1]
-        used_out = 0
-        m = adj[cur] & prefix & ~qmask
-        while m:
-            b = m & -m
-            used_out |= 1 << (colors[b.bit_length() - 1] - 1)
-            m ^= b
-        cands = all_c & ~used_out
-        if cands == 0:
-            return False
-        if cands >> (d_c - 1) & 1:
-            # the color absent from the clique is free at cur: rotate and stop
-            _apply_shift(colors, u, seq, seq_colors, len(seq) - 1, d_c)
-            return True
-        fresh = cands & ~in_seq
-        if fresh:
-            fb = fresh & -fresh
-            gamma = fb.bit_length()
-            seq.append(holder[gamma])
-            seq_colors.append(gamma)
-            in_seq |= fb
-            if len(seq) > omega_p:
-                return False
-            continue
-        old = cands & in_seq
-        for j, cj in enumerate(seq_colors, start=1):
-            if old >> (cj - 1) & 1:
-                t_idx = j - 1
-                break
-        break
-    if t_idx < 0:
-        return False
-    k_idx = len(seq) - 1
-    v_t = seq[t_idx]
-    v_k = seq[k_idx]
-    c_t1 = seq_colors[t_idx]
-    v_t1 = seq[t_idx + 1]
-
-    def d_neighbor_mask(v):
-        out = 0
-        m = adj[v] & prefix
-        while m:
-            b = m & -m
-            if colors[b.bit_length() - 1] == d_c:
-                out |= b
-            m ^= b
-        return out
-
-    w0m = d_neighbor_mask(u)
-    wtm = d_neighbor_mask(v_t)
-    wkm = d_neighbor_mask(v_k)
-    if wtm == 0 and t_idx >= 1:
-        _apply_shift(colors, u, seq, seq_colors, t_idx, d_c)
-        return True
-    if wkm == 0:
-        _apply_shift(colors, u, seq, seq_colors, k_idx, d_c)
-        return True
-    if 1 != w0m.bit_count() or 1 != wtm.bit_count() or 1 != wkm.bit_count():
-        return False
-    # the three blockers must be distinct vertices; v_t coincides with the
-    # inserted vertex when t == 0, and then so do their blockers
-    if w0m == wkm or wtm == wkm or (t_idx > 0 and w0m == wtm):
-        return False
-
-    sub = 0
-    m = prefix
-    while m:
-        b = m & -m
-        c = colors[b.bit_length() - 1]
-        if c == d_c or c == c_t1:
-            sub |= b
-        m ^= b
-    comp_t = 0
-    comps = mask_components(adj, sub)
-    for comp in comps:
-        if comp >> v_t1 & 1:
-            comp_t = comp
-            break
-    if _two_class_path_degree(adj, comp_t, v_t1) != 1:
-        return False
-    t_minus = comp_t & ~(1 << v_t1)
-    if adj[v_t] & t_minus == 0:
-        _swap_two_colors(colors, comp_t, d_c, c_t1)
-        for j in range(1, t_idx + 1):
-            colors[seq[j]] = seq_colors[j]
-        colors[u] = seq_colors[0]
-        return True
-    if adj[v_k] & t_minus == 0:
-        comp_k = 0
-        for comp in comps:
-            if comp & wkm:
-                comp_k = comp
-                break
-        if comp_k == comp_t:
-            return False
-        if _two_class_path_degree(adj, comp_k, wkm.bit_length() - 1) is None:
-            return False
-        _swap_two_colors(colors, comp_k, d_c, c_t1)
-        colors[v_k] = d_c
-        for j in range(1, k_idx):
-            colors[seq[j]] = seq_colors[j]
-        colors[u] = seq_colors[0]
-        return True
-    return False
-
-
 def _prefix_proper(adj, colors, prefix) -> bool:
     for v in iter_bits(prefix):
         m = adj[v] & prefix & (-1 << (v + 1))
@@ -354,21 +104,10 @@ def _prefix_proper(adj, colors, prefix) -> bool:
     return True
 
 
-def _insertion_sequence(g: Graph, insertion_order: str) -> list[int]:
-    if insertion_order == "index":
-        return list(range(g.n))
-    if insertion_order == "degree":
-        return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    raise ValueError(f"unknown insertion order {insertion_order!r}")
-
-
 def color_in_class(
     g: Graph,
     *,
     strict: bool,
-    insertion_order: str = "index",
-    use_kempe: bool = True,
-    use_clique_moves: bool = True,
     debug_validate: bool = False,
 ) -> tuple[Coloring, RepairTrace]:
     """Insertion coloring of a graph already known to be in the class.
@@ -384,7 +123,7 @@ def color_in_class(
     delta_p = 0
     deg = [0] * n
     steps: list[tuple[int, str]] = []
-    for u in _insertion_sequence(g, insertion_order):
+    for u in range(n):
         nb = adj[u] & prefix
         through = 1 + K.clique_number(adj, n, nb)
         if through > omega_p:
@@ -414,16 +153,8 @@ def color_in_class(
         if free:
             colors[u] = (free & -free).bit_length()
             mech = DIRECT
-        elif use_kempe and _try_kempe_swap(adj, colors, u, nb, prefix, target):
+        elif _try_kempe_swap(adj, colors, u, nb, prefix, target):
             mech = KEMPE_SWAP
-        elif use_clique_moves and _try_pair_recolor(
-            adj, n, colors, u, nb, prefix, omega_p, target
-        ):
-            mech = PAIR_RECOLOR
-        elif use_clique_moves and _try_cascade(
-            adj, n, colors, u, nb, prefix, omega_p, target
-        ):
-            mech = CASCADE
         else:
             clique = K.lex_min_max_clique(adj, n, prefix_new)
             sol = K.k_color(adj, n, prefix_new, target, clique)
@@ -477,7 +208,7 @@ def _check_preconditions(g: Graph) -> None:
         raise NotInClassError(verdict.witness)
 
 
-def omega_color_strict(g: Graph, **options) -> tuple[Coloring, RepairTrace]:
+def omega_color_strict(g: Graph) -> tuple[Coloring, RepairTrace]:
     """Color an in-class graph with exactly its clique number of colors.
 
     Requires max degree <= 2*omega - 3; raises BoundViolatedError otherwise.
@@ -489,13 +220,13 @@ def omega_color_strict(g: Graph, **options) -> tuple[Coloring, RepairTrace]:
     delta = degree_profile(g)[1]
     if delta > 2 * w - 3:
         raise BoundViolatedError(delta, w)
-    return color_in_class(g, strict=True, **options)
+    return color_in_class(g, strict=True)
 
 
-def class_color(g: Graph, **options) -> tuple[Coloring, RepairTrace]:
+def class_color(g: Graph) -> tuple[Coloring, RepairTrace]:
     """Color an in-class graph with at most clique number + 1 colors.
 
     Uses exactly the clique number when max degree <= 2*omega - 3.
     """
     _check_preconditions(g)
-    return color_in_class(g, strict=False, **options)
+    return color_in_class(g, strict=False)

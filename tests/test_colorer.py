@@ -1,21 +1,14 @@
 import pytest
 
-from clawchroma.colorer import (
-    CASCADE,
-    PAIR_RECOLOR,
-    _try_cascade,
-    class_color,
-    color_in_class,
-    omega_color_strict,
-)
-from clawchroma.coloring import Coloring, verify_proper
+from clawchroma.colorer import class_color, color_in_class, omega_color_strict
+from clawchroma.coloring import verify_proper
 from clawchroma.errors import (
     BoundViolatedError,
     NotInClassError,
     ScaleExceededError,
 )
 from clawchroma.generators import enumerate_labeled
-from clawchroma.graph import build_graph, degree_profile, from_edge_mask
+from clawchroma.graph import degree_profile, from_edge_mask
 from clawchroma.recognition import is_in_class
 from graphzoo import claw, complete, empty, k4_minus_edge, prism
 
@@ -69,70 +62,20 @@ def test_class_color_examples():
 
 
 def test_trace_counts_match_log():
-    g = blown_up_odd_cycle(2, 3)
-    _, trace = class_color(g)
-    assert len(trace.steps) == g.n
-    mechs = [m for _, m in trace.steps]
-    assert trace.direct_colors == mechs.count("direct")
-    assert trace.kempe_swaps == mechs.count("kempe_swap")
-    assert trace.pair_recolor_moves == mechs.count("pair_recolor")
-    assert trace.cascade_moves == mechs.count("cascade")
-    assert trace.exact_fallbacks == mechs.count("exact_fallback")
-
-
-def test_cascade_mechanism_fires():
-    # two K4s sharing vertex 7; with the swap stage off, the last insertion
-    # sees all four colors and must rotate along its clique
-    g = build_graph(
-        8,
-        [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (3, 2),
-         (4, 5), (4, 6), (5, 6), (7, 4), (7, 5), (7, 6), (7, 3)],
-    )
-    coloring, trace = color_in_class(
-        g, strict=True, use_kempe=False, debug_validate=True
-    )
-    assert trace.steps[-1] == (7, CASCADE)
-    assert coloring.colors_used == omega(g) == 4
-    assert verify_proper(g, coloring) is None
-
-
-def test_pair_recolor_mechanism_fires():
-    # frozen from the exhaustive n=7 sweep with the swap stage disabled:
-    # the first labeled graph whose repair uses the pair-recolor move
-    g = from_edge_mask(7, 1273737)
-    assert is_in_class(g)
-    coloring, trace = color_in_class(
-        g, strict=False, use_kempe=False, debug_validate=True
-    )
-    assert PAIR_RECOLOR in [m for _, m in trace.steps]
-    assert verify_proper(g, coloring) is None
-    assert coloring.colors_used == omega(g)
-
-
-def test_cascade_component_swap_branches():
-    # hand-built endgame states driving the two component-interchange exits;
-    # vertex 0 is uncolored, its clique {0,1,2,3} holds colors 1,2,3
-    g1 = build_graph(
-        8,
-        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-         (0, 4), (1, 5), (2, 6), (2, 7)],
-    )
-    colors = [0, 1, 2, 3, 4, 4, 3, 4]
-    prefix = 0b11111110
-    assert _try_cascade(g1.adj, g1.n, colors, 0, g1.adj[0] & prefix, prefix, 4, 4)
-    assert verify_proper(g1, Coloring(tuple(colors))) is None
-    assert colors[0] == 1
-
-    g2 = build_graph(
-        9,
-        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-         (0, 4), (1, 5), (2, 6), (2, 7), (5, 8), (8, 4)],
-    )
-    colors = [0, 1, 2, 3, 4, 4, 3, 4, 1]
-    prefix = 0b111111110
-    assert _try_cascade(g2.adj, g2.n, colors, 0, g2.adj[0] & prefix, prefix, 4, 4)
-    assert verify_proper(g2, Coloring(tuple(colors))) is None
-    assert colors[0] == 1
+    # from_edge_mask(6, 10940) is the first n = 6 graph whose relaxed run
+    # needs the exact fallback
+    fallback_case = from_edge_mask(6, 10940)
+    for g in (blown_up_odd_cycle(2, 3), fallback_case):
+        _, trace = class_color(g)
+        assert [u for u, _ in trace.steps] == list(range(g.n))
+        mechs = [m for _, m in trace.steps]
+        assert trace.direct_colors == mechs.count("direct")
+        assert trace.kempe_swaps == mechs.count("kempe_swap")
+        assert trace.exact_fallbacks == mechs.count("exact_fallback")
+        assert trace.direct_colors + trace.kempe_swaps + trace.exact_fallbacks == g.n
+        assert trace.pair_recolor_moves == trace.cascade_moves == 0
+        if g is fallback_case:
+            assert trace.exact_fallbacks >= 1
 
 
 def _strict_eligible(g):
@@ -141,29 +84,17 @@ def _strict_eligible(g):
     return g.n > 0 and degree_profile(g)[1] <= 2 * omega(g) - 3
 
 
-@pytest.mark.parametrize(
-    "options",
-    [
-        {},
-        {"use_kempe": False},
-        {"use_clique_moves": False},
-        {"use_kempe": False, "use_clique_moves": False},
-        {"insertion_order": "degree"},
-    ],
-)
-def test_contracts_hold_under_all_configurations(options):
-    # repair stages only affect the trace; the contract is configuration-free
-    for n in range(1, 6):
+def test_strict_contract_exhaustive_small():
+    # n = 6 is where the exact fallback first runs alongside Kempe swaps
+    for n in range(1, 7):
         for g in enumerate_labeled(n, _strict_eligible):
-            coloring, _ = color_in_class(
-                g, strict=True, debug_validate=True, **options
-            )
+            coloring, _ = color_in_class(g, strict=True, debug_validate=True)
             assert verify_proper(g, coloring) is None
             assert coloring.colors_used == omega(g)
 
 
 def test_relaxed_contract_exhaustive_small():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for g in enumerate_labeled(n, lambda h: bool(is_in_class(h))):
             coloring, _ = color_in_class(g, strict=False, debug_validate=True)
             assert verify_proper(g, coloring) is None
