@@ -2,9 +2,10 @@
 
 The compiled extension (_fastcore, Cython over uint64 masks) is used when it
 imported cleanly and the graph fits in 64 vertices; otherwise the pure-Python
-kernels take over. Both implement identical deterministic algorithms, so
-results never depend on the backend. Set CLAWCHROMA_PURE=1 to force the pure
-backend (used by the benchmark and by tests).
+kernels take over. Both return identical results (values, witnesses and list
+orders), so nothing depends on the backend, although their searches may
+differ. Set CLAWCHROMA_PURE=1 to force the pure backend (used by the
+benchmark and by tests).
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 These are the hot primitives behind recognition, clique search and exact
 coloring. The compiled extension (_fastcore) implements the same functions
-with the same deterministic search orders for n <= 64; this module is the
-always-available fallback and the reference for cross-backend tests.
+with identical results for n <= 64; this module is the always-available
+fallback and the reference for cross-backend tests. Recursive searches are
+module-level functions, not nested closures, so a call leaves no reference
+cycles for the garbage collector.
 
 Conventions: adj is an indexable of per-vertex neighbor bitmasks, sub is a
 bitmask restricting the operation to an induced subgraph, colors are 1-based
@@ -11,6 +13,8 @@ and 0 means uncolored.
 """
 
 from __future__ import annotations
+
+from ..bitops import mask_is_clique
 
 
 def find_claw(adj, n: int):
@@ -98,26 +102,40 @@ def _color_order(adj, cand: int):
     return vs, bounds
 
 
+def _clique_number_expand(adj, cand: int, size: int, best: int) -> int:
+    vs, bounds = _color_order(adj, cand)
+    for i in range(len(vs) - 1, -1, -1):
+        if size + bounds[i] <= best:
+            return best
+        v = vs[i]
+        nc = cand & adj[v]
+        if nc:
+            best = _clique_number_expand(adj, nc, size + 1, best)
+        elif size + 1 > best:
+            best = size + 1
+        cand ^= 1 << v
+    return best
+
+
 def clique_number(adj, n: int, sub: int) -> int:
     """Exact maximum clique size within sub (0 for the empty mask)."""
+    if mask_is_clique(adj, sub):
+        return sub.bit_count()
+    return _clique_number_expand(adj, sub, 0, 0)
 
-    def expand(cand: int, size: int, best: int) -> int:
-        vs, bounds = _color_order(adj, cand)
-        for i in range(len(vs) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return best
-            v = vs[i]
-            nc = cand & adj[v]
-            if nc:
-                best = expand(nc, size + 1, best)
-            elif size + 1 > best:
-                best = size + 1
-            cand ^= 1 << v
-        return best
 
-    if not sub:
-        return 0
-    return expand(sub, 0, 0)
+def _has_clique_expand(adj, cand: int, size: int, k: int) -> bool:
+    vs, bounds = _color_order(adj, cand)
+    for i in range(len(vs) - 1, -1, -1):
+        if size + bounds[i] < k:
+            return False
+        v = vs[i]
+        if size + 1 == k:
+            return True
+        if _has_clique_expand(adj, cand & adj[v], size + 1, k):
+            return True
+        cand ^= 1 << v
+    return False
 
 
 def has_clique(adj, n: int, sub: int, k: int) -> bool:
@@ -126,21 +144,7 @@ def has_clique(adj, n: int, sub: int, k: int) -> bool:
         return True
     if sub.bit_count() < k:
         return False
-
-    def expand(cand: int, size: int) -> bool:
-        vs, bounds = _color_order(adj, cand)
-        for i in range(len(vs) - 1, -1, -1):
-            if size + bounds[i] < k:
-                return False
-            v = vs[i]
-            if size + 1 == k:
-                return True
-            if expand(cand & adj[v], size + 1):
-                return True
-            cand ^= 1 << v
-        return False
-
-    return expand(sub, 0)
+    return _has_clique_expand(adj, sub, 0, k)
 
 
 def lex_min_max_clique(adj, n: int, sub: int) -> int:
@@ -169,30 +173,56 @@ def lex_min_max_clique(adj, n: int, sub: int) -> int:
     return res
 
 
+def _max_cliques_rec(adj, out: list, mask: int, cand: int, left: int) -> None:
+    """Append every (left)-clique of cand, joined to mask, in ascending order.
+
+    Each vertex of cand is above every vertex of mask, so branching on the
+    candidates in ascending order emits cliques in ascending-tuple order.
+    bound[i] is the number of greedy color classes of the candidates from
+    position i on, colored from the highest vertex down; it bounds the
+    largest clique among them and never grows with i.
+    """
+    if left == 1:
+        m = cand
+        while m:
+            b = m & -m
+            out.append(mask | b)
+            m ^= b
+        return
+    vs = []
+    m = cand
+    while m:
+        b = m & -m
+        vs.append(b.bit_length() - 1)
+        m ^= b
+    bound = [0] * len(vs)
+    classes: list[int] = []
+    for i in range(len(vs) - 1, -1, -1):
+        nv = adj[vs[i]]
+        for j, cls in enumerate(classes):
+            if not cls & nv:
+                classes[j] = cls | 1 << vs[i]
+                break
+        else:
+            classes.append(1 << vs[i])
+        bound[i] = len(classes)
+    for i, v in enumerate(vs):
+        if bound[i] < left:
+            return
+        nxt = cand & adj[v] & (-1 << (v + 1))
+        if nxt.bit_count() >= left - 1:
+            _max_cliques_rec(adj, out, mask | 1 << v, nxt, left - 1)
+
+
 def max_cliques(adj, n: int, sub: int) -> list[int]:
     """All maximum cliques within sub as masks, in ascending-tuple order.
 
     The empty mask has the empty clique as its single maximum clique.
     """
-    need = clique_number(adj, n, sub)
-    if need == 0:
-        return [0]
+    if mask_is_clique(adj, sub):
+        return [sub]
     out: list[int] = []
-
-    def rec(mask: int, cand: int, left: int) -> None:
-        if left == 0:
-            out.append(mask)
-            return
-        m = cand
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            nxt = cand & adj[v] & (-1 << (v + 1))
-            if nxt.bit_count() >= left - 1 and has_clique(adj, n, nxt, left - 1):
-                rec(mask | b, nxt, left - 1)
-
-    rec(0, sub, need)
+    _max_cliques_rec(adj, out, 0, sub, clique_number(adj, n, sub))
     return out
 
 
@@ -238,6 +268,57 @@ def dsatur(adj, n: int, sub: int) -> list[int]:
     return colors
 
 
+def _k_color_bt(
+    adj, sub: int, k: int, colors, nbc, deg, uncol: int, top: int
+) -> bool:
+    """One step of k_color: color the most saturated vertex of uncol, recurse.
+
+    colors and nbc are updated in place and restored on failure; top is the
+    highest color index used so far.
+    """
+    if uncol == 0:
+        return True
+    best = -1
+    bs = -1
+    bd = -1
+    m = uncol
+    while m:
+        b = m & -m
+        v = b.bit_length() - 1
+        m ^= b
+        s = nbc[v].bit_count()
+        if s > bs or (s == bs and deg[v] > bd):
+            best, bs, bd = v, s, deg[v]
+    v = best
+    limit = top + 1 if top < k else k
+    forbidden = nbc[v]
+    for c in range(1, limit + 1):
+        bit = 1 << (c - 1)
+        if forbidden & bit:
+            continue
+        colors[v] = c
+        changed = 0
+        mw = adj[v] & sub
+        while mw:
+            bw = mw & -mw
+            w = bw.bit_length() - 1
+            mw ^= bw
+            if not nbc[w] & bit:
+                nbc[w] |= bit
+                changed |= bw
+        if _k_color_bt(
+            adj, sub, k, colors, nbc, deg, uncol & ~(1 << v), c if c > top else top
+        ):
+            return True
+        mw = changed
+        while mw:
+            bw = mw & -mw
+            nbc[bw.bit_length() - 1] ^= bit
+            mw ^= bw
+        colors[v] = 0
+    return False
+
+
 def k_color(adj, n: int, sub: int, k: int, clique: int = 0):
     """A proper coloring of sub with at most k colors, or None.
 
@@ -273,49 +354,7 @@ def k_color(adj, n: int, sub: int, k: int, clique: int = 0):
             bw = mw & -mw
             nbc[bw.bit_length() - 1] |= bit
             mw ^= bw
-
-    def bt(uncol: int, top: int) -> bool:
-        if uncol == 0:
-            return True
-        best = -1
-        bs = -1
-        bd = -1
-        m = uncol
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            s = nbc[v].bit_count()
-            if s > bs or (s == bs and deg[v] > bd):
-                best, bs, bd = v, s, deg[v]
-        v = best
-        limit = top + 1 if top < k else k
-        forbidden = nbc[v]
-        for c in range(1, limit + 1):
-            bit = 1 << (c - 1)
-            if forbidden & bit:
-                continue
-            colors[v] = c
-            changed = 0
-            mw = adj[v] & sub
-            while mw:
-                bw = mw & -mw
-                w = bw.bit_length() - 1
-                mw ^= bw
-                if not nbc[w] & bit:
-                    nbc[w] |= bit
-                    changed |= bw
-            if bt(uncol & ~(1 << v), c if c > top else top):
-                return True
-            mw = changed
-            while mw:
-                bw = mw & -mw
-                nbc[bw.bit_length() - 1] ^= bit
-                mw ^= bw
-            colors[v] = 0
-        return False
-
-    if bt(sub & ~clique, used):
+    if _k_color_bt(adj, sub, k, colors, nbc, deg, sub & ~clique, used):
         return colors
     return None
 

@@ -30,6 +30,14 @@ class Coloring:
     def colors_used(self) -> int:
         return len(set(self.assignment))
 
+    @cached_property
+    def class_masks(self) -> dict[int, int]:
+        """Color -> bitmask of the vertices carrying it."""
+        masks: dict[int, int] = {}
+        for v, c in enumerate(self.assignment):
+            masks[c] = masks.get(c, 0) | 1 << v
+        return masks
+
     def color_of(self, v: int) -> int:
         return self.assignment[v]
 
@@ -59,10 +67,11 @@ def verify_proper(g: Graph, coloring: Coloring) -> tuple[int, int] | None:
     """None when proper, else the least monochromatic edge (u, v)."""
     _check_total(g, coloring)
     a = coloring.assignment
-    for u in range(g.n):
-        for v in iter_bits(g.adj[u] & (-1 << (u + 1))):
-            if a[u] == a[v]:
-                return (u, v)
+    masks = coloring.class_masks
+    for u, nu in enumerate(g.adj):
+        clash = nu & masks[a[u]] & (-1 << (u + 1))
+        if clash:
+            return (u, (clash & -clash).bit_length() - 1)
     return None
 
 

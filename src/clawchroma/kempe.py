@@ -4,6 +4,12 @@ In a claw-free graph every component of the subgraph induced by two color
 classes of a proper coloring is a path or a cycle; find_branching_component
 hunts for a counterexample (a component with a vertex of degree >= 3) and is
 expected to come back empty on every claw-free input the suite produces.
+
+The hunt needs no components: a vertex v of color a has degree
+|N(v) & C_a| + |N(v) & C_b| in the (a, b) two-class subgraph, so some
+component branches iff that sum reaches 3 for some v and some present color
+b != a. One pass over the vertices decides it; the witness component is
+enumerated only when the pass finds such a vertex.
 """
 
 from __future__ import annotations
@@ -86,12 +92,36 @@ def swap_component(coloring: Coloring, comp: KempeComponent) -> Coloring:
     return Coloring(tuple(out))
 
 
+def _some_vertex_branches(adj, coloring: Coloring) -> bool:
+    """True iff some vertex has degree >= 3 in some two-class subgraph.
+
+    Holds for improper colorings too: same-colored neighbors count in
+    every pair containing the vertex's own color.
+    """
+    classes = coloring.class_masks
+    a = coloring.assignment
+    masks = list(classes.values())
+    for v, nv in enumerate(adj):
+        if nv.bit_count() < 3:
+            continue
+        own_mask = classes[a[v]]
+        own = (nv & own_mask).bit_count()
+        for mask in masks:
+            if mask != own_mask and own + (nv & mask).bit_count() >= 3:
+                return True
+    return False
+
+
 def find_branching_component(g: Graph, coloring: Coloring) -> KempeComponent | None:
     """Least component that is neither a path nor a cycle, over all color pairs.
 
     None means every two-class component is a path or a cycle, which is
-    guaranteed for claw-free graphs.
+    guaranteed for claw-free graphs. Decided by the degree test in
+    _some_vertex_branches; only on a hit are the components of each color
+    pair enumerated, in pair order, to return the least branching one.
     """
+    if not _some_vertex_branches(g.adj, coloring):
+        return None
     present = sorted(set(coloring.assignment))
     for i, alpha in enumerate(present):
         for beta in present[i + 1 :]:

@@ -1,13 +1,14 @@
 """Bulk verification sweeps: exhaustive at small n, seeded random above.
 
 For every swept graph the harness runs recognition; in-class graphs then get
-the full battery: oracle chromatic number against the clique number, the
-degree-bound trichotomy (including the induced-wheel fact in the wheel
-branch), the four-shape neighborhood classification for every vertex and
-every maximum clique, both constructive colorers against their contracts,
-and the path-or-cycle shape of every two-class component of every produced
-coloring. Each failed claim increments one violation counter; all counters
-must be zero.
+the full battery: oracle chromatic number against the clique number (its
+witness and the DSATUR coloring must be proper, the witness with exactly chi
+colors), the degree-bound trichotomy (including the induced-wheel fact in
+the wheel branch), the four-shape neighborhood classification for every
+vertex and every maximum clique, both constructive colorers against their
+contracts, and the path-or-cycle shape of every two-class component of every
+produced coloring. Each failed claim increments one violation counter; all
+counters must be zero.
 
 Sweeps may be distributed over processes (CLAWCHROMA_THREADS, 0 = serial).
 Workers share nothing and partial results merge by deterministic ordered
@@ -110,11 +111,17 @@ def check_in_class_graph(g: Graph) -> tuple[set[str], int, int]:
     w = omega_of(g)
     delta = degree_profile(g)[1]
     chi, oracle_coloring = exact_chromatic(g)
-    if not w <= chi <= w + 1:
+    greedy = dsatur_greedy(g)
+    if (
+        not w <= chi <= w + 1
+        or oracle_coloring.colors_used != chi
+        or verify_proper(g, oracle_coloring) is not None
+        or verify_proper(g, greedy) is not None
+    ):
         viol.add(CHI_WITHIN_ONE)
     if delta > 2 * w - 1 or (delta == 2 * w - 1 and (delta, w) != (5, 3)):
         viol.add(DEGREE_BOUND)
-    colorings = [oracle_coloring, dsatur_greedy(g)]
+    colorings = [oracle_coloring, greedy]
     strict_vertices = strict_fallbacks = 0
     bound_holds = g.n > 0 and delta <= 2 * w - 3
     if bound_holds:

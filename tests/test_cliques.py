@@ -1,7 +1,10 @@
+import gc
 from itertools import combinations
 
 import pytest
 
+from clawchroma._kernels import pure
+from clawchroma.bitops import bits_tuple
 from clawchroma.cliques import (
     max_clique,
     max_clique_in_neighborhood,
@@ -11,18 +14,24 @@ from clawchroma.cliques import (
 from clawchroma.errors import VertexOutOfRangeError
 from clawchroma.generators import SplitMix64, enumerate_labeled, random_graph
 from clawchroma.graph import induced_subgraph
-from graphzoo import complete, cycle, empty, naive_omega
+from graphzoo import complete, cycle, empty, naive_omega, petersen
 
 from clawchroma import blown_up_odd_cycle, wheel
 
 
-def _all_max_cliques_brute(g):
-    w = naive_omega(g)
-    return [
-        sub
-        for sub in combinations(range(g.n), w)
-        if all(g.has_edge(u, v) for u, v in combinations(sub, 2))
-    ]
+def _brute_max_cliques(adj, sub):
+    """Clique number and maximum cliques of sub, as masks in ascending-tuple
+    order, by subset enumeration."""
+    verts = [v for v in range(sub.bit_length()) if sub >> v & 1]
+    for size in range(len(verts), 0, -1):
+        found = [
+            sum(1 << v for v in c)
+            for c in combinations(verts, size)
+            if all(adj[u] >> v & 1 for u, v in combinations(c, 2))
+        ]
+        if found:
+            return size, found
+    return 0, [0]
 
 
 def test_omega_examples():
@@ -47,12 +56,9 @@ def test_max_clique_is_lex_least():
         n = stream.next_below(9)
         g = random_graph(n, stream.next_unit(), stream)
         result = max_clique(g)
-        brute = _all_max_cliques_brute(g)
-        if g.n == 0:
-            assert result.vertices == () and result.size == 0
-            continue
-        assert result.size == naive_omega(g)
-        assert result.vertices == min(brute)
+        w, brute = _brute_max_cliques(g.adj, g.full_mask())
+        assert result.size == w
+        assert result.vertices == bits_tuple(brute[0])
 
 
 def test_max_clique_verifies_complete():
@@ -103,3 +109,36 @@ def test_out_of_range():
         max_clique_in_neighborhood(complete(3), 3)
     with pytest.raises(VertexOutOfRangeError):
         max_clique_through(complete(3), -1)
+
+
+def test_pure_clique_kernels_match_brute_force():
+    stream = SplitMix64(31)
+    for _ in range(400):
+        n = stream.next_below(11)
+        g = random_graph(n, stream.next_unit(), stream)
+        full = g.full_mask()
+        for sub in (full, stream.next_u64() & full, stream.next_u64() & full):
+            w, cliques = _brute_max_cliques(g.adj, sub)
+            assert pure.clique_number(g.adj, n, sub) == w
+            assert pure.max_cliques(g.adj, n, sub) == cliques
+            for k in range(w + 2):
+                assert pure.has_clique(g.adj, n, sub, k) == (k <= w)
+
+
+def test_pure_kernels_leave_no_cyclic_garbage():
+    graphs = [wheel(5), blown_up_odd_cycle(2, 3), petersen(), complete(5), cycle(7)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            adj, n, full = g.adj, g.n, g.full_mask()
+            w = pure.clique_number(adj, n, full)
+            pure.has_clique(adj, n, full, w + 1)
+            clique = pure.lex_min_max_clique(adj, n, full)
+            for v in range(n):
+                pure.max_cliques(adj, n, full & ~(1 << v))
+            pure.k_color(adj, n, full, w, clique)
+            pure.k_color(adj, n, full, w + 1, clique)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

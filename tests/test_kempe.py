@@ -1,6 +1,6 @@
 import pytest
 
-from clawchroma.coloring import Coloring, verify_proper
+from clawchroma.coloring import Coloring, dsatur_greedy, verify_proper
 from clawchroma.errors import SameColorPairError, StaleComponentError
 from clawchroma.kempe import (
     CYCLE,
@@ -10,6 +10,7 @@ from clawchroma.kempe import (
     swap_component,
     two_color_components,
 )
+from clawchroma.generators import SplitMix64, random_graph
 from graphzoo import claw, cycle, path, proper_colorings
 
 from clawchroma import exact_chromatic, wheel
@@ -118,3 +119,35 @@ def test_branching_search_examples():
 
     bad = find_branching_component(claw(), Coloring((1, 2, 2, 2)))
     assert bad is not None and bad.shape == OTHER
+
+
+def _reference_branching(g, c):
+    present = sorted(set(c.assignment))
+    for i, alpha in enumerate(present):
+        for beta in present[i + 1 :]:
+            for comp in two_color_components(g, c, alpha, beta):
+                if comp.shape == OTHER:
+                    return comp
+    return None
+
+
+def test_branching_matches_component_enumeration():
+    # proper (DSATUR), random and often improper, and single-color
+    # assignments; n = 0 draws cover the empty graph
+    stream = SplitMix64(41)
+    hits = total = 0
+    for _ in range(600):
+        n = stream.next_below(10)
+        g = random_graph(n, stream.next_unit(), stream)
+        assignments = (
+            dsatur_greedy(g).assignment,
+            tuple(1 + stream.next_below(4) for _ in range(n)),
+            (1,) * n,
+        )
+        for assign in assignments:
+            c = Coloring(assign)
+            ref = _reference_branching(g, c)
+            assert find_branching_component(g, c) == ref
+            hits += ref is not None
+            total += 1
+    assert 0 < hits < total

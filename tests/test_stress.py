@@ -2,11 +2,18 @@ import json
 
 import pytest
 
+from clawchroma import stress
 from clawchroma.cli import _dump_counterexamples
+from clawchroma.coloring import Coloring
 from clawchroma.errors import ParamRangeError, ScaleExceededError
 from clawchroma.graph import edge_mask_of
-from clawchroma.stress import StressSummary, check_in_class_graph, run_stress
-from graphzoo import claw
+from clawchroma.stress import (
+    CHI_WITHIN_ONE,
+    StressSummary,
+    check_in_class_graph,
+    run_stress,
+)
+from graphzoo import claw, cycle
 
 from clawchroma import wheel
 
@@ -59,6 +66,23 @@ def test_check_in_class_graph_clean_on_wheel():
     assert viol == set()
     assert strict_vertices == 0  # wheel violates the strict degree bound
     assert fallbacks == 0
+
+
+@pytest.mark.parametrize(
+    "target, value",
+    [
+        # improper witness with the right color count
+        ("exact_chromatic", (3, Coloring((1, 1, 2, 3, 2)))),
+        # proper witness with more colors than chi
+        ("exact_chromatic", (3, Coloring((1, 2, 3, 4, 5)))),
+        ("dsatur_greedy", Coloring((1, 2, 3, 3, 2))),
+    ],
+)
+def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value):
+    g = cycle(5)
+    assert check_in_class_graph(g)[0] == set()
+    monkeypatch.setattr(stress, target, lambda _g: value)
+    assert check_in_class_graph(g)[0] == {CHI_WITHIN_ONE}
 
 
 def test_fallback_rate_definition():
