@@ -14,8 +14,6 @@ and 0 means uncolored.
 
 from __future__ import annotations
 
-from ..bitops import mask_is_clique
-
 
 def find_claw(adj, n: int):
     """Least induced K1,3 as (center, leaf1, leaf2, leaf3), or None.
@@ -49,7 +47,10 @@ def find_k5_minus_p3(adj, n: int):
     Role labels: d, e span the dominating edge (adjacent to a, b and c),
     ab is an edge, and c is adjacent to neither a nor b. The search anchors
     on the edge (d, e) and scans its common neighborhood, minimizing
-    (d, e, a, b, c) with d < e and a < b.
+    (d, e, a, b, c) with d < e and a < b. For each a, the c candidates are
+    far = common - N[a]; a b above a in common & N(a) completes a witness
+    iff it misses some vertex of far, that is, iff b is outside the common
+    neighborhood of far. So each a costs one pass over far, not one per b.
     """
     for d in range(n):
         md = adj[d] & (-1 << (d + 1))
@@ -65,15 +66,21 @@ def find_k5_minus_p3(adj, n: int):
                 ba = ma & -ma
                 a = ba.bit_length() - 1
                 ma ^= ba
-                mb = common & adj[a] & (-1 << (a + 1))
-                while mb:
-                    bb = mb & -mb
-                    b = bb.bit_length() - 1
-                    mb ^= bb
-                    mc = common & ~adj[a] & ~adj[b]
-                    if mc:
-                        c = (mc & -mc).bit_length() - 1
-                        return (a, b, c, d, e)
+                far = common & ~adj[a] & ~ba
+                if not far:
+                    continue
+                above = common & adj[a] & (-1 << (a + 1))
+                hits_all = above  # the b adjacent to every vertex of far
+                mf = far
+                while mf and hits_all:
+                    bf = mf & -mf
+                    hits_all &= adj[bf.bit_length() - 1]
+                    mf ^= bf
+                mb = above & ~hits_all
+                if mb:
+                    b = (mb & -mb).bit_length() - 1
+                    mc = far & ~adj[b]
+                    return (a, b, (mc & -mc).bit_length() - 1, d, e)
     return None
 
 
@@ -117,11 +124,33 @@ def _clique_number_expand(adj, cand: int, size: int, best: int) -> int:
     return best
 
 
+def _universal(adj, sub: int) -> int:
+    """The vertices of sub adjacent to every other vertex of sub.
+
+    They lie in every maximum clique of sub, so the clique searches run on
+    the rest and add them back; sub is a clique iff all of it is universal.
+    """
+    u = m = sub
+    while m:
+        b = m & -m
+        hit = (adj[b.bit_length() - 1] | b) & sub
+        if hit != sub:  # b and the vertices it misses are not universal
+            u &= hit ^ b
+            m &= hit
+        m ^= b
+    return u
+
+
 def clique_number(adj, n: int, sub: int) -> int:
-    """Exact maximum clique size within sub (0 for the empty mask)."""
-    if mask_is_clique(adj, sub):
-        return sub.bit_count()
-    return _clique_number_expand(adj, sub, 0, 0)
+    """Exact maximum clique size within sub (0 for the empty mask).
+
+    The search runs on sub minus its universal vertices, which are counted
+    in directly.
+    """
+    u = _universal(adj, sub)
+    if u == sub:
+        return u.bit_count()
+    return u.bit_count() + _clique_number_expand(adj, sub ^ u, 0, 0)
 
 
 def _has_clique_expand(adj, cand: int, size: int, k: int) -> bool:
@@ -147,48 +176,40 @@ def has_clique(adj, n: int, sub: int, k: int) -> bool:
     return _has_clique_expand(adj, sub, 0, k)
 
 
-def lex_min_max_clique(adj, n: int, sub: int) -> int:
-    """The lexicographically least maximum clique within sub, as a mask.
-
-    Cliques are compared as ascending vertex tuples. Built greedily: each
-    step commits the least vertex that still extends to a maximum clique.
-    """
-    need = clique_number(adj, n, sub)
-    res = 0
-    cand = sub
-    while need:
-        m = cand
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            nxt = cand & adj[v] & (-1 << (v + 1))
-            if has_clique(adj, n, nxt, need - 1):
-                res |= b
-                cand = nxt
-                need -= 1
-                break
-        else:  # pragma: no cover - unreachable for consistent inputs
-            raise AssertionError("clique extension lost")
-    return res
-
-
-def _max_cliques_rec(adj, out: list, mask: int, cand: int, left: int) -> None:
+def _max_cliques_rec(
+    adj, out: list, mask: int, cand: int, left: int, first: bool
+) -> bool:
     """Append every (left)-clique of cand, joined to mask, in ascending order.
 
-    Each vertex of cand is above every vertex of mask, so branching on the
-    candidates in ascending order emits cliques in ascending-tuple order.
-    bound[i] is the number of greedy color classes of the candidates from
-    position i on, colored from the highest vertex down; it bounds the
-    largest clique among them and never grows with i.
+    cand holds at least left vertices. Branching on the candidates in
+    ascending order emits cliques in ascending-tuple order: mask is shared by
+    all of them, so their order is that of their cand parts. With first set,
+    stop at the first clique and return True. bound[i] is the number of
+    greedy color classes of the candidates from position i on, colored from
+    the highest vertex down; it bounds the largest clique among them and
+    never grows with i.
     """
     if left == 1:
-        m = cand
+        m = cand & -cand if first else cand
         while m:
             b = m & -m
             out.append(mask | b)
             m ^= b
-        return
+        return first
+    if left == 2:  # the edges of cand, with no bound to compute
+        m = cand
+        while m:
+            b = m & -m
+            m ^= b
+            ends = m & adj[b.bit_length() - 1]
+            if ends and first:
+                out.append(mask | b | (ends & -ends))
+                return True
+            while ends:
+                e = ends & -ends
+                out.append(mask | b | e)
+                ends ^= e
+        return False
     vs = []
     m = cand
     while m:
@@ -208,22 +229,47 @@ def _max_cliques_rec(adj, out: list, mask: int, cand: int, left: int) -> None:
         bound[i] = len(classes)
     for i, v in enumerate(vs):
         if bound[i] < left:
-            return
+            return False
         nxt = cand & adj[v] & (-1 << (v + 1))
-        if nxt.bit_count() >= left - 1:
-            _max_cliques_rec(adj, out, mask | 1 << v, nxt, left - 1)
+        if nxt.bit_count() >= left - 1 and _max_cliques_rec(
+            adj, out, mask | 1 << v, nxt, left - 1, first
+        ):
+            return True
+    return False
+
+
+def _search_max_cliques(adj, sub: int, first: bool) -> list[int]:
+    """Maximum cliques of sub in ascending-tuple order (only the first one
+    when first is set), searched on sub minus its universal vertices."""
+    u = _universal(adj, sub)
+    core = sub ^ u
+    if not core:
+        return [u]
+    out: list[int] = []
+    _max_cliques_rec(
+        adj, out, u, core, _clique_number_expand(adj, core, 0, 0), first
+    )
+    return out
+
+
+def lex_min_max_clique(adj, n: int, sub: int) -> int:
+    """The lexicographically least maximum clique within sub, as a mask.
+
+    Cliques are compared as ascending vertex tuples: this is the first
+    clique the ascending max_cliques search emits.
+    """
+    return _search_max_cliques(adj, sub, True)[0]
 
 
 def max_cliques(adj, n: int, sub: int) -> list[int]:
     """All maximum cliques within sub as masks, in ascending-tuple order.
 
-    The empty mask has the empty clique as its single maximum clique.
+    The empty mask has the empty clique as its single maximum clique. The
+    universal vertices U of sub are in every maximum clique; adding U to two
+    equal-size cliques keeps the least element of their symmetric
+    difference, so searching sub - U and adding U back keeps the order.
     """
-    if mask_is_clique(adj, sub):
-        return [sub]
-    out: list[int] = []
-    _max_cliques_rec(adj, out, 0, sub, clique_number(adj, n, sub))
-    return out
+    return _search_max_cliques(adj, sub, False)
 
 
 def dsatur(adj, n: int, sub: int) -> list[int]:

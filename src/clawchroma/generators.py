@@ -5,6 +5,13 @@ supply claw-free inputs for the component-shape sweeps; the seeded random
 and exhaustive generators drive the stress harness. Every generator is
 deterministic given its parameters, with randomness drawn from an explicit
 splitmix64 stream so sampled suites reproduce bit-for-bit.
+
+splitmix64 is a counter: the t-th value after state s is mix(s + t*gamma),
+so any value of a draw can be read at the cost of one mix. The random
+sweeps use that to build a draw vertex by vertex and drop it at its first
+claw (random_claw_free_graph). Claw-freeness is hereditary, so the early
+stop never changes the verdict, and the graphs kept are exactly those of
+random_graph on the same stream, which is advanced by the same amount.
 """
 
 from __future__ import annotations
@@ -12,11 +19,14 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 
 from .errors import ParamRangeError, ScaleExceededError
-from .graph import Graph, build_graph, from_edge_mask
+from .graph import MAX_VERTICES, Graph, build_graph, from_edge_mask
 
 ENUMERATION_MAX_VERTICES = 7
 
 _M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -26,11 +36,21 @@ class SplitMix64:
         self._state = seed & _M64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _M64
+        self._state = (self._state + _GAMMA) & _M64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        z = ((z ^ (z >> 30)) * _MIX1) & _M64
+        z = ((z ^ (z >> 27)) * _MIX2) & _M64
         return z ^ (z >> 31)
+
+    def skip(self, count: int) -> int:
+        """Advance past the next count values; return the state before.
+
+        The t-th skipped value (t = 1..count) is the mix of
+        (returned state + t * gamma) mod 2^64.
+        """
+        base = self._state
+        self._state = (base + count * _GAMMA) & _M64
+        return base
 
     def next_below(self, bound: int) -> int:
         return self.next_u64() % bound
@@ -96,19 +116,85 @@ def line_graph(h: Graph) -> Graph:
     return build_graph(n, out)
 
 
-def random_graph(n: int, edge_prob: float, stream: SplitMix64) -> Graph:
-    """One Erdos-Renyi draw; consumes exactly n*(n-1)/2 stream values."""
+def _edge_threshold(n: int, edge_prob: float) -> int:
+    """Validate a draw's arguments; a pair is an edge iff its value is below
+    the returned threshold."""
     if n < 0:
         raise ParamRangeError(f"vertex count {n} < 0")
+    if n > MAX_VERTICES:
+        raise ScaleExceededError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     if not 0.0 <= edge_prob <= 1.0:
         raise ParamRangeError(f"edge probability {edge_prob} outside [0, 1]")
-    threshold = min(int(edge_prob * 2.0**64), 1 << 64)
+    return min(int(edge_prob * 2.0**64), 1 << 64)
+
+
+def random_graph(n: int, edge_prob: float, stream: SplitMix64) -> Graph:
+    """One Erdos-Renyi draw; consumes exactly n*(n-1)/2 stream values.
+
+    Pair (i, j), i < j, takes the values in lexicographic pair order.
+    """
+    threshold = _edge_threshold(n, edge_prob)
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
             if stream.next_u64() < threshold:
                 edges.append((i, j))
     return build_graph(n, edges)
+
+
+def random_claw_free_graph(
+    n: int, edge_prob: float, stream: SplitMix64
+) -> Graph | None:
+    """random_graph(n, edge_prob, stream) if that draw is claw-free, else None.
+
+    Consumes exactly the n*(n-1)/2 stream values of random_graph either way.
+    Vertex k is added with its edges to 0..k-1, read from the stream by pair
+    index, and only the claws through k are looked for: k as the center
+    (three pairwise non-adjacent neighbors) or as a leaf (a neighbor u with
+    two non-adjacent neighbors outside N[k]). The draw is dropped at the
+    first claw, before the values of the later vertices are mixed.
+    """
+    threshold = _edge_threshold(n, edge_prob)
+    base = stream.skip(n * (n - 1) // 2)
+    # pair (i, k) takes value t = i*(2n-i-1)/2 - i + k, the mix of base + t*gamma
+    rows = [
+        (base + (i * (2 * n - i - 1) // 2 - i) * _GAMMA) & _M64 for i in range(n)
+    ]
+    adj = [0] * n
+    for k in range(1, n):
+        kg = k * _GAMMA
+        nk = 0
+        for i in range(k):
+            z = (rows[i] + kg) & _M64
+            z = ((z ^ (z >> 30)) * _MIX1) & _M64
+            z = ((z ^ (z >> 27)) * _MIX2) & _M64
+            if z ^ (z >> 31) < threshold:
+                nk |= 1 << i
+        if not nk:
+            continue
+        kbit = 1 << k
+        adj[k] = nk
+        m = nk
+        while m:
+            b = m & -m
+            u = b.bit_length() - 1
+            m ^= b
+            adj[u] |= kbit
+            # k as a leaf of a claw centered at u
+            r = adj[u] & ~nk & ~kbit
+            while r:
+                bx = r & -r
+                r ^= bx
+                if r & ~adj[bx.bit_length() - 1]:
+                    return None
+            # k as the center, with u as its least leaf
+            mb = nk & ~adj[u] & (-1 << (u + 1))
+            while mb:
+                bb = mb & -mb
+                mb ^= bb
+                if mb & ~adj[bb.bit_length() - 1]:
+                    return None
+    return Graph(n, tuple(adj))
 
 
 def random_in_class(
@@ -125,8 +211,8 @@ def random_in_class(
 
     stream = SplitMix64(seed)
     for _ in range(max_tries):
-        g = random_graph(n, edge_prob, stream)
-        if is_in_class(g):
+        g = random_claw_free_graph(n, edge_prob, stream)
+        if g is not None and is_in_class(g):
             return g
     return None
 

@@ -125,6 +125,27 @@ def test_pure_clique_kernels_match_brute_force():
                 assert pure.has_clique(g.adj, n, sub, k) == (k <= w)
 
 
+def test_pure_clique_kernels_with_universal_vertices():
+    # dense sub masks where some vertices are joined to all the rest of sub
+    stream = SplitMix64(37)
+    for _ in range(300):
+        n = 1 + stream.next_below(11)
+        g = random_graph(n, 0.6 + 0.4 * stream.next_unit(), stream)
+        full = g.full_mask()
+        sub = full & ~(stream.next_u64() & stream.next_u64())
+        planted = sub & stream.next_u64() & stream.next_u64()
+        adj = list(g.adj)
+        for v in bits_tuple(planted):
+            adj[v] |= sub & ~(1 << v)
+            for u in bits_tuple(sub & ~(1 << v)):
+                adj[u] |= 1 << v
+        w, cliques = _brute_max_cliques(adj, sub)
+        assert pure.clique_number(adj, n, sub) == w
+        assert pure.max_cliques(adj, n, sub) == cliques
+        assert pure.lex_min_max_clique(adj, n, sub) == cliques[0]
+        assert all(c & planted == planted for c in cliques)
+
+
 def test_pure_kernels_leave_no_cyclic_garbage():
     graphs = [wheel(5), blown_up_odd_cycle(2, 3), petersen(), complete(5), cycle(7)]
     gc.collect()

@@ -6,6 +6,7 @@ from clawchroma.generators import (
     blown_up_odd_cycle,
     enumerate_labeled,
     line_graph,
+    random_claw_free_graph,
     random_graph,
     random_in_class,
     seeded_line_graphs,
@@ -117,6 +118,54 @@ def test_random_in_class_examples():
     a = random_in_class(9, 0.5, seed=42)
     b = random_in_class(9, 0.5, seed=42)
     assert a == b
+
+
+def test_random_claw_free_graph_matches_random_graph():
+    # same graph when the plain draw is claw-free, else None; same stream use
+    stream = SplitMix64(29)
+    kept = dropped = 0
+    for i in range(600):
+        n = (0, 1, 2)[i] if i < 3 else stream.next_below(16)
+        p = 0.75 + 0.25 * stream.next_unit() if i % 2 else stream.next_unit()
+        seed = stream.next_u64()
+        plain, early = SplitMix64(seed), SplitMix64(seed)
+        g = random_graph(n, p, plain)
+        expected = g if find_claw(g) is None else None
+        assert random_claw_free_graph(n, p, early) == expected
+        assert early.next_u64() == plain.next_u64()
+        kept += expected is not None
+        dropped += expected is None
+    assert kept > 100 and dropped > 100
+
+
+def test_random_claw_free_graph_param_range():
+    with pytest.raises(ParamRangeError):
+        random_claw_free_graph(-1, 0.5, SplitMix64(0))
+    with pytest.raises(ParamRangeError):
+        random_claw_free_graph(5, -0.1, SplitMix64(0))
+    with pytest.raises(ScaleExceededError):
+        random_claw_free_graph(1025, 0.5, SplitMix64(0))
+
+
+def test_random_in_class_matches_plain_draw_loop():
+    def plain(n, p, seed, max_tries):
+        stream = SplitMix64(seed)
+        for _ in range(max_tries):
+            g = random_graph(n, p, stream)
+            if is_in_class(g):
+                return g
+        return None
+
+    cases = [
+        (5, 0.0, 3, 10000),
+        (7, 1.0, 4, 10000),
+        (10, 0.3, 1, 10000),
+        (9, 0.5, 42, 10000),
+        (12, 0.85, 7, 10000),
+        (16, 0.5, 11, 3),
+    ]
+    for n, p, seed, max_tries in cases:
+        assert random_in_class(n, p, seed, max_tries) == plain(n, p, seed, max_tries)
 
 
 def test_random_in_class_param_range():

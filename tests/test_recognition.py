@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 from clawchroma.errors import NotInClassError, VertexOutOfRangeError
-from clawchroma.generators import enumerate_labeled
+from clawchroma._kernels import pure
+from clawchroma.generators import SplitMix64, enumerate_labeled, random_graph
 from clawchroma.recognition import (
     CYCLE_C5,
     ISOLATED_REST,
@@ -82,6 +83,41 @@ def test_finders_match_naive_up_to_n6():
         for g in enumerate_labeled(n):
             assert (find_claw(g) is not None) == naive_has_claw(g)
             assert (find_k5_minus_p3(g) is not None) == naive_has_w(g)
+
+
+def _brute_least_w(adj, n):
+    """Least role-labeled induced K5-minus-P3 in (d, e, a, b, c) order."""
+
+    def edge(u, v):
+        return bool(adj[u] >> v & 1)
+
+    for d, e in combinations(range(n), 2):
+        if not edge(d, e):
+            continue
+        for a, b in combinations(range(n), 2):
+            if {a, b} & {d, e} or not edge(a, b):
+                continue
+            if not all(edge(x, y) for x in (a, b) for y in (d, e)):
+                continue
+            for c in range(n):
+                if c in (a, b, d, e):
+                    continue
+                if edge(c, d) and edge(c, e) and not edge(c, a) and not edge(c, b):
+                    return (a, b, c, d, e)
+    return None
+
+
+def test_pure_k5_minus_p3_is_least_witness():
+    stream = SplitMix64(41)
+    hits = misses = 0
+    for _ in range(400):
+        n = 5 + stream.next_below(6)
+        g = random_graph(n, 0.55 + 0.45 * stream.next_unit(), stream)
+        expected = _brute_least_w(g.adj, n)
+        assert pure.find_k5_minus_p3(g.adj, n) == expected
+        hits += expected is not None
+        misses += expected is None and find_claw(g) is None
+    assert hits > 50 and misses > 50
 
 
 def test_witness_soundness_over_enumeration():
