@@ -1,28 +1,13 @@
-import os
-
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-extensions = []
-if cythonize is not None and not os.environ.get("CLAWCHROMA_SKIP_EXT"):
-    extensions = cythonize(
-        [
-            Extension(
-                "clawchroma._kernels._fastcore",
-                ["src/clawchroma/_kernels/_fastcore.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-
-setup(ext_modules=extensions)
+# _fastcore.c is generated from _fastcore.pyx and shipped; it is compiled as
+# is. Without a C compiler the package installs on the pure backend.
+setup(
+    ext_modules=[
+        Extension(
+            "clawchroma._kernels._fastcore",
+            ["src/clawchroma/_kernels/_fastcore.c"],
+            optional=True,
+        )
+    ]
+)

@@ -1,11 +1,16 @@
 """Kernel backend selection.
 
-The compiled extension (_fastcore, Cython over uint64 masks) is used when it
+The compiled extension (_fastcore, over uint64 masks) is used when it
 imported cleanly and the graph fits in 64 vertices; otherwise the pure-Python
 kernels take over. Both return identical results (values, witnesses and list
 orders), so nothing depends on the backend, although their searches may
-differ. Set CLAWCHROMA_PURE=1 to force the pure backend (used by the
-benchmark and by tests).
+differ. Set CLAWCHROMA_PURE=1 to force the pure backend.
+
+_fastcore.c is the Cython output for _fastcore.pyx. setup.py compiles it as
+shipped, without Cython, and both files are frozen (so the .pyx docstring's
+"same search orders" is older than pure.py's current searches). Kernel
+changes go into pure.py and must keep its results; tests/test_backends.py
+holds the two backends equal.
 """
 
 from __future__ import annotations
@@ -40,10 +45,6 @@ def find_k5_minus_p3(adj, n):
 
 def clique_number(adj, n, sub):
     return _impl(n).clique_number(adj, n, sub)
-
-
-def has_clique(adj, n, sub, k):
-    return _impl(n).has_clique(adj, n, sub, k)
 
 
 def lex_min_max_clique(adj, n, sub):

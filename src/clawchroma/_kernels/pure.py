@@ -153,29 +153,6 @@ def clique_number(adj, n: int, sub: int) -> int:
     return u.bit_count() + _clique_number_expand(adj, sub ^ u, 0, 0)
 
 
-def _has_clique_expand(adj, cand: int, size: int, k: int) -> bool:
-    vs, bounds = _color_order(adj, cand)
-    for i in range(len(vs) - 1, -1, -1):
-        if size + bounds[i] < k:
-            return False
-        v = vs[i]
-        if size + 1 == k:
-            return True
-        if _has_clique_expand(adj, cand & adj[v], size + 1, k):
-            return True
-        cand ^= 1 << v
-    return False
-
-
-def has_clique(adj, n: int, sub: int, k: int) -> bool:
-    """True iff sub contains a clique of size k."""
-    if k <= 0:
-        return True
-    if sub.bit_count() < k:
-        return False
-    return _has_clique_expand(adj, sub, 0, k)
-
-
 def _max_cliques_rec(
     adj, out: list, mask: int, cand: int, left: int, first: bool
 ) -> bool:

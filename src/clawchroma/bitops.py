@@ -29,10 +29,6 @@ def bits_tuple(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def mask_is_clique(adj: tuple[int, ...], mask: int) -> bool:
     """True iff every pair inside mask is adjacent; O(|mask|)."""
     m = mask

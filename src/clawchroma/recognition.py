@@ -136,14 +136,6 @@ def _is_isolated_rest(adj, clique: int, rest: int) -> bool:
     return True
 
 
-def _shape_holds(adj, nb: int, clique: int, rest: int) -> bool:
-    if _is_c5(adj, nb) or _is_p4(adj, nb):
-        return True
-    if rest and _unique_miss_map(adj, clique, rest) is not None:
-        return True
-    return _is_isolated_rest(adj, clique, rest)
-
-
 def classify_neighborhood(g: Graph, u: int) -> NeighborhoodShape:
     """Shape of <N(u)> relative to its least maximum clique.
 

@@ -1,8 +1,19 @@
 """Cross-backend agreement: the compiled kernels must match the pure ones
-result-for-result, including witness and clique tie-breaking."""
+result-for-result, including witness and clique tie-breaking.
 
+The compiled core is the installed one when it imports. Otherwise the shipped
+_fastcore.c is built once per session into a temporary directory and loaded
+from there, so the source tree stays clean. The tests skip only when no C
+compiler is on PATH; a failed build fails them.
+"""
+
+import importlib.util
+import os
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +22,44 @@ from clawchroma._kernels import pure
 from clawchroma.generators import SplitMix64, random_graph
 from graphzoo import empty
 
-fast = pytest.importorskip(
-    "clawchroma._kernels._fastcore", reason="compiled extension not built"
-)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def fast(tmp_path_factory):
+    try:
+        from clawchroma._kernels import _fastcore
+
+        return _fastcore
+    except ImportError:
+        pass
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"compiled core not built and no C compiler ({compiler}) on PATH")
+    out = tmp_path_factory.mktemp("fastcore")
+    build = subprocess.run(
+        [
+            sys.executable,
+            "setup.py",
+            "build_ext",
+            "--build-lib",
+            str(out / "lib"),
+            "--build-temp",
+            str(out / "temp"),
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    # the extension is optional, so a failed compile still exits 0
+    built = sorted((out / "lib").glob("clawchroma/_kernels/_fastcore*"))
+    assert build.returncode == 0 and built, build.stdout + build.stderr
+    spec = importlib.util.spec_from_file_location(
+        "clawchroma._kernels._fastcore", built[0]
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _random_cases(count, max_n, seed):
@@ -24,7 +70,7 @@ def _random_cases(count, max_n, seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_kernels_agree_on_random_graphs(seed):
+def test_kernels_agree_on_random_graphs(fast, seed):
     for g in _random_cases(120, 12, seed):
         adj, n, full = g.adj, g.n, g.full_mask()
         assert pure.find_claw(adj, n) == fast.find_claw(adj, n)
@@ -43,16 +89,7 @@ def test_kernels_agree_on_random_graphs(seed):
             ), (g.adj, k)
 
 
-def test_has_clique_agrees():
-    for g in _random_cases(80, 10, 9):
-        adj, n, full = g.adj, g.n, g.full_mask()
-        for k in range(0, n + 2):
-            assert pure.has_clique(adj, n, full, k) == fast.has_clique(
-                adj, n, full, k
-            )
-
-
-def test_scan_agrees_exhaustively():
+def test_scan_agrees_exhaustively(fast):
     for n in range(6):
         total = 1 << (n * (n - 1) // 2)
         assert pure.scan_in_class(n, 0, total) == fast.scan_in_class(n, 0, total)
@@ -65,8 +102,6 @@ def test_dispatcher_routes_large_graphs_to_pure():
 
 
 def test_env_var_forces_pure_backend():
-    import os
-
     env = dict(os.environ, CLAWCHROMA_PURE="1")
     out = subprocess.run(
         [sys.executable, "-c", "import clawchroma; print(clawchroma.backend_name)"],

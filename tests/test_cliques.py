@@ -121,8 +121,6 @@ def test_pure_clique_kernels_match_brute_force():
             w, cliques = _brute_max_cliques(g.adj, sub)
             assert pure.clique_number(g.adj, n, sub) == w
             assert pure.max_cliques(g.adj, n, sub) == cliques
-            for k in range(w + 2):
-                assert pure.has_clique(g.adj, n, sub, k) == (k <= w)
 
 
 def test_pure_clique_kernels_with_universal_vertices():
@@ -154,7 +152,6 @@ def test_pure_kernels_leave_no_cyclic_garbage():
         for g in graphs:
             adj, n, full = g.adj, g.n, g.full_mask()
             w = pure.clique_number(adj, n, full)
-            pure.has_clique(adj, n, full, w + 1)
             clique = pure.lex_min_max_clique(adj, n, full)
             for v in range(n):
                 pure.max_cliques(adj, n, full & ~(1 << v))
