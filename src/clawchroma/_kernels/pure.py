@@ -1,11 +1,9 @@
 """Pure-Python kernels over bitmask adjacency.
 
 These are the hot primitives behind recognition, clique search and exact
-coloring. The compiled extension (_fastcore) implements the same functions
-with identical results for n <= 64; this module is the always-available
-fallback and the reference for cross-backend tests. Recursive searches are
-module-level functions, not nested closures, so a call leaves no reference
-cycles for the garbage collector.
+coloring, for graphs of any size; the package reaches them through
+_kernels. Recursive searches are module-level functions, not nested
+closures, so a call leaves no reference cycles for the garbage collector.
 
 Conventions: adj is an indexable of per-vertex neighbor bitmasks, sub is a
 bitmask restricting the operation to an induced subgraph, colors are 1-based
@@ -13,6 +11,8 @@ and 0 means uncolored.
 """
 
 from __future__ import annotations
+
+from ..bitops import universal_vertices
 
 
 def find_claw(adj, n: int):
@@ -124,33 +124,43 @@ def _clique_number_expand(adj, cand: int, size: int, best: int) -> int:
     return best
 
 
-def _universal(adj, sub: int) -> int:
-    """The vertices of sub adjacent to every other vertex of sub.
-
-    They lie in every maximum clique of sub, so the clique searches run on
-    the rest and add them back; sub is a clique iff all of it is universal.
-    """
-    u = m = sub
-    while m:
-        b = m & -m
-        hit = (adj[b.bit_length() - 1] | b) & sub
-        if hit != sub:  # b and the vertices it misses are not universal
-            u &= hit ^ b
-            m &= hit
-        m ^= b
-    return u
-
-
 def clique_number(adj, n: int, sub: int) -> int:
     """Exact maximum clique size within sub (0 for the empty mask).
 
     The search runs on sub minus its universal vertices, which are counted
     in directly.
     """
-    u = _universal(adj, sub)
+    u = universal_vertices(adj, sub)
     if u == sub:
         return u.bit_count()
     return u.bit_count() + _clique_number_expand(adj, sub ^ u, 0, 0)
+
+
+def _has_clique_expand(adj, cand: int, size: int, k: int) -> bool:
+    vs, bounds = _color_order(adj, cand)
+    for i in range(len(vs) - 1, -1, -1):
+        if size + bounds[i] < k:
+            return False
+        v = vs[i]
+        if size + 1 == k:
+            return True
+        if _has_clique_expand(adj, cand & adj[v], size + 1, k):
+            return True
+        cand ^= 1 << v
+    return False
+
+
+def has_clique(adj, n: int, sub: int, k: int) -> bool:
+    """True iff sub contains a clique of size k.
+
+    Stops at the first one, so it can be far cheaper than clique_number
+    when the answer is yes.
+    """
+    if k <= 0:
+        return True
+    if sub.bit_count() < k:
+        return False
+    return _has_clique_expand(adj, sub, 0, k)
 
 
 def _max_cliques_rec(
@@ -218,7 +228,7 @@ def _max_cliques_rec(
 def _search_max_cliques(adj, sub: int, first: bool) -> list[int]:
     """Maximum cliques of sub in ascending-tuple order (only the first one
     when first is set), searched on sub minus its universal vertices."""
-    u = _universal(adj, sub)
+    u = universal_vertices(adj, sub)
     core = sub ^ u
     if not core:
         return [u]

@@ -40,6 +40,22 @@ def mask_is_clique(adj: tuple[int, ...], mask: int) -> bool:
     return True
 
 
+def universal_vertices(adj, sub: int) -> int:
+    """The vertices of sub adjacent to every other vertex of sub.
+
+    sub is a clique iff all of it is universal.
+    """
+    u = m = sub
+    while m:
+        b = m & -m
+        hit = (adj[b.bit_length() - 1] | b) & sub
+        if hit != sub:  # b and the vertices it misses are not universal
+            u &= hit ^ b
+            m &= hit
+        m ^= b
+    return u
+
+
 def mask_components(adj: tuple[int, ...], sub: int) -> list[int]:
     """Connected components of the subgraph induced by sub.
 

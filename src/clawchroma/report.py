@@ -11,6 +11,16 @@ relative to twice the clique number:
 classify_trichotomy computes the verdict and checks the branch's guaranteed
 facts, aborting with ClaimViolationError (counterexample graph attached)
 when one fails; silence is never an option here.
+
+chi is decided by proof, in this order:
+
+  1. the relaxed insertion coloring uses omega colors: chi == omega;
+  2. it uses omega + 1 colors and a join-count certificate exists: an S in
+     {V} + {N[v]}, with U the vertices of S adjacent to all the rest of S,
+     such that |U| + ceil(|S - U| / alpha(S - U)) > omega. U is joined to
+     S - U, so chi(S) = |U| + chi(S - U) >= |U| + |S - U| / alpha(S - U),
+     and chi == omega + 1;
+  3. otherwise the exact oracle decides.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitops import iter_bits, mask_of
+from . import _kernels as K
+from .bitops import iter_bits, mask_of, universal_vertices
 from .cliques import omega as omega_of
 from .colorer import color_in_class
 from .coloring import Coloring, exact_chromatic
@@ -63,6 +74,24 @@ def find_induced_wheel6(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
+def _chi_exceeds(g: Graph, w: int) -> bool:
+    """True iff some S in {V} + {N[v]} has a join-count certificate chi > w."""
+    adj, n, full = g.adj, g.n, g.full_mask()
+    co_adj = [full & ~(a | 1 << v) for v, a in enumerate(adj)]
+    for s in (full, *(a | 1 << v for v, a in enumerate(adj))):
+        u = universal_vertices(adj, s)
+        rest = s & ~u
+        if not rest:
+            continue
+        # |U| + ceil(|R| / alpha(R)) > w iff R has no independent set of
+        # ceil(|R| / (w - |U|)) vertices; w - |U| >= 1 because U plus any
+        # vertex of R is a clique
+        need = -(-rest.bit_count() // (w - u.bit_count()))
+        if not K.has_clique(co_adj, n, rest, need):
+            return True
+    return False
+
+
 def classify_trichotomy(g: Graph) -> ClassReport:
     """Full per-graph verdict: membership, invariants, branch, coloring."""
     if g.n > 64:
@@ -81,7 +110,13 @@ def classify_trichotomy(g: Graph) -> ClassReport:
         )
     w = omega_of(g)
     delta = degree_profile(g)[1]
-    chi, _ = exact_chromatic(g)
+    coloring, _ = color_in_class(g, strict=False)
+    if coloring.colors_used == w:
+        chi = w
+    elif coloring.colors_used == w + 1 and _chi_exceeds(g, w):
+        chi = w + 1
+    else:
+        chi, _ = exact_chromatic(g)
     w6 = None
     if g.n == 0:
         branch = OMEGA_CASE
@@ -116,7 +151,6 @@ def classify_trichotomy(g: Graph) -> ClassReport:
         raise ClaimViolationError(
             "degree_bound", g, f"delta = {delta} exceeds 2*omega - 1 = {2 * w - 1}"
         )
-    coloring, _ = color_in_class(g, strict=False)
     return ClassReport(
         in_class=True,
         omega=w,

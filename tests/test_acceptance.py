@@ -29,6 +29,7 @@ from clawchroma.recognition import (
 from clawchroma.report import classify_trichotomy
 from clawchroma.stress import run_stress
 from graphzoo import claw, complete, cycle, gem, naive_chromatic, petersen
+from test_report import report_chi_agrees_with_oracle
 
 from clawchroma import blown_up_odd_cycle, omega, wheel
 
@@ -179,4 +180,15 @@ def test_criteria_1_to_4_and_7_full_n7_sweep():
         f"{summary.graphs_checked} graphs, {summary.in_class_count} in class, "
         f"0 violations in {summary.wall_time:.0f}s "
         f"(fallback rate {summary.fallback_rate})",
+    )
+
+
+@pytest.mark.slow
+def test_report_chi_proof_agrees_with_oracle_n7(monkeypatch):
+    checked = report_chi_agrees_with_oracle(monkeypatch, 7)
+    assert checked == 238085
+    _announce(
+        "report chi @ n=7",
+        f"report chi equals the oracle's on all {checked} in-class graphs; "
+        "every chi = omega+1 left to the oracle has omega = 2",
     )

@@ -41,6 +41,7 @@ def test_omega_examples():
     assert omega(blown_up_odd_cycle(2, 3)) == 4
     assert omega(empty(3)) == 1
     assert omega(empty(0)) == 0
+    assert omega(empty(80)) == 1
     assert omega(cycle(5)) == 2
 
 
@@ -121,6 +122,8 @@ def test_pure_clique_kernels_match_brute_force():
             w, cliques = _brute_max_cliques(g.adj, sub)
             assert pure.clique_number(g.adj, n, sub) == w
             assert pure.max_cliques(g.adj, n, sub) == cliques
+            for k in range(w + 2):
+                assert pure.has_clique(g.adj, n, sub, k) == (k <= w)
 
 
 def test_pure_clique_kernels_with_universal_vertices():
@@ -152,6 +155,7 @@ def test_pure_kernels_leave_no_cyclic_garbage():
         for g in graphs:
             adj, n, full = g.adj, g.n, g.full_mask()
             w = pure.clique_number(adj, n, full)
+            pure.has_clique(adj, n, full, w + 1)
             clique = pure.lex_min_max_clique(adj, n, full)
             for v in range(n):
                 pure.max_cliques(adj, n, full & ~(1 << v))

@@ -21,6 +21,7 @@ from graphzoo import (
     claw,
     complete,
     cycle,
+    empty,
     gem,
     naive_has_claw,
     naive_has_w,
@@ -51,6 +52,7 @@ def test_find_claw_examples():
     w = find_claw(claw())
     assert w is not None and w.vertices == (0, 1, 2, 3)
     assert find_claw(cycle(5)) is None
+    assert find_claw(empty(80)) is None
     w = find_claw(petersen())
     assert w is not None
     _witness_is_induced_claw(petersen(), w)

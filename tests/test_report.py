@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from clawchroma import report
+from clawchroma._kernels import scan_in_class
+from clawchroma.cliques import omega
+from clawchroma.coloring import exact_chromatic
 from clawchroma.errors import ScaleExceededError
-from clawchroma.graph import build_graph
+from clawchroma.graph import build_graph, from_edge_mask
 from clawchroma.report import (
     MIDDLE_CASE,
     OMEGA_CASE,
@@ -89,3 +93,53 @@ def test_emit_report_out_of_class():
     assert payload["witnesses"][0]["kind"] == "claw"
     assert payload["witnesses"][0]["vertices"] == [0, 1, 2, 3]
     assert payload["coloring"] is None
+
+
+# (half-length, blow-up size) of the perfbench report inputs, then two
+# larger ones that the exact oracle takes minutes or more on
+CHI_ABOVE_OMEGA_BLOWUPS = (
+    (31, 1), (20, 1), (3, 4), (10, 2), (2, 6), (5, 3),
+    (12, 2), (2, 7), (13, 2), (6, 3), (3, 5), (4, 4),
+    (5, 5), (6, 5),
+)
+
+
+def _no_oracle(g):
+    raise AssertionError("exact oracle called")
+
+
+def test_chi_above_omega_proved_without_oracle(monkeypatch):
+    monkeypatch.setattr(report, "exact_chromatic", _no_oracle)
+    cases = [(wheel(5), 3)]
+    cases += [(blown_up_odd_cycle(n, m), m + 1) for n, m in CHI_ABOVE_OMEGA_BLOWUPS]
+    assert [g.n for g, _ in cases[-2:]] == [31, 37]
+    for g, w in cases:
+        r = classify_trichotomy(g)
+        assert (r.omega, r.chi) == (w, w + 1)
+
+
+def report_chi_agrees_with_oracle(monkeypatch, n):
+    """classify_trichotomy's chi equals the oracle's on every in-class graph
+    on n vertices; returns how many graphs were checked. Every graph the
+    report hands to the oracle with chi = omega + 1 has omega = 2: the
+    certificate covers the rest."""
+    fallbacks = []
+
+    def recording_oracle(g):
+        result = exact_chromatic(g)
+        fallbacks.append((omega(g), result[0]))
+        return result
+
+    monkeypatch.setattr(report, "exact_chromatic", recording_oracle)
+    checked = 0
+    for mask in scan_in_class(n, 0, 1 << (n * (n - 1) // 2)):
+        g = from_edge_mask(n, mask)
+        assert classify_trichotomy(g).chi == exact_chromatic(g)[0], (n, mask)
+        checked += 1
+    assert all(w == 2 for w, chi in fallbacks if chi == w + 1)
+    return checked
+
+
+def test_chi_agrees_with_oracle_exhaustive_small(monkeypatch):
+    checked = sum(report_chi_agrees_with_oracle(monkeypatch, n) for n in range(1, 7))
+    assert checked == 13217
