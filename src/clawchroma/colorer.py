@@ -15,6 +15,9 @@ Each new vertex is colored by the first applicable mechanism:
 Correctness rests on the exact fallback alone: a failed Kempe attempt writes
 no color, so it only decides how often the fallback runs. The RepairTrace
 records which mechanism colored each vertex.
+
+omega_color_strict and class_color run the same coloring; the first only
+rejects up front a graph whose max degree exceeds 2*clique - 3.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 from . import _kernels as K
 from .bitops import iter_bits, mask_components
+from .cliques import omega as omega_of
 from .coloring import ORACLE_MAX_VERTICES, Coloring, verify_proper
 from .errors import (
     BoundViolatedError,
@@ -105,16 +109,14 @@ def _prefix_proper(adj, colors, prefix) -> bool:
 
 
 def color_in_class(
-    g: Graph,
-    *,
-    strict: bool,
-    debug_validate: bool = False,
+    g: Graph, *, debug_validate: bool = False
 ) -> tuple[Coloring, RepairTrace]:
     """Insertion coloring of a graph already known to be in the class.
 
-    The public entry points omega_color_strict / class_color run the
-    precondition checks; sweeps that performed recognition themselves call
-    this directly.
+    Uses omega colors when max degree <= 2*omega - 3, at most omega + 1
+    otherwise, or raises ClaimViolationError. The public entry points
+    omega_color_strict / class_color run the precondition checks; sweeps
+    that performed recognition themselves call this directly.
     """
     n, adj = g.n, g.adj
     colors = [0] * n
@@ -176,26 +178,14 @@ def color_in_class(
             )
 
     out = Coloring(tuple(colors)).canonical()
-    trace = RepairTrace.from_steps(steps)
-    bound_holds = delta_p <= 2 * omega_p - 3
     if verify_proper(g, out) is not None:
         raise ClaimViolationError("colorer_proper", g, "output coloring improper")
-    if bound_holds and n and out.colors_used != omega_p:
+    # the last target is the whole graph's: omega under the bound, else omega + 1
+    if n and out.colors_used > target:
         raise ClaimViolationError(
-            "colorer_exact",
-            g,
-            f"used {out.colors_used} colors, clique number is {omega_p}",
+            "colorer_bound", g, f"used {out.colors_used} colors, target is {target}"
         )
-    if not bound_holds and n and out.colors_used > omega_p + 1:
-        raise ClaimViolationError(
-            "colorer_bound",
-            g,
-            f"used {out.colors_used} colors, clique number is {omega_p}",
-        )
-    if strict and not bound_holds:
-        # callers check the bound up front; this is a belt-and-braces guard
-        raise BoundViolatedError(delta_p, omega_p)
-    return out, trace
+    return out, RepairTrace.from_steps(steps)
 
 
 def _check_preconditions(g: Graph) -> None:
@@ -214,13 +204,11 @@ def omega_color_strict(g: Graph) -> tuple[Coloring, RepairTrace]:
     Requires max degree <= 2*omega - 3; raises BoundViolatedError otherwise.
     """
     _check_preconditions(g)
-    from .cliques import omega as omega_of
-
     w = omega_of(g)
     delta = degree_profile(g)[1]
     if delta > 2 * w - 3:
         raise BoundViolatedError(delta, w)
-    return color_in_class(g, strict=True)
+    return color_in_class(g)
 
 
 def class_color(g: Graph) -> tuple[Coloring, RepairTrace]:
@@ -229,4 +217,4 @@ def class_color(g: Graph) -> tuple[Coloring, RepairTrace]:
     Uses exactly the clique number when max degree <= 2*omega - 3.
     """
     _check_preconditions(g)
-    return color_in_class(g, strict=False)
+    return color_in_class(g)

@@ -12,12 +12,14 @@ sweeps use that to build a draw vertex by vertex and drop it at its first
 claw (random_claw_free_graph). Claw-freeness is hereditary, so the early
 stop never changes the verdict, and the graphs kept are exactly those of
 random_graph on the same stream, which is advanced by the same amount.
+random_in_class_graph then searches only the kept draws for K5-P3.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
+from . import _kernels as K
 from .errors import ParamRangeError, ScaleExceededError
 from .graph import MAX_VERTICES, Graph, build_graph, from_edge_mask
 
@@ -197,6 +199,16 @@ def random_claw_free_graph(
     return Graph(n, tuple(adj))
 
 
+def random_in_class_graph(
+    n: int, edge_prob: float, stream: SplitMix64
+) -> Graph | None:
+    """random_graph(n, edge_prob, stream) if that draw is in the class, else None."""
+    g = random_claw_free_graph(n, edge_prob, stream)
+    if g is None or K.find_k5_minus_p3(g.adj, n) is not None:
+        return None
+    return g
+
+
 def random_in_class(
     n: int, edge_prob: float, seed: int, max_tries: int = 10000
 ) -> Graph | None:
@@ -207,12 +219,10 @@ def random_in_class(
     """
     if max_tries < 1:
         raise ParamRangeError(f"max_tries {max_tries} < 1")
-    from .recognition import is_in_class
-
     stream = SplitMix64(seed)
     for _ in range(max_tries):
-        g = random_claw_free_graph(n, edge_prob, stream)
-        if g is not None and is_in_class(g):
+        g = random_in_class_graph(n, edge_prob, stream)
+        if g is not None:
             return g
     return None
 

@@ -5,16 +5,17 @@ relative to twice the clique number:
 
   wheel_case   delta == 2*omega - 1: forced (delta, omega) == (5, 3),
                chi == omega + 1, and a 6-vertex wheel occurs induced
-  middle_case  delta == 2*omega - 2: chi <= omega + 1
+  middle_case  delta == 2*omega - 2
   omega_case   delta <= 2*omega - 3: chi == omega
 
-classify_trichotomy computes the verdict and checks the branch's guaranteed
-facts, aborting with ClaimViolationError (counterexample graph attached)
-when one fails; silence is never an option here.
+with omega <= chi <= omega + 1 in all three and never delta > 2*omega - 1.
+trichotomy states these facts once and returns each failed one as a
+ClaimViolationError named by its category: classify_trichotomy raises the
+first (silence is never an option here), the stress sweep counts them all.
 
-chi is decided by proof, in this order:
+classify_trichotomy decides chi by proof, in this order:
 
-  1. the relaxed insertion coloring uses omega colors: chi == omega;
+  1. the insertion coloring uses omega colors: chi == omega;
   2. it uses omega + 1 colors and a join-count certificate exists: an S in
      {V} + {N[v]}, with U the vertices of S adjacent to all the rest of S,
      such that |U| + ceil(|S - U| / alpha(S - U)) > omega. U is joined to
@@ -42,6 +43,12 @@ WHEEL_CASE = "wheel_case"
 MIDDLE_CASE = "middle_case"
 OMEGA_CASE = "omega_case"
 OUT_OF_CLASS = "out_of_class"
+
+# claim categories, shared with the stress sweep's violation counters
+CHI_EQUALS_OMEGA = "chi_equals_omega"
+CHI_WITHIN_ONE = "chi_within_one"
+DEGREE_BOUND = "degree_bound"
+WHEEL_BRANCH = "wheel_branch"
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,41 @@ def _chi_exceeds(g: Graph, w: int) -> bool:
     return False
 
 
+def trichotomy(
+    g: Graph, w: int, delta: int, chi: int
+) -> tuple[str | None, tuple[int, ...] | None, list[ClaimViolationError]]:
+    """(branch, induced 6-wheel or None, failed facts in check order) of an
+    in-class graph; the branch is None when delta exceeds 2*omega - 1."""
+    if g.n == 0:
+        return OMEGA_CASE, None, []
+    failures: list[ClaimViolationError] = []
+    branch = w6 = None
+
+    def fail(category: str, message: str) -> None:
+        failures.append(ClaimViolationError(category, g, message))
+
+    if delta == 2 * w - 1:
+        branch = WHEEL_CASE
+        if (delta, w) != (5, 3):
+            fail(DEGREE_BOUND, f"delta == 2*omega - 1 with (delta, omega) = ({delta}, {w})")
+        if chi != w + 1:
+            fail(WHEEL_BRANCH, f"wheel case with chi = {chi}, omega = {w}")
+        w6 = find_induced_wheel6(g)
+        if w6 is None:
+            fail(WHEEL_BRANCH, "wheel case without an induced 6-vertex wheel")
+    elif delta == 2 * w - 2:
+        branch = MIDDLE_CASE
+    elif delta <= 2 * w - 3:
+        branch = OMEGA_CASE
+        if chi != w:
+            fail(CHI_EQUALS_OMEGA, f"bounded-degree case with chi = {chi}, omega = {w}")
+    else:
+        fail(DEGREE_BOUND, f"delta = {delta} exceeds 2*omega - 1 = {2 * w - 1}")
+    if not w <= chi <= w + 1:
+        fail(CHI_WITHIN_ONE, f"chi = {chi} outside omega..omega + 1 = {w}..{w + 1}")
+    return branch, w6, failures
+
+
 def classify_trichotomy(g: Graph) -> ClassReport:
     """Full per-graph verdict: membership, invariants, branch, coloring."""
     if g.n > 64:
@@ -110,47 +152,16 @@ def classify_trichotomy(g: Graph) -> ClassReport:
         )
     w = omega_of(g)
     delta = degree_profile(g)[1]
-    coloring, _ = color_in_class(g, strict=False)
+    coloring, _ = color_in_class(g)
     if coloring.colors_used == w:
         chi = w
     elif coloring.colors_used == w + 1 and _chi_exceeds(g, w):
         chi = w + 1
     else:
         chi, _ = exact_chromatic(g)
-    w6 = None
-    if g.n == 0:
-        branch = OMEGA_CASE
-    elif delta == 2 * w - 1:
-        branch = WHEEL_CASE
-        if (delta, w) != (5, 3):
-            raise ClaimViolationError(
-                "degree_bound", g, f"delta == 2*omega - 1 with (delta, omega) = ({delta}, {w})"
-            )
-        if chi != w + 1:
-            raise ClaimViolationError(
-                "wheel_branch", g, f"wheel case with chi = {chi}, omega = {w}"
-            )
-        w6 = find_induced_wheel6(g)
-        if w6 is None:
-            raise ClaimViolationError(
-                "wheel_branch", g, "wheel case without an induced 6-vertex wheel"
-            )
-    elif delta == 2 * w - 2:
-        branch = MIDDLE_CASE
-        if chi > w + 1:
-            raise ClaimViolationError(
-                "chi_within_one", g, f"chi = {chi} exceeds omega + 1 = {w + 1}"
-            )
-    elif delta <= 2 * w - 3:
-        branch = OMEGA_CASE
-        if chi != w:
-            raise ClaimViolationError(
-                "chi_equals_omega", g, f"bounded-degree case with chi = {chi}, omega = {w}"
-            )
-    else:
-        raise ClaimViolationError(
-            "degree_bound", g, f"delta = {delta} exceeds 2*omega - 1 = {2 * w - 1}"
-        )
+    branch, w6, failures = trichotomy(g, w, delta, chi)
+    if failures:
+        raise failures[0]
     return ClassReport(
         in_class=True,
         omega=w,

@@ -3,12 +3,12 @@
 For every swept graph the harness runs recognition; in-class graphs then get
 the full battery: oracle chromatic number against the clique number (its
 witness and the DSATUR coloring must be proper, the witness with exactly chi
-colors), the degree-bound trichotomy (including the induced-wheel fact in
-the wheel branch), the four-shape neighborhood classification for every
-vertex and every maximum clique, both constructive colorers against their
-contracts, and the path-or-cycle shape of every two-class component of every
-produced coloring. Each failed claim increments one violation counter; all
-counters must be zero.
+colors), the trichotomy's branch facts as report.trichotomy states them, the
+four-shape neighborhood classification for every vertex and every maximum
+clique, one constructive coloring checked against both colorer contracts
+(omega + 1 colors at most, omega under the degree bound), and the
+path-or-cycle shape of every two-class component of every produced coloring.
+Each failed claim increments one violation counter; all counters must be zero.
 
 Sweeps may be distributed over processes (CLAWCHROMA_THREADS, 0 = serial).
 Workers share nothing and partial results merge by deterministic ordered
@@ -30,16 +30,15 @@ from .colorer import color_in_class
 from .coloring import dsatur_greedy, exact_chromatic, verify_proper
 from .errors import ClaimViolationError, ParamRangeError, ScaleExceededError
 # random_graph is unused here; the benchmark tracer still wraps stress.random_graph
-from .generators import SplitMix64, random_claw_free_graph, random_graph  # noqa: F401
+from .generators import SplitMix64, random_graph, random_in_class_graph  # noqa: F401
 from .graph import Graph, degree_profile, edge_mask_of, from_edge_mask
 from .kempe import find_branching_component
-from .recognition import is_in_class, verify_neighborhood_all_cliques
-from .report import find_induced_wheel6
+# the benchmark tracer wraps stress.is_in_class (unused here)
+from .recognition import is_in_class, verify_neighborhood_all_cliques  # noqa: F401
+from .report import CHI_EQUALS_OMEGA, CHI_WITHIN_ONE, DEGREE_BOUND, WHEEL_BRANCH
+# the benchmark tracer wraps stress.find_induced_wheel6 (unused here)
+from .report import OMEGA_CASE, find_induced_wheel6, trichotomy  # noqa: F401
 
-CHI_EQUALS_OMEGA = "chi_equals_omega"
-CHI_WITHIN_ONE = "chi_within_one"
-DEGREE_BOUND = "degree_bound"
-WHEEL_BRANCH = "wheel_branch"
 COMPONENT_SHAPE = "component_shape"
 NEIGHBORHOOD_SHAPE = "neighborhood_shape"
 
@@ -105,50 +104,40 @@ class StressSummary:
 def check_in_class_graph(g: Graph) -> tuple[set[str], int, int]:
     """All per-graph claims for an in-class graph.
 
-    Returns (violated categories, vertices colored strictly, exact fallbacks
-    used by the strict run).
+    Returns (violated categories, vertices colored under the degree bound,
+    exact fallbacks the colorer used on them).
     """
-    viol: set[str] = set()
     w = omega_of(g)
     delta = degree_profile(g)[1]
     chi, oracle_coloring = exact_chromatic(g)
     greedy = dsatur_greedy(g)
+    branch, _, failures = trichotomy(g, w, delta, chi)
+    viol = {e.category for e in failures}
     if (
-        not w <= chi <= w + 1
-        or oracle_coloring.colors_used != chi
+        oracle_coloring.colors_used != chi
         or verify_proper(g, oracle_coloring) is not None
         or verify_proper(g, greedy) is not None
     ):
         viol.add(CHI_WITHIN_ONE)
-    if delta > 2 * w - 1 or (delta == 2 * w - 1 and (delta, w) != (5, 3)):
-        viol.add(DEGREE_BOUND)
     colorings = [oracle_coloring, greedy]
     strict_vertices = strict_fallbacks = 0
-    bound_holds = g.n > 0 and delta <= 2 * w - 3
-    if bound_holds:
-        if chi != w:
-            viol.add(CHI_EQUALS_OMEGA)
-        try:
-            coloring, trace = color_in_class(g, strict=True)
-            strict_vertices = g.n
-            strict_fallbacks = trace.exact_fallbacks
-            colorings.append(coloring)
-            if coloring.colors_used != w or verify_proper(g, coloring) is not None:
-                viol.add(CHI_EQUALS_OMEGA)
-        except ClaimViolationError:
-            viol.add(CHI_EQUALS_OMEGA)
+    bound_holds = branch == OMEGA_CASE
     try:
-        relaxed, _ = color_in_class(g, strict=False)
-        colorings.append(relaxed)
-        if relaxed.colors_used > w + 1 or verify_proper(g, relaxed) is not None:
-            viol.add(CHI_WITHIN_ONE)
-        if bound_holds and relaxed.colors_used != w:
-            viol.add(CHI_EQUALS_OMEGA)
+        coloring, trace = color_in_class(g)
     except ClaimViolationError:
         viol.add(CHI_WITHIN_ONE)
-    if g.n > 0 and delta == 2 * w - 1:
-        if chi != w + 1 or find_induced_wheel6(g) is None:
-            viol.add(WHEEL_BRANCH)
+        if bound_holds:
+            viol.add(CHI_EQUALS_OMEGA)
+    else:
+        colorings.append(coloring)
+        improper = verify_proper(g, coloring) is not None
+        if improper or coloring.colors_used > w + 1:
+            viol.add(CHI_WITHIN_ONE)
+        if bound_holds:
+            strict_vertices = g.n
+            strict_fallbacks = trace.exact_fallbacks
+            if improper or coloring.colors_used != w:
+                viol.add(CHI_EQUALS_OMEGA)
     for u in range(g.n):
         if not verify_neighborhood_all_cliques(g, u, assume_in_class=True):
             viol.add(NEIGHBORHOOD_SHAPE)
@@ -207,8 +196,8 @@ def _random_chunk(args: tuple[int, int, list[int]]) -> dict:
         stream = SplitMix64(s)
         n = n_lo + stream.next_below(n_hi - n_lo + 1)
         p = stream.next_unit()
-        g = random_claw_free_graph(n, p, stream)
-        if g is not None and is_in_class(g):
+        g = random_in_class_graph(n, p, stream)
+        if g is not None:
             _record(part, g)
     return part
 

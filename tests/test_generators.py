@@ -9,6 +9,7 @@ from clawchroma.generators import (
     random_claw_free_graph,
     random_graph,
     random_in_class,
+    random_in_class_graph,
     seeded_line_graphs,
     wheel,
 )
@@ -136,6 +137,24 @@ def test_random_claw_free_graph_matches_random_graph():
         kept += expected is not None
         dropped += expected is None
     assert kept > 100 and dropped > 100
+
+
+def test_random_in_class_graph_matches_random_graph():
+    # same graph when the plain draw is in the class, else None; same stream use
+    stream = SplitMix64(31)
+    kept = claw_free_dropped = 0
+    for i in range(600):
+        n = (0, 1, 2)[i] if i < 3 else stream.next_below(16)
+        p = 0.75 + 0.25 * stream.next_unit() if i % 2 else stream.next_unit()
+        seed = stream.next_u64()
+        plain, early = SplitMix64(seed), SplitMix64(seed)
+        g = random_graph(n, p, plain)
+        expected = g if is_in_class(g) else None
+        assert random_in_class_graph(n, p, early) == expected
+        assert early.next_u64() == plain.next_u64()
+        kept += expected is not None
+        claw_free_dropped += expected is None and find_claw(g) is None
+    assert kept > 100 and claw_free_dropped > 50
 
 
 def test_random_claw_free_graph_param_range():

@@ -5,8 +5,8 @@ import pytest
 from clawchroma import report
 from clawchroma._kernels import scan_in_class
 from clawchroma.cliques import omega
-from clawchroma.coloring import exact_chromatic
-from clawchroma.errors import ScaleExceededError
+from clawchroma.coloring import Coloring, exact_chromatic
+from clawchroma.errors import ClaimViolationError, ScaleExceededError
 from clawchroma.graph import build_graph, from_edge_mask
 from clawchroma.report import (
     MIDDLE_CASE,
@@ -16,6 +16,7 @@ from clawchroma.report import (
     classify_trichotomy,
     emit_report,
     find_induced_wheel6,
+    trichotomy,
 )
 from graphzoo import claw, complete, empty, k4_minus_edge
 
@@ -60,6 +61,44 @@ def test_empty_graph_report():
 def test_scale_cap():
     with pytest.raises(ScaleExceededError):
         classify_trichotomy(empty(65))
+
+
+K1_4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+
+
+@pytest.mark.parametrize(
+    "g, w, delta, chi, branch, categories",
+    [
+        (wheel(5), 3, 5, 4, WHEEL_CASE, []),
+        (wheel(5), 3, 5, 3, WHEEL_CASE, ["wheel_branch"]),
+        (k4_minus_edge(), 3, 3, 3, OMEGA_CASE, []),
+        (k4_minus_edge(), 3, 3, 4, OMEGA_CASE, ["chi_equals_omega"]),
+        (k4_minus_edge(), 3, 3, 5, OMEGA_CASE,
+         ["chi_equals_omega", "chi_within_one"]),
+        (claw(), 2, 3, 2, WHEEL_CASE,
+         ["degree_bound", "wheel_branch", "wheel_branch"]),
+        (K1_4, 2, 4, 2, None, ["degree_bound"]),
+    ],
+)
+def test_trichotomy_failures(g, w, delta, chi, branch, categories):
+    got_branch, _, failures = trichotomy(g, w, delta, chi)
+    assert got_branch == branch
+    assert [e.category for e in failures] == categories
+    assert all(e.graph is g for e in failures)
+
+
+def test_classify_trichotomy_raises_first_failure(monkeypatch):
+    # an omega + 1 coloring of k4_minus_edge has no join-count certificate,
+    # so chi comes from the oracle; chi = 5 fails chi_equals_omega first,
+    # then chi_within_one
+    g = k4_minus_edge()
+    monkeypatch.setattr(
+        report, "color_in_class", lambda _g: (Coloring((1, 2, 3, 4)), None)
+    )
+    monkeypatch.setattr(report, "exact_chromatic", lambda _g: (5, None))
+    with pytest.raises(ClaimViolationError) as exc:
+        classify_trichotomy(g)
+    assert exc.value.category == "chi_equals_omega"
 
 
 def test_find_induced_wheel6():

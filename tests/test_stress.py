@@ -4,16 +4,22 @@ import pytest
 
 from clawchroma import stress
 from clawchroma.cli import _dump_counterexamples
+from clawchroma.colorer import RepairTrace
 from clawchroma.coloring import Coloring
-from clawchroma.errors import ParamRangeError, ScaleExceededError
+from clawchroma.errors import (
+    ClaimViolationError,
+    ParamRangeError,
+    ScaleExceededError,
+)
 from clawchroma.graph import edge_mask_of
 from clawchroma.stress import (
+    CHI_EQUALS_OMEGA,
     CHI_WITHIN_ONE,
     StressSummary,
     check_in_class_graph,
     run_stress,
 )
-from graphzoo import claw, cycle
+from graphzoo import claw, cycle, k4_minus_edge
 
 from clawchroma import wheel
 
@@ -83,6 +89,34 @@ def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value
     assert check_in_class_graph(g)[0] == set()
     monkeypatch.setattr(stress, target, lambda _g: value)
     assert check_in_class_graph(g)[0] == {CHI_WITHIN_ONE}
+
+
+def _colorer_raises(g, **_):
+    raise ClaimViolationError("colorer_proper", g, "patched")
+
+
+def _colorer_one_over(g, **_):
+    # proper omega + 1 coloring of k4_minus_edge: the missing edge 2-3 is
+    # not shared
+    steps = [(u, "direct") for u in range(4)]
+    return Coloring((1, 2, 3, 4)), RepairTrace.from_steps(steps)
+
+
+@pytest.mark.parametrize(
+    "g, colorer, expected",
+    [
+        # degree bound holds: a failed run breaks both contracts
+        (k4_minus_edge(), _colorer_raises, {CHI_EQUALS_OMEGA, CHI_WITHIN_ONE}),
+        # omega + 1 colors meet the relaxed contract only
+        (k4_minus_edge(), _colorer_one_over, {CHI_EQUALS_OMEGA}),
+        # wheel case: only the relaxed contract applies
+        (wheel(5), _colorer_raises, {CHI_WITHIN_ONE}),
+    ],
+)
+def test_colorer_failure_categories(monkeypatch, g, colorer, expected):
+    assert check_in_class_graph(g)[0] == set()
+    monkeypatch.setattr(stress, "color_in_class", colorer)
+    assert check_in_class_graph(g)[0] == expected
 
 
 def test_fallback_rate_definition():
