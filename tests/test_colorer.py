@@ -78,16 +78,27 @@ def test_trace_counts_match_log():
             assert trace.exact_fallbacks >= 1
 
 
-def test_contract_exhaustive_small():
+def _strict_eligible(g):
+    if not is_in_class(g):
+        return False
+    return g.n > 0 and degree_profile(g)[1] <= 2 * omega(g) - 3
+
+
+def test_strict_contract_exhaustive_small():
     # n = 6 is where the exact fallback first runs alongside Kempe swaps
+    for n in range(1, 7):
+        for g in enumerate_labeled(n, _strict_eligible):
+            coloring, _ = color_in_class(g, debug_validate=True)
+            assert verify_proper(g, coloring) is None
+            assert coloring.colors_used == omega(g)
+
+
+def test_relaxed_contract_exhaustive_small():
     for n in range(1, 7):
         for g in enumerate_labeled(n, lambda h: bool(is_in_class(h))):
             coloring, _ = color_in_class(g, debug_validate=True)
-            w = omega(g)
             assert verify_proper(g, coloring) is None
-            assert coloring.colors_used <= w + 1
-            if degree_profile(g)[1] <= 2 * w - 3:
-                assert coloring.colors_used == w
+            assert coloring.colors_used <= omega(g) + 1
 
 
 def test_deterministic_output():
