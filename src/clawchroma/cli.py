@@ -5,11 +5,16 @@ success, 1 when a guaranteed claim is violated (the counterexample graph is
 serialized next to the message), 2 on bad input. All stdout output is
 byte-identical across re-runs with identical inputs and seeds; timing and
 progress go to stderr.
+
+The argument parser is built on the first call of ``main`` and shared by
+every later call in the process, so ``main`` may be called repeatedly at the
+cost of parsing alone; importing this module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -146,7 +151,12 @@ def _cmd_verify(args) -> int:
     return EXIT_CLAIM
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared; do not mutate it.
+
+    Each ``parse_args`` call returns a fresh namespace, so reuse is safe.
+    """
     parser = argparse.ArgumentParser(
         prog="clawchroma",
         description="Recognition, clique-exact coloring and verification "

@@ -10,10 +10,14 @@ clique, one constructive coloring checked against both colorer contracts
 path-or-cycle shape of every two-class component of every produced coloring.
 Each failed claim increments one violation counter; all counters must be zero.
 
-Sweeps may be distributed over processes (CLAWCHROMA_THREADS, 0 = serial).
-Workers share nothing and partial results merge by deterministic ordered
-reduction, so summaries are identical run to run, with or without workers.
-The wall-clock time is deliberately not part of the summary payload.
+Sweeps may be distributed over processes: CLAWCHROMA_THREADS takes an
+integer >= 0 (0, the default, and 1 run serially); any other value is a
+ParamRangeError, which the CLI reports with exit code 2. The process pool is
+imported and started only when more than one worker has work, and it never
+holds more processes than there are chunks or CPUs. Workers share nothing and
+partial results merge by deterministic ordered reduction, so summaries are
+identical run to run, with or without workers. The wall-clock time is
+deliberately not part of the summary payload.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import _kernels as K
@@ -204,11 +207,17 @@ def _random_chunk(args: tuple[int, int, list[int]]) -> dict:
 
 def _worker_count(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get("CLAWCHROMA_THREADS", "0") or "0")
+        raw = os.environ.get("CLAWCHROMA_THREADS", "0") or "0"
+        if not raw.strip().isdecimal():
+            raise ParamRangeError(
+                f"CLAWCHROMA_THREADS={raw!r} is not an integer >= 0"
+            )
+        workers = int(raw)
     return max(0, workers)
 
 
 def _run_chunks(chunks, fn, workers: int, progress: bool) -> list[dict]:
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
         parts = []
         for i, chunk in enumerate(chunks):
@@ -216,6 +225,9 @@ def _run_chunks(chunks, fn, workers: int, progress: bool) -> list[dict]:
             if progress:
                 print(f"progress: chunk {i + 1}/{len(chunks)}", file=sys.stderr)
         return parts
+    # imported here so that processes which never fork do not load it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from clawchroma import cli
 from clawchroma.cli import main
 from clawchroma.coloring import verify_proper
 from clawchroma.dimacs import parse_coloring, parse_dimacs, write_dimacs
@@ -157,3 +161,44 @@ def test_stress_random_golden(capsys):
 def test_missing_file_is_input_error(capsys):
     code, _, err = _run(capsys, ["check", "/nonexistent/graph.col"])
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("value", ["auto", "-1", "1.5"])
+def test_bad_threads_env_is_input_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("CLAWCHROMA_THREADS", value)
+    code, out, err = _run(capsys, ["stress", "--exhaustive", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "CLAWCHROMA_THREADS" in err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_calls_share_the_parser(capsys, wheel_file):
+    golden = (GOLDEN / "wheel5_report.json").read_text()
+    code, first, _ = _run(capsys, ["report", wheel_file, "--json"])
+    assert code == 0 and first == golden
+    code, out, _ = _run(capsys, ["color", wheel_file])
+    assert code == 0 and out.startswith("v 1 ")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "wheel", "five"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, again, _ = _run(capsys, ["report", wheel_file, "--json"])
+    assert code == 0 and again == golden
+
+
+def test_import_leaves_process_pool_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, clawchroma.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -59,6 +61,49 @@ def test_parallel_merge_is_deterministic():
     a = run_stress("random", n_lo=4, n_hi=8, samples=120, seed=9, workers=0)
     b = run_stress("random", n_lo=4, n_hi=8, samples=120, seed=9, workers=2)
     assert a.payload() == b.payload()
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Stand in for ProcessPoolExecutor: record each pool's size, map serially."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+RANDOM_120 = dict(mode="random", n_lo=4, n_hi=8, samples=120, seed=9)
+
+
+@pytest.mark.parametrize(
+    "sweep, workers, cpus, sizes",
+    [
+        # every n <= 4 has fewer graphs than one chunk holds
+        (dict(mode="exhaustive", max_n=4), 2, 8, []),
+        (RANDOM_120, 2, 8, [2]),  # two chunks, two workers
+        (RANDOM_120, 64, 8, [2]),  # never more workers than chunks
+        (RANDOM_120, 64, 1, []),  # one CPU runs serially
+        (RANDOM_120, 64, None, []),  # an unknown CPU count counts as one
+    ],
+)
+def test_pool_size_is_capped(monkeypatch, pool_sizes, sweep, workers, cpus, sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    pooled = run_stress(**sweep, workers=workers)
+    assert pool_sizes == sizes
+    assert pooled.payload() == run_stress(**sweep, workers=0).payload()
 
 
 def test_worker_count_from_env(monkeypatch):
