@@ -154,13 +154,16 @@ def has_clique(adj, n: int, sub: int, k: int) -> bool:
     """True iff sub contains a clique of size k.
 
     Stops at the first one, so it can be far cheaper than clique_number
-    when the answer is yes.
+    when the answer is yes. Like clique_number, it searches sub minus its
+    universal vertices, which every maximal clique of sub contains.
     """
-    if k <= 0:
-        return True
     if sub.bit_count() < k:
         return False
-    return _has_clique_expand(adj, sub, 0, k)
+    u = universal_vertices(adj, sub)
+    k -= u.bit_count()
+    if k <= 0:
+        return True
+    return _has_clique_expand(adj, sub ^ u, 0, k)
 
 
 def _max_cliques_rec(

@@ -4,6 +4,10 @@ Vertices are inserted one at a time while a proper coloring of the current
 prefix is maintained inside a target palette: the prefix clique number when
 the prefix satisfies max-degree <= 2*clique-3, one more color otherwise. The
 target never shrinks as the prefix grows, so earlier colors stay valid.
+Inserting a vertex u raises the prefix clique number by one at most, and
+exactly when its earlier neighbors hold a clique of the old size, so the
+prefix clique number is kept by increment: one has_clique query per vertex,
+which stops at the first such clique, instead of a full clique search.
 
 Each new vertex is colored by the first applicable mechanism:
 
@@ -127,9 +131,10 @@ def color_in_class(
     steps: list[tuple[int, str]] = []
     for u in range(n):
         nb = adj[u] & prefix
-        through = 1 + K.clique_number(adj, n, nb)
-        if through > omega_p:
-            omega_p = through
+        # u raises the prefix clique number, by one at most, iff N(u) in the
+        # prefix holds a clique of the old size
+        if K.has_clique(adj, n, nb, omega_p):
+            omega_p += 1
         du = nb.bit_count()
         deg[u] = du
         if du > delta_p:

@@ -2,9 +2,10 @@
 
 exact_chromatic is the ground truth the verification sweeps compare
 everything against: it brackets the search between the clique number and the
-DSATUR color count and decides each k by exact backtracking. Outputs are
-canonicalized (colors renumbered by first occurrence in vertex order) so
-identical inputs produce identical bytes downstream.
+DSATUR color count (computed by the caller or here) and decides each k by
+exact backtracking. Outputs are canonicalized (colors renumbered by first
+occurrence in vertex order) so identical inputs produce identical bytes
+downstream.
 """
 
 from __future__ import annotations
@@ -109,11 +110,16 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
     return Coloring(tuple(raw)).canonical()
 
 
-def exact_chromatic(g: Graph) -> tuple[int, Coloring]:
+def exact_chromatic(
+    g: Graph, upper: Coloring | None = None
+) -> tuple[int, Coloring]:
     """The chromatic number plus a witness coloring.
 
-    Bracketed below by the clique number and above by DSATUR; exact
-    backtracking decides each k in between.
+    Bracketed below by the clique number and above by upper, a proper
+    coloring of g (dsatur_greedy(g) when not given); exact backtracking
+    decides each k in between, from the lexicographically least maximum
+    clique precolored, which is built only when the bracket is open. When no
+    k below the bracket's top succeeds, upper itself is the witness.
     """
     if g.n > ORACLE_MAX_VERTICES:
         raise ScaleExceededError(
@@ -122,12 +128,14 @@ def exact_chromatic(g: Graph) -> tuple[int, Coloring]:
     if g.n == 0:
         return 0, Coloring(())
     adj, n, full = g.adj, g.n, g.full_mask()
-    clique = K.lex_min_max_clique(adj, n, full)
-    lo = clique.bit_count()
-    upper = dsatur_greedy(g)
+    lo = K.clique_number(adj, n, full)
+    if upper is None:
+        upper = dsatur_greedy(g)
     hi = upper.colors_used
-    for k in range(lo, hi):
-        raw = K.k_color(adj, n, full, k, clique)
-        if raw is not None:
-            return k, Coloring(tuple(raw)).canonical()
+    if lo < hi:
+        clique = K.lex_min_max_clique(adj, n, full)
+        for k in range(lo, hi):
+            raw = K.k_color(adj, n, full, k, clique)
+            if raw is not None:
+                return k, Coloring(tuple(raw)).canonical()
     return hi, upper

@@ -11,7 +11,13 @@ import sys
 from collections.abc import Iterable
 
 from .coloring import Coloring
-from .errors import MalformedHeaderError, ParseError, PartialColoringError
+from .errors import (
+    MalformedHeaderError,
+    ParseError,
+    PartialColoringError,
+    SelfLoopError,
+    VertexOutOfRangeError,
+)
 from .graph import Graph, build_graph
 
 
@@ -46,6 +52,13 @@ def parse_dimacs(text: str) -> Graph:
                 u, v = int(fields[1]), int(fields[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer endpoints") from None
+            # checked here, so errors carry the line and the 1-based ids
+            if u == v:
+                raise SelfLoopError(f"line {lineno}: self-loop at vertex {u}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise VertexOutOfRangeError(
+                    f"line {lineno}: edge ({u}, {v}) outside 1..{n}"
+                )
             edges.append((u - 1, v - 1))
         else:
             raise ParseError(f"line {lineno}: unrecognized line {fields[0]!r}")

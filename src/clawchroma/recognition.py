@@ -180,7 +180,8 @@ def verify_neighborhood_all_cliques(
             raise NotInClassError(verdict.witness)
     adj = g.adj
     nb = adj[u]
-    if _is_c5(adj, nb) or _is_p4(adj, nb):
+    # a clique N(u) is its own only maximum clique, with an empty rest
+    if mask_is_clique(adj, nb) or _is_c5(adj, nb) or _is_p4(adj, nb):
         return True
     for clique in K.max_cliques(adj, g.n, nb):
         rest = nb & ~clique

@@ -56,6 +56,13 @@ def test_criterion1_chi_equals_omega_under_degree_bound(sweep6):
     )
 
 
+def test_exhaustive6_payload_golden(sweep6):
+    # the n <= 6 payload pins the strict vertex and exact-fallback counts
+    payload = json.dumps(sweep6.payload(), separators=(", ", ": ")) + "\n"
+    assert payload == (GOLDEN / "exhaustive6.json").read_text()
+    _announce("1/2 golden", "exhaustive n<=6 payload reproduced byte for byte")
+
+
 def test_criterion2_chi_within_one(sweep6):
     assert sweep6.violations["chi_within_one"] == 0
     _announce(2, "omega <= chi <= omega+1 exact on every in-class graph, n<=6")

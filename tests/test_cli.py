@@ -158,6 +158,29 @@ def test_stress_random_golden(capsys):
     assert again == out
 
 
+def test_stress_random_zero_samples_exits_clean(capsys):
+    code, out, _ = _run(capsys, ["stress", "--random", "5", "6", "0", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["samples"] == 0
+    assert payload["graphs_checked"] == payload["in_class_count"] == 0
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ("e 0 1", "line 2: edge (0, 1) outside 1..3"),
+        ("e 2 2", "line 2: self-loop at vertex 2"),
+    ],
+)
+def test_bad_dimacs_edge_names_line_and_ids(capsys, tmp_path, edge, message):
+    f = tmp_path / "bad.col"
+    f.write_text(f"p edge 3 1\n{edge}\n")
+    code, out, err = _run(capsys, ["check", str(f)])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = _run(capsys, ["check", "/nonexistent/graph.col"])
     assert code == 2 and "error" in err

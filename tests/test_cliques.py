@@ -126,6 +126,18 @@ def test_pure_clique_kernels_match_brute_force():
                 assert pure.has_clique(g.adj, n, sub, k) == (k <= w)
 
 
+def test_has_clique_matches_clique_number_on_every_subgraph_up_to_n5():
+    checked = 0
+    for n in range(6):
+        for g in enumerate_labeled(n):
+            for sub in range(1 << n):
+                w = pure.clique_number(g.adj, n, sub)
+                for k in range(n + 2):
+                    assert pure.has_clique(g.adj, n, sub, k) == (w >= k)
+                checked += 1
+    assert checked == 1 + 2 + 2 * 4 + 8 * 8 + 64 * 16 + 1024 * 32
+
+
 def test_pure_clique_kernels_with_universal_vertices():
     # dense sub masks where some vertices are joined to all the rest of sub
     stream = SplitMix64(37)

@@ -87,6 +87,24 @@ def test_exact_chromatic_matches_naive_up_to_n5():
     assert checked == 1 + 1 + 2 + 8 + 64 + 1024
 
 
+def test_exact_chromatic_with_dsatur_upper_matches_default_up_to_n5():
+    checked = 0
+    for n in range(6):
+        for g in enumerate_labeled(n):
+            assert exact_chromatic(g, dsatur_greedy(g)) == exact_chromatic(g)
+            checked += 1
+    assert checked == 1 + 1 + 2 + 8 + 64 + 1024
+
+
+def test_exact_chromatic_returns_an_optimal_upper_itself():
+    g = complete(4)
+    upper = dsatur_greedy(g)
+    assert exact_chromatic(g, upper)[1] is upper
+    g = cycle(5)
+    upper = Coloring((1, 2, 1, 2, 3))
+    assert exact_chromatic(g, upper) == (3, upper)
+
+
 def test_exact_chromatic_known_values():
     for n in range(1, 9):
         assert exact_chromatic(complete(n))[0] == n

@@ -26,13 +26,22 @@ def test_parse_path():
 
 
 def test_parse_self_loop():
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(SelfLoopError) as exc:
         parse_dimacs("p edge 2 1\ne 1 1\n")
+    assert str(exc.value) == "line 2: self-loop at vertex 1"
 
 
 def test_parse_vertex_out_of_range():
-    with pytest.raises(VertexOutOfRangeError):
-        parse_dimacs("p edge 2 1\ne 1 3\n")
+    # messages name the line and the endpoints as written, 1-based
+    cases = [
+        ("p edge 2 1\ne 1 3\n", "line 2: edge (1, 3) outside 1..2"),
+        ("p edge 3 1\ne 0 1\n", "line 2: edge (0, 1) outside 1..3"),
+        ("c x\np edge 3 2\ne 1 2\ne 3 4\n", "line 4: edge (3, 4) outside 1..3"),
+    ]
+    for text, message in cases:
+        with pytest.raises(VertexOutOfRangeError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == message
 
 
 def test_parse_wheel_and_classify():

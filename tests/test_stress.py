@@ -1,9 +1,12 @@
 import concurrent.futures
 import json
 import os
+import sys
+from collections import Counter
 
 import pytest
 
+from clawchroma import _kernels as K
 from clawchroma import stress
 from clawchroma.cli import _dump_counterexamples
 from clawchroma.colorer import RepairTrace
@@ -51,6 +54,29 @@ def test_random_param_errors():
         run_stress("random", n_lo=1, n_hi=2, samples=-1, seed=1)
     with pytest.raises(ParamRangeError):
         run_stress("random", n_lo=1, n_hi=2, samples=10)
+
+
+def test_random_zero_samples_is_an_empty_summary():
+    s = run_stress("random", n_lo=5, n_hi=6, samples=0, seed=1, workers=0)
+    assert s.graphs_checked == 0 and s.in_class_count == 0
+    assert s.total_violations == 0
+
+
+def test_sweep_runs_dsatur_once_and_no_colorer_clique_search(monkeypatch):
+    """One DSATUR per in-class graph; the colorer keeps prefix omega by
+    has_clique, never by a clique_number search."""
+    calls = Counter()
+    for name in ("dsatur", "clique_number"):
+        def counted(*args, _fn=getattr(K, name), _name=name):
+            calls[_name, sys._getframe(1).f_globals["__name__"]] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(K, name, counted)
+    s = run_stress("exhaustive", max_n=5, workers=0)
+    assert s.in_class_count == 810
+    assert sum(c for (name, _), c in calls.items() if name == "dsatur") == 810
+    assert calls["clique_number", "clawchroma.colorer"] == 0
+    assert calls["clique_number", "clawchroma.cliques"] == 810  # omega
 
 
 def test_parallel_merge_is_deterministic():
@@ -132,7 +158,7 @@ def test_check_in_class_graph_clean_on_wheel():
 def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value):
     g = cycle(5)
     assert check_in_class_graph(g)[0] == set()
-    monkeypatch.setattr(stress, target, lambda _g: value)
+    monkeypatch.setattr(stress, target, lambda _g, *_: value)
     assert check_in_class_graph(g)[0] == {CHI_WITHIN_ONE}
 
 
