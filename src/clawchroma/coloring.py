@@ -2,8 +2,8 @@
 
 exact_chromatic is the ground truth the verification sweeps compare
 everything against: it brackets the search between the clique number and the
-DSATUR color count (computed by the caller or here) and decides each k by
-exact backtracking. Outputs are canonicalized (colors renumbered by first
+DSATUR color count (each computed by the caller or here) and decides each k
+by exact backtracking. Outputs are canonicalized (colors renumbered by first
 occurrence in vertex order) so identical inputs produce identical bytes
 downstream.
 """
@@ -111,15 +111,16 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
 
 
 def exact_chromatic(
-    g: Graph, upper: Coloring | None = None
+    g: Graph, upper: Coloring | None = None, lower: int | None = None
 ) -> tuple[int, Coloring]:
     """The chromatic number plus a witness coloring.
 
-    Bracketed below by the clique number and above by upper, a proper
-    coloring of g (dsatur_greedy(g) when not given); exact backtracking
-    decides each k in between, from the lexicographically least maximum
-    clique precolored, which is built only when the bracket is open. When no
-    k below the bracket's top succeeds, upper itself is the witness.
+    Bracketed below by lower, the clique number of g (computed when not
+    given), and above by upper, a proper coloring of g (dsatur_greedy(g)
+    when not given); exact backtracking decides each k in between, from the
+    lexicographically least maximum clique precolored, which is built only
+    when the bracket is open. When no k below the bracket's top succeeds,
+    upper itself is the witness.
     """
     if g.n > ORACLE_MAX_VERTICES:
         raise ScaleExceededError(
@@ -128,7 +129,7 @@ def exact_chromatic(
     if g.n == 0:
         return 0, Coloring(())
     adj, n, full = g.adj, g.n, g.full_mask()
-    lo = K.clique_number(adj, n, full)
+    lo = K.clique_number(adj, n, full) if lower is None else lower
     if upper is None:
         upper = dsatur_greedy(g)
     hi = upper.colors_used

@@ -7,17 +7,43 @@ deterministic given its parameters, with randomness drawn from an explicit
 splitmix64 stream so sampled suites reproduce bit-for-bit.
 
 splitmix64 is a counter: the t-th value after state s is mix(s + t*gamma),
-so any value of a draw can be read at the cost of one mix. The random
-sweeps use that to build a draw vertex by vertex and drop it at its first
-claw (random_claw_free_graph). Claw-freeness is hereditary, so the early
-stop never changes the verdict, and the graphs kept are exactly those of
-random_graph on the same stream, which is advanced by the same amount.
+so any value of a draw can be computed without the ones before it. The
+random sweeps use that to build a draw vertex by vertex and drop it at its
+first claw (random_claw_free_graph). Claw-freeness is hereditary, so the
+early stop never changes the verdict, and the graphs kept are exactly those
+of random_graph on the same stream, which is advanced by the same amount.
 random_in_class_graph then searches only the kept draws for K5-P3.
+
+random_claw_free_graph mixes many values with a few big-int operations. The
+values of pairs (i, k), i < k, for a block of vertices k0 <= k < k1 are held
+in one int, one 128-bit lane per pair in column-major order: pair (i, k) is
+lane k(k-1)/2 + i, counted from the block's first lane, so vertex k's edges
+to 0..k-1 come out as one contiguous bit field. Pair (i, k) is value
+T(i, k) = i(2n-i-1)/2 - i + k of the draw, so its lane starts as
+base + T*gamma mod 2^64: base times the constant with 1 in every lane, plus
+a per-(n, block) constant with T*gamma (below 2^84) in every lane, masked
+to 64 bits. Each mixing step then runs on all lanes at once. A lane holds
+64 bits and the multipliers have 64, so a product stays below 2^128 and
+never carries into the next lane; every step masks the lanes back to their
+low 64 bits, which also clears the bits that a right shift brings down from
+the lane above. A value is an edge iff it is below the threshold, that is,
+iff adding 2^64 - threshold to its lane does not carry into bit 64. Those
+carry bits are read out in one pass through to_bytes, a byte slice,
+translate and int(_, 2).
+
+Blocks are mixed only when the draw reaches their first vertex, since
+dropped draws stop early (at a median of vertex 7 in the random sweep). The
+first block is vertices 1..7; later ones double, capped at 1024 lanes but at
+least one vertex. The block constants are built from bytes on first use and
+kept in small bounded caches, which stay under 2 MB even after a
+1024-vertex draw.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from functools import lru_cache
+from math import isqrt
 
 from . import _kernels as K
 from .errors import ParamRangeError, ScaleExceededError
@@ -29,6 +55,13 @@ _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# lane layout of random_claw_free_graph; see the module docstring
+_LANE_BYTES = 16
+_FIRST_BLOCK_END = 8
+_MAX_BLOCK_LANES = 1024
+_CACHED_BLOCKS = 32
+_CARRY_TO_EDGE = bytes.maketrans(b"\x00\x01", b"10")
 
 
 class SplitMix64:
@@ -144,34 +177,93 @@ def random_graph(n: int, edge_prob: float, stream: SplitMix64) -> Graph:
     return build_graph(n, edges)
 
 
+@lru_cache(maxsize=1)
+def _block_bounds() -> tuple[int, ...]:
+    """Column blocks of a draw: vertices 1..7 first, then doubling, each block
+    capped at _MAX_BLOCK_LANES lanes (but holding at least one column)."""
+    bounds = [1, _FIRST_BLOCK_END]
+    while bounds[-1] < MAX_VERTICES:
+        k0 = bounds[-1]
+        # largest k1 with k1(k1-1)/2 - k0(k0-1)/2 <= _MAX_BLOCK_LANES
+        capped = (isqrt(4 * k0 * (k0 - 1) + 8 * _MAX_BLOCK_LANES + 1) + 1) // 2
+        bounds.append(max(k0 + 1, min(2 * k0, capped)))
+    return tuple(bounds)
+
+
+@lru_cache(maxsize=_CACHED_BLOCKS)
+def _lane_masks(lanes: int) -> tuple[int, int]:
+    """(one, low) for a block of lanes: 1 and 2^64-1 in every lane."""
+    one = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * lanes, "little")
+    low = int.from_bytes((b"\xff" * 8 + bytes(_LANE_BYTES - 8)) * lanes, "little")
+    return one, low
+
+
+@lru_cache(maxsize=_CACHED_BLOCKS)
+def _row_offsets(n: int) -> bytes:
+    """Lane bytes of T(i, 0) = i(2n-i-1)/2 - i, i < n, for an n-vertex draw."""
+    return b"".join(
+        (i * (2 * n - i - 1) // 2 - i).to_bytes(_LANE_BYTES, "little")
+        for i in range(n)
+    )
+
+
+@lru_cache(maxsize=_CACHED_BLOCKS)
+def _block_steps(n: int, k0: int, k1: int) -> int:
+    """T(i, k) * gamma in lane k(k-1)/2 + i - k0(k0-1)/2, for the pairs
+    i < k, k0 <= k < k1, of an n-vertex draw."""
+    rows = _row_offsets(n)
+    cols = range(k0, k1)
+    t = int.from_bytes(b"".join(rows[: _LANE_BYTES * k] for k in cols), "little")
+    t += int.from_bytes(
+        b"".join(k.to_bytes(_LANE_BYTES, "little") * k for k in cols), "little"
+    )
+    # T < 2^20, so each lane's product stays below 2^84
+    return _GAMMA * t
+
+
+def _block_edges(n: int, k0: int, k1: int, base: int, above: int) -> int:
+    """Edge bits of columns k0..k1-1 of a draw, lane order; see the module
+    docstring."""
+    lanes = (k1 * (k1 - 1) - k0 * (k0 - 1)) // 2
+    one, low = _lane_masks(lanes)
+    z = (base * one + _block_steps(n, k0, k1)) & low
+    z = ((z ^ (z >> 30)) & low) * _MIX1 & low
+    z = ((z ^ (z >> 27)) & low) * _MIX2 & low
+    z = ((z ^ (z >> 31)) & low) + above * one
+    # bit 64 of each lane is its carry; big-endian, lane j's is in byte 7 of
+    # its 16, and the top lane comes first, as int(_, 2) reads it
+    carries = z.to_bytes(_LANE_BYTES * lanes, "big")[7::_LANE_BYTES]
+    return int(carries.translate(_CARRY_TO_EDGE), 2)
+
+
 def random_claw_free_graph(
     n: int, edge_prob: float, stream: SplitMix64
 ) -> Graph | None:
     """random_graph(n, edge_prob, stream) if that draw is claw-free, else None.
 
     Consumes exactly the n*(n-1)/2 stream values of random_graph either way.
-    Vertex k is added with its edges to 0..k-1, read from the stream by pair
-    index, and only the claws through k are looked for: k as the center
-    (three pairwise non-adjacent neighbors) or as a leaf (a neighbor u with
-    two non-adjacent neighbors outside N[k]). The draw is dropped at the
-    first claw, before the values of the later vertices are mixed.
+    Vertex k is added with its edges to 0..k-1 and only the claws through k
+    are looked for: k as the center (three pairwise non-adjacent neighbors)
+    or as a leaf (a neighbor u with two non-adjacent neighbors outside
+    N[k]). The draw is dropped at the first claw.
+
+    The edge values are mixed one block of vertices at a time, when the draw
+    reaches the block, each pair in its own 128-bit lane of one int and the
+    edge test read from the lanes' carries (see the module docstring). The
+    values, and so the graph and the verdict, are those of random_graph.
     """
     threshold = _edge_threshold(n, edge_prob)
     base = stream.skip(n * (n - 1) // 2)
-    # pair (i, k) takes value t = i*(2n-i-1)/2 - i + k, the mix of base + t*gamma
-    rows = [
-        (base + (i * (2 * n - i - 1) // 2 - i) * _GAMMA) & _M64 for i in range(n)
-    ]
+    above = (1 << 64) - threshold
     adj = [0] * n
+    bounds = _block_bounds()
+    bits = block = 0
     for k in range(1, n):
-        kg = k * _GAMMA
-        nk = 0
-        for i in range(k):
-            z = (rows[i] + kg) & _M64
-            z = ((z ^ (z >> 30)) * _MIX1) & _M64
-            z = ((z ^ (z >> 27)) * _MIX2) & _M64
-            if z ^ (z >> 31) < threshold:
-                nk |= 1 << i
+        if k == bounds[block]:
+            block += 1
+            bits = _block_edges(n, k, min(bounds[block], n), base, above)
+        nk = bits & ((1 << k) - 1)
+        bits >>= k
         if not nk:
             continue
         kbit = 1 << k

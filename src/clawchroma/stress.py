@@ -6,12 +6,12 @@ trichotomy's branch facts as report.trichotomy states them, the four-shape
 neighborhood classification for every vertex and every maximum clique, one
 constructive coloring checked against both colorer contracts (omega + 1
 colors at most, omega under the degree bound), and the path-or-cycle shape of
-every two-class component of every produced coloring. DSATUR runs once per
-graph and is the oracle's upper bound; the oracle's witness and the DSATUR
-coloring must be proper, the witness with exactly chi colors. When DSATUR was
-already optimal the oracle hands the same coloring back, and it is checked
-once. Each failed claim increments one violation counter; all counters must
-be zero.
+every two-class component of every produced coloring. The clique number
+and DSATUR are computed once per graph and are the oracle's lower and upper
+bounds; the oracle's witness and the DSATUR coloring must be proper, the
+witness with exactly chi colors. When DSATUR was already optimal the oracle
+hands the same coloring back, and it is checked once. Each failed claim
+increments one violation counter; all counters must be zero.
 
 Sweeps may be distributed over processes: CLAWCHROMA_THREADS takes an
 integer >= 0 (0, the default, and 1 run serially); any other value is a
@@ -116,7 +116,7 @@ def check_in_class_graph(g: Graph) -> tuple[set[str], int, int]:
     w = omega_of(g)
     delta = degree_profile(g)[1]
     greedy = dsatur_greedy(g)
-    chi, oracle_coloring = exact_chromatic(g, greedy)
+    chi, oracle_coloring = exact_chromatic(g, greedy, w)
     branch, _, failures = trichotomy(g, w, delta, chi)
     viol = {e.category for e in failures}
     # the oracle hands greedy back when DSATUR was already optimal

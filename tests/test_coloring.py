@@ -91,7 +91,9 @@ def test_exact_chromatic_with_dsatur_upper_matches_default_up_to_n5():
     checked = 0
     for n in range(6):
         for g in enumerate_labeled(n):
-            assert exact_chromatic(g, dsatur_greedy(g)) == exact_chromatic(g)
+            default = exact_chromatic(g)
+            assert exact_chromatic(g, dsatur_greedy(g)) == default
+            assert exact_chromatic(g, dsatur_greedy(g), omega(g)) == default
             checked += 1
     assert checked == 1 + 1 + 2 + 8 + 64 + 1024
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from clawchroma import generators
 from clawchroma.errors import ParamRangeError, ScaleExceededError
 from clawchroma.generators import (
     SplitMix64,
@@ -155,6 +158,73 @@ def test_random_in_class_graph_matches_random_graph():
         kept += expected is not None
         claw_free_dropped += expected is None and find_claw(g) is None
     assert kept > 100 and claw_free_dropped > 50
+
+
+def _assert_same_draw(draw, keep, n, p, seed):
+    plain, packed = SplitMix64(seed), SplitMix64(seed)
+    g = random_graph(n, p, plain)
+    expected = g if keep(g) else None
+    assert draw(n, p, packed) == expected, (n, p)
+    assert packed.next_u64() == plain.next_u64(), (n, p)
+    return expected is not None
+
+
+def _claw_free(g):
+    return find_claw(g) is None
+
+
+# edgeless, complete, complete but for values >= 2^64 - 2^11, edge only on a
+# zero value (threshold 1), and dense enough to drop some draws late
+EDGE_PROBS = (0.0, 1.0, 1 - 2**-53, 2**-64, 0.95)
+
+
+def test_random_claw_free_graph_matches_random_graph_across_blocks():
+    # n up to 70 reaches every block boundary below 70, the last of them
+    # (55) the first that the cap of 1024 lanes per block sets
+    assert generators._block_bounds()[:6] == (1, 8, 16, 32, 55, 71)
+    kept = 0
+    for p in EDGE_PROBS:
+        for n in range(71):
+            kept += _assert_same_draw(random_claw_free_graph, _claw_free, n, p, n)
+    # the first four keep every draw, 0.95 keeps some and drops some
+    assert 4 * 71 < kept < 5 * 71
+
+
+def test_random_in_class_graph_matches_random_graph_across_blocks():
+    # the K5-P3 scan is cubic on near-complete draws, so those are checked
+    # on either side of every block boundary below 70 only
+    bounds = [b for b in generators._block_bounds() if b <= 70]
+    near = sorted({n for b in bounds for n in (b - 1, b, b + 1)} | {70})
+    for p in EDGE_PROBS:
+        for n in near if p > 0.99 else range(71):
+            _assert_same_draw(random_in_class_graph, is_in_class, n, p, n)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.999])
+def test_random_claw_free_graph_matches_random_graph_at_1024(p):
+    _assert_same_draw(random_claw_free_graph, _claw_free, 1024, p, 17)
+
+
+def test_random_claw_free_graph_block_constants_stay_bounded():
+    # p = 0 mixes every block of the 1024-vertex draw, as p = 1 does, but
+    # skips the claw checks, whose allocations make tracing them take 20 s.
+    # A one-value-at-a-time draw peaks at 0.06 MB here; the bounded caches
+    # of block constants may add under 3 MB (1.6 MB measured).
+    for cache in (
+        generators._lane_masks,
+        generators._row_offsets,
+        generators._block_steps,
+    ):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        g = random_claw_free_graph(1024, 0.0, SplitMix64(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 0
+    assert generators._block_steps.cache_info().misses > 100
+    assert peak < 3 * 2**20
 
 
 def test_random_claw_free_graph_param_range():
