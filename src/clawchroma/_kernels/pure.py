@@ -2,7 +2,10 @@
 
 These are the hot primitives behind recognition, clique search and exact
 coloring, for graphs of any size; the package reaches them through
-_kernels. Recursive searches are module-level functions, not nested
+_kernels. One branch and bound, _clique_search, answers both clique-size
+questions: how large the largest clique is (clique_number, and the target
+size of the max_cliques enumeration) and whether a k-clique exists
+(has_clique). Recursive searches are module-level functions, not nested
 closures, so a call leaves no reference cycles for the garbage collector.
 
 Conventions: adj is an indexable of per-vertex neighbor bitmasks, sub is a
@@ -89,7 +92,7 @@ def _color_order(adj, cand: int):
 
     Classes are built least-vertex-first; the class index of a vertex bounds
     the largest clique containing it inside cand, which is the branch bound
-    used by the clique searches.
+    of _clique_search.
     """
     vs = []
     bounds = []
@@ -109,17 +112,30 @@ def _color_order(adj, cand: int):
     return vs, bounds
 
 
-def _clique_number_expand(adj, cand: int, size: int, best: int) -> int:
+def _clique_search(adj, cand: int, size: int, best: int, stop: int) -> int:
+    """max(best, size + the clique number of cand), or the first value
+    reached that is >= stop.
+
+    The greedy-color-class branch and bound of Tomita and Seki's MCQ: the
+    vertices are tried from the last color class down, and a vertex whose
+    class index cannot lift size above best ends the level. With stop at
+    best + 1 it decides whether a (best + 1)-clique exists; with stop above
+    |cand| it finds the maximum.
+    """
     vs, bounds = _color_order(adj, cand)
     for i in range(len(vs) - 1, -1, -1):
         if size + bounds[i] <= best:
             return best
         v = vs[i]
+        if size + 1 > best:
+            best = size + 1
+            if best >= stop:
+                return best
         nc = cand & adj[v]
         if nc:
-            best = _clique_number_expand(adj, nc, size + 1, best)
-        elif size + 1 > best:
-            best = size + 1
+            best = _clique_search(adj, nc, size + 1, best, stop)
+            if best >= stop:
+                return best
         cand ^= 1 << v
     return best
 
@@ -131,23 +147,8 @@ def clique_number(adj, n: int, sub: int) -> int:
     in directly.
     """
     u = universal_vertices(adj, sub)
-    if u == sub:
-        return u.bit_count()
-    return u.bit_count() + _clique_number_expand(adj, sub ^ u, 0, 0)
-
-
-def _has_clique_expand(adj, cand: int, size: int, k: int) -> bool:
-    vs, bounds = _color_order(adj, cand)
-    for i in range(len(vs) - 1, -1, -1):
-        if size + bounds[i] < k:
-            return False
-        v = vs[i]
-        if size + 1 == k:
-            return True
-        if _has_clique_expand(adj, cand & adj[v], size + 1, k):
-            return True
-        cand ^= 1 << v
-    return False
+    core = sub ^ u
+    return u.bit_count() + _clique_search(adj, core, 0, 0, core.bit_count() + 1)
 
 
 def has_clique(adj, n: int, sub: int, k: int) -> bool:
@@ -161,9 +162,7 @@ def has_clique(adj, n: int, sub: int, k: int) -> bool:
         return False
     u = universal_vertices(adj, sub)
     k -= u.bit_count()
-    if k <= 0:
-        return True
-    return _has_clique_expand(adj, sub ^ u, 0, k)
+    return k <= 0 or _clique_search(adj, sub ^ u, 0, k - 1, k) >= k
 
 
 def _max_cliques_rec(
@@ -171,35 +170,16 @@ def _max_cliques_rec(
 ) -> bool:
     """Append every (left)-clique of cand, joined to mask, in ascending order.
 
-    cand holds at least left vertices. Branching on the candidates in
-    ascending order emits cliques in ascending-tuple order: mask is shared by
-    all of them, so their order is that of their cand parts. With first set,
-    stop at the first clique and return True. bound[i] is the number of
-    greedy color classes of the candidates from position i on, colored from
-    the highest vertex down; it bounds the largest clique among them and
-    never grows with i.
+    Branching on the candidates in ascending order emits cliques in
+    ascending-tuple order: mask is shared by all of them, so their order is
+    that of their cand parts. With first set, stop at the first clique and
+    return True. bound[i] is the number of greedy color classes of the
+    candidates from position i on, colored from the highest vertex down; it
+    bounds the largest clique among them and never grows with i.
     """
-    if left == 1:
-        m = cand & -cand if first else cand
-        while m:
-            b = m & -m
-            out.append(mask | b)
-            m ^= b
+    if not left:
+        out.append(mask)
         return first
-    if left == 2:  # the edges of cand, with no bound to compute
-        m = cand
-        while m:
-            b = m & -m
-            m ^= b
-            ends = m & adj[b.bit_length() - 1]
-            if ends and first:
-                out.append(mask | b | (ends & -ends))
-                return True
-            while ends:
-                e = ends & -ends
-                out.append(mask | b | e)
-                ends ^= e
-        return False
     vs = []
     m = cand
     while m:
@@ -233,12 +213,9 @@ def _search_max_cliques(adj, sub: int, first: bool) -> list[int]:
     when first is set), searched on sub minus its universal vertices."""
     u = universal_vertices(adj, sub)
     core = sub ^ u
-    if not core:
-        return [u]
     out: list[int] = []
-    _max_cliques_rec(
-        adj, out, u, core, _clique_number_expand(adj, core, 0, 0), first
-    )
+    w = _clique_search(adj, core, 0, 0, core.bit_count() + 1)
+    _max_cliques_rec(adj, out, u, core, w, first)
     return out
 
 

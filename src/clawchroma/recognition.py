@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import _kernels as K
 from .bitops import bits_tuple, iter_bits, mask_is_clique
-from .errors import NotInClassError, VertexOutOfRangeError
+from .errors import VertexOutOfRangeError
 from .graph import Graph
 
 CLAW = "claw"
@@ -183,21 +183,16 @@ def _is_two_cliques(adj, sub: int) -> bool:
     return len({(adj[v] & sub) | (1 << v) for v in iter_bits(sub)}) <= 2
 
 
-def verify_neighborhood_all_cliques(
-    g: Graph, u: int, *, assume_in_class: bool = False
-) -> bool:
+def verify_neighborhood_all_cliques(g: Graph, u: int) -> bool:
     """True iff one of the four shapes holds for EVERY maximum clique of <N(u)>.
 
     That is: <N(u)> is a C5, a P4, a clique minus a matching, or two cliques
-    with no edges between them (proof in the module docstring). Raises
-    NotInClassError outside the class (skipped with assume_in_class=True).
+    with no edges between them (proof in the module docstring). Every graph
+    in the class reads True at every vertex; outside it the reading may be
+    False.
     """
     if not (0 <= u < g.n):
         raise VertexOutOfRangeError(f"vertex {u} outside 0..{g.n - 1}")
-    if not assume_in_class:
-        verdict = is_in_class(g)
-        if not verdict:
-            raise NotInClassError(verdict.witness)
     adj = g.adj
     shapes = (_is_c5, _is_p4, _misses_at_most_one, _is_two_cliques)
     return any(shape(adj, adj[u]) for shape in shapes)

@@ -21,7 +21,8 @@ classify_trichotomy decides chi by proof, in this order:
      such that |U| + ceil(|S - U| / alpha(S - U)) > omega. U is joined to
      S - U, so chi(S) = |U| + chi(S - U) >= |U| + |S - U| / alpha(S - U),
      and chi == omega + 1;
-  3. otherwise the exact oracle decides.
+  3. otherwise the exact oracle decides, bracketed by omega and the
+     insertion coloring.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def classify_trichotomy(g: Graph) -> ClassReport:
     elif coloring.colors_used == w + 1 and _chi_exceeds(g, w):
         chi = w + 1
     else:
-        chi, _ = exact_chromatic(g)
+        chi, _ = exact_chromatic(g, coloring, w)
     branch, w6, failures = trichotomy(g, w, delta, chi)
     if failures:
         raise failures[0]

@@ -87,6 +87,27 @@ class StressSummary:
             return 0.0
         return round(self.exact_fallbacks / self.vertices_colored_strict, 8)
 
+    def record(self, g: Graph) -> None:
+        """Count one in-class graph and the claims it fails."""
+        self.in_class_count += 1
+        viol, strict_vertices, strict_fallbacks = check_in_class_graph(g)
+        self.vertices_colored_strict += strict_vertices
+        self.exact_fallbacks += strict_fallbacks
+        for cat in viol:
+            self.violations[cat] += 1
+            self.counterexamples.setdefault(cat, (g.n, edge_mask_of(g)))
+
+    def merge(self, part: StressSummary) -> None:
+        """Add the counts of a later chunk; earlier counterexamples win."""
+        self.graphs_checked += part.graphs_checked
+        self.in_class_count += part.in_class_count
+        for cat, count in part.violations.items():
+            self.violations[cat] += count
+        self.vertices_colored_strict += part.vertices_colored_strict
+        self.exact_fallbacks += part.exact_fallbacks
+        for cat, cex in part.counterexamples.items():
+            self.counterexamples.setdefault(cat, cex)
+
     def payload(self) -> dict:
         """Deterministic summary dict; excludes timing on purpose."""
         out = {
@@ -146,7 +167,7 @@ def check_in_class_graph(g: Graph) -> tuple[set[str], int, int]:
             if coloring.colors_used != w:
                 viol.add(CHI_EQUALS_OMEGA)
     for u in range(g.n):
-        if not verify_neighborhood_all_cliques(g, u, assume_in_class=True):
+        if not verify_neighborhood_all_cliques(g, u):
             viol.add(NEIGHBORHOOD_SHAPE)
             break
     for coloring in colorings:
@@ -156,56 +177,24 @@ def check_in_class_graph(g: Graph) -> tuple[set[str], int, int]:
     return viol, strict_vertices, strict_fallbacks
 
 
-def _merge_chunk(summary: StressSummary, part: dict) -> None:
-    summary.graphs_checked += part["graphs"]
-    summary.in_class_count += part["in_class"]
-    for cat, count in part["violations"].items():
-        summary.violations[cat] += count
-    summary.vertices_colored_strict += part["strict_vertices"]
-    summary.exact_fallbacks += part["strict_fallbacks"]
-    for cat, cex in part["counterexamples"].items():
-        summary.counterexamples.setdefault(cat, cex)
-
-
-def _new_part(graphs: int = 0) -> dict:
-    return {
-        "graphs": graphs,
-        "in_class": 0,
-        "violations": {c: 0 for c in CATEGORIES},
-        "strict_vertices": 0,
-        "strict_fallbacks": 0,
-        "counterexamples": {},
-    }
-
-
-def _record(part: dict, g: Graph) -> None:
-    part["in_class"] += 1
-    viol, sv, sf = check_in_class_graph(g)
-    part["strict_vertices"] += sv
-    part["strict_fallbacks"] += sf
-    for cat in viol:
-        part["violations"][cat] += 1
-        part["counterexamples"].setdefault(cat, (g.n, edge_mask_of(g)))
-
-
-def _exhaustive_chunk(args: tuple[int, int, int]) -> dict:
+def _exhaustive_chunk(args: tuple[int, int, int]) -> StressSummary:
     n, start, stop = args
-    part = _new_part(graphs=stop - start)
+    part = StressSummary("exhaustive", graphs_checked=stop - start)
     for mask in K.scan_in_class(n, start, stop):
-        _record(part, from_edge_mask(n, mask))
+        part.record(from_edge_mask(n, mask))
     return part
 
 
-def _random_chunk(args: tuple[int, int, list[int]]) -> dict:
+def _random_chunk(args: tuple[int, int, list[int]]) -> StressSummary:
     n_lo, n_hi, sample_seeds = args
-    part = _new_part(graphs=len(sample_seeds))
+    part = StressSummary("random", graphs_checked=len(sample_seeds))
     for s in sample_seeds:
         stream = SplitMix64(s)
         n = n_lo + stream.next_below(n_hi - n_lo + 1)
         p = stream.next_unit()
         g = random_in_class_graph(n, p, stream)
         if g is not None:
-            _record(part, g)
+            part.record(g)
     return part
 
 
@@ -220,7 +209,9 @@ def _worker_count(workers: int | None) -> int:
     return max(0, workers)
 
 
-def _run_chunks(chunks, fn, workers: int, progress: bool) -> list[dict]:
+def _run_chunks(
+    chunks, fn, workers: int, progress: bool
+) -> list[StressSummary]:
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
         parts = []
@@ -264,7 +255,7 @@ def run_stress(
                 for start in range(0, total, step)
             ]
             for part in _run_chunks(chunks, _exhaustive_chunk, workers, False):
-                _merge_chunk(summary, part)
+                summary.merge(part)
             if progress:
                 print(f"progress: n={n} done", file=sys.stderr)
     elif mode == "random":
@@ -287,7 +278,7 @@ def run_stress(
             for i in range(0, samples, step)
         ]
         for part in _run_chunks(chunks, _random_chunk, workers, progress):
-            _merge_chunk(summary, part)
+            summary.merge(part)
     else:
         raise ParamRangeError(f"unknown stress mode {mode!r}")
     summary.wall_time = time.perf_counter() - t0

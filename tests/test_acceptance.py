@@ -116,7 +116,7 @@ def test_criterion7_neighborhood_shapes(sweep6):
     for n in range(1, 6):
         for g in enumerate_labeled(n, lambda h: bool(is_in_class(h))):
             for u in range(g.n):
-                assert verify_neighborhood_all_cliques(g, u, assume_in_class=True)
+                assert verify_neighborhood_all_cliques(g, u)
                 checked += 1
     _announce(7, f"four-shape classification holds for all cliques, n<=6 "
                  f"({checked} vertices rechecked directly at n<=5)")

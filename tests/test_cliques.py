@@ -1,4 +1,5 @@
 import gc
+import time
 from itertools import combinations
 
 import pytest
@@ -134,8 +135,27 @@ def test_has_clique_matches_clique_number_on_every_subgraph_up_to_n5():
                 w = pure.clique_number(g.adj, n, sub)
                 for k in range(n + 2):
                     assert pure.has_clique(g.adj, n, sub, k) == (w >= k)
+                cliques = pure.max_cliques(g.adj, n, sub)
+                assert (w, cliques) == _brute_max_cliques(g.adj, sub)
+                assert pure.lex_min_max_clique(g.adj, n, sub) == cliques[0]
                 checked += 1
     assert checked == 1 + 2 + 2 * 4 + 8 * 8 + 64 * 16 + 1024 * 32
+
+
+def test_clique_kernels_at_scale():
+    # K1 + CP(127): hub 254 joined to K_254 minus the matching {0, 1},
+    # {2, 3}, ...; N(hub) has 2^127 maximum cliques
+    n = 255
+    full = (1 << n) - 1
+    adj = [full & ~(1 << v | 1 << (v ^ 1)) for v in range(n - 1)]
+    adj.append(full & ~(1 << (n - 1)))
+    start = time.perf_counter()
+    lex = pure.lex_min_max_clique(adj, n, adj[n - 1])
+    w = pure.clique_number(adj, n, full)
+    elapsed = time.perf_counter() - start
+    assert lex == sum(1 << v for v in range(0, n - 1, 2))
+    assert w == 128
+    assert elapsed < 1.0
 
 
 def test_pure_clique_kernels_with_universal_vertices():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from clawchroma.errors import NotInClassError, VertexOutOfRangeError
+from clawchroma.errors import VertexOutOfRangeError
 from clawchroma._kernels import pure
 from clawchroma.generators import SplitMix64, enumerate_labeled, random_graph
 from clawchroma.graph import build_graph
@@ -161,7 +161,7 @@ def test_no_violation_for_in_class_small():
     for g in enumerate_labeled(5, lambda h: bool(is_in_class(h))):
         for u in range(g.n):
             assert classify_neighborhood(g, u).outcome != VIOLATION
-            assert verify_neighborhood_all_cliques(g, u, assume_in_class=True)
+            assert verify_neighborhood_all_cliques(g, u)
 
 
 def test_all_cliques_verifier_examples():
@@ -190,7 +190,7 @@ def test_all_cliques_verifier_matches_enumeration_up_to_n6():
     for n in range(7):
         for g in enumerate_labeled(n):
             for u in range(n):
-                got = verify_neighborhood_all_cliques(g, u, assume_in_class=True)
+                got = verify_neighborhood_all_cliques(g, u)
                 assert got == _all_cliques_by_enumeration(g, u), (n, g.adj, u)
                 pairs += 1
                 false += not got
@@ -224,17 +224,18 @@ def test_all_cliques_verifier_at_scale():
     cases = [(cocktail, True), (two, True), (broken, False), (three, False)]
     graphs = [(_hub_over(n, edges), expected) for edges, expected in cases]
     start = time.perf_counter()
-    got = [
-        verify_neighborhood_all_cliques(g, 0, assume_in_class=True) for g, _ in graphs
-    ]
+    got = [verify_neighborhood_all_cliques(g, 0) for g, _ in graphs]
     elapsed = time.perf_counter() - start
     assert got == [expected for _, expected in graphs]
     assert elapsed < 0.1
 
 
-def test_all_cliques_verifier_requires_membership():
-    with pytest.raises(NotInClassError):
-        verify_neighborhood_all_cliques(claw(), 0)
+def test_all_cliques_verifier_reads_the_claw():
+    # the centre's neighborhood is three isolated vertices: no shape holds
+    g = claw()
+    assert [verify_neighborhood_all_cliques(g, u) for u in range(4)] == [
+        False, True, True, True,
+    ]
 
 
 def test_deterministic_witnesses():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from clawchroma import _kernels as K
 from clawchroma import report
 from clawchroma._kernels import scan_in_class
 from clawchroma.cliques import omega
@@ -95,10 +96,31 @@ def test_classify_trichotomy_raises_first_failure(monkeypatch):
     monkeypatch.setattr(
         report, "color_in_class", lambda _g: (Coloring((1, 2, 3, 4)), None)
     )
-    monkeypatch.setattr(report, "exact_chromatic", lambda _g: (5, None))
+    monkeypatch.setattr(report, "exact_chromatic", lambda *_: (5, None))
     with pytest.raises(ClaimViolationError) as exc:
         classify_trichotomy(g)
     assert exc.value.category == "chi_equals_omega"
+
+
+def test_oracle_fallback_reuses_omega_and_coloring(monkeypatch):
+    # P4 0-3-2-1: the colorer uses 3 colors and no join-count certificate
+    # exists, so the oracle decides chi = 2 from the bracket it is handed
+    calls = {"dsatur": 0, "clique_number": 0}
+
+    def counted(name):
+        kernel = getattr(K, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(K, name, counted(name))
+    r = classify_trichotomy(build_graph(4, [(0, 3), (1, 2), (2, 3)]))
+    assert (r.omega, r.chi, r.coloring.colors_used) == (2, 2, 3)
+    assert calls == {"dsatur": 0, "clique_number": 1}
 
 
 def test_find_induced_wheel6():
@@ -143,7 +165,7 @@ CHI_ABOVE_OMEGA_BLOWUPS = (
 )
 
 
-def _no_oracle(g):
+def _no_oracle(*_):
     raise AssertionError("exact oracle called")
 
 
@@ -164,8 +186,8 @@ def report_chi_agrees_with_oracle(monkeypatch, n):
     certificate covers the rest."""
     fallbacks = []
 
-    def recording_oracle(g):
-        result = exact_chromatic(g)
+    def recording_oracle(g, *bounds):
+        result = exact_chromatic(g, *bounds)
         fallbacks.append((omega(g), result[0]))
         return result
 
