@@ -8,6 +8,7 @@ in this module, as perfbench's tracer does, reaches every caller.
 from __future__ import annotations
 
 from .pure import (
+    claw_free_has_k5_minus_p3,
     clique_number,
     dsatur,
     find_claw,

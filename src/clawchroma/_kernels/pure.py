@@ -87,6 +87,54 @@ def find_k5_minus_p3(adj, n: int):
     return None
 
 
+def claw_free_has_k5_minus_p3(adj, n: int) -> bool:
+    """Whether a claw-free graph contains an induced K5-minus-P3.
+
+    Precondition: the graph is claw-free. On a graph with a claw the answer
+    may be True with no K5-minus-P3 present (K2 joined to 3K1), though never
+    False with one present.
+
+    Rule: for each vertex c with non-neighbors X = V - N[c], let D be the
+    d in N(c) with |N(d) & X| >= 2; the answer is True iff some adjacent
+    d, e in D have |N(d) & N(e) & X| >= 2. Proof: take two such vertices a
+    and b. They are adjacent, since otherwise d is the center of the claw
+    {a, b, c}; so (a, b, c, d, e) is a K5-minus-P3 (c misses a and b, and
+    d, e are joined to all three). Conversely every K5-minus-P3 gives such
+    c, d, e. A near-complete graph has tiny X sets, so this is near-linear
+    there, where find_k5_minus_p3 is cubic; only a verdict is returned.
+    """
+    full = (1 << n) - 1
+    far = [0] * n
+    for c in range(n):
+        x = full & ~adj[c] & ~(1 << c)
+        if x & (x - 1) == 0:  # under two non-neighbors
+            continue
+        dmask = 0
+        m = adj[c]
+        while m:
+            b = m & -m
+            d = b.bit_length() - 1
+            m ^= b
+            fd = adj[d] & x
+            if fd & (fd - 1):
+                far[d] = fd
+                dmask |= b
+        m = dmask
+        while m:
+            b = m & -m
+            d = b.bit_length() - 1
+            m ^= b
+            fd = far[d]
+            me = adj[d] & m
+            while me:
+                be = me & -me
+                me ^= be
+                common = fd & far[be.bit_length() - 1]
+                if common & (common - 1):
+                    return True
+    return False
+
+
 def _color_order(adj, cand: int):
     """Greedy color classes over cand: vertex list plus per-vertex class index.
 
@@ -173,33 +221,34 @@ def _max_cliques_rec(
     Branching on the candidates in ascending order emits cliques in
     ascending-tuple order: mask is shared by all of them, so their order is
     that of their cand parts. With first set, stop at the first clique and
-    return True. bound[i] is the number of greedy color classes of the
-    candidates from position i on, colored from the highest vertex down; it
-    bounds the largest clique among them and never grows with i.
+    return True.
+
+    The bound: color cand greedily into classes, each class built from the
+    highest remaining vertex down. Class tops strictly fall, so the
+    candidates from v on meet exactly the classes whose top is >= v, and
+    their number bounds the largest clique among them. Branching stops at
+    the first v above the top of class left, so only the first left classes
+    are built.
     """
     if not left:
         out.append(mask)
         return first
-    vs = []
-    m = cand
+    rem = cand
+    for _ in range(left):
+        if not rem:
+            return False
+        top = rem.bit_length() - 1
+        avail = rem
+        while avail:
+            v = avail.bit_length() - 1
+            b = 1 << v
+            rem ^= b
+            avail &= ~adj[v] & ~b
+    m = cand & ((2 << top) - 1)
     while m:
         b = m & -m
-        vs.append(b.bit_length() - 1)
+        v = b.bit_length() - 1
         m ^= b
-    bound = [0] * len(vs)
-    classes: list[int] = []
-    for i in range(len(vs) - 1, -1, -1):
-        nv = adj[vs[i]]
-        for j, cls in enumerate(classes):
-            if not cls & nv:
-                classes[j] = cls | 1 << vs[i]
-                break
-        else:
-            classes.append(1 << vs[i])
-        bound[i] = len(classes)
-    for i, v in enumerate(vs):
-        if bound[i] < left:
-            return False
         nxt = cand & adj[v] & (-1 << (v + 1))
         if nxt.bit_count() >= left - 1 and _max_cliques_rec(
             adj, out, mask | 1 << v, nxt, left - 1, first

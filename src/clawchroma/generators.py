@@ -12,7 +12,9 @@ random sweeps use that to build a draw vertex by vertex and drop it at its
 first claw (random_claw_free_graph). Claw-freeness is hereditary, so the
 early stop never changes the verdict, and the graphs kept are exactly those
 of random_graph on the same stream, which is advanced by the same amount.
-random_in_class_graph then searches only the kept draws for K5-P3.
+random_in_class_graph then decides K5-P3 on the kept draws only, with a
+yes/no rule that needs claw-freeness (claw_free_has_k5_minus_p3), not the
+least-witness search.
 
 random_claw_free_graph mixes many values with a few big-int operations. The
 values of pairs (i, k), i < k, for a block of vertices k0 <= k < k1 are held
@@ -294,9 +296,14 @@ def random_claw_free_graph(
 def random_in_class_graph(
     n: int, edge_prob: float, stream: SplitMix64
 ) -> Graph | None:
-    """random_graph(n, edge_prob, stream) if that draw is in the class, else None."""
+    """random_graph(n, edge_prob, stream) if that draw is in the class, else None.
+
+    K5-P3 is decided by claw_free_has_k5_minus_p3, whose rule holds only on
+    claw-free graphs, so it runs only on a draw that random_claw_free_graph
+    kept. It is near-linear on near-complete draws and finds no witness.
+    """
     g = random_claw_free_graph(n, edge_prob, stream)
-    if g is None or K.find_k5_minus_p3(g.adj, n) is not None:
+    if g is None or K.claw_free_has_k5_minus_p3(g.adj, n):
         return None
     return g
 

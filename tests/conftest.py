@@ -11,14 +11,14 @@ def pytest_addoption(parser):
         "--run-slow",
         action="store_true",
         default=False,
-        help="also run the exhaustive n=7 sweeps",
+        help="also run the slow tests",
     )
 
 
 def pytest_collection_modifyitems(config, items):
     if config.getoption("--run-slow"):
         return
-    skip = pytest.mark.skip(reason="exhaustive n=7 sweep; enable with --run-slow")
+    skip = pytest.mark.skip(reason="slow test; enable with --run-slow")
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)

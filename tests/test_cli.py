@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,17 @@ def test_gen_random_deterministic(capsys):
     assert first == second
     g = parse_dimacs(first)
     assert g.n == 9
+
+
+def test_gen_random_complete_256(capsys):
+    # p = 1 draws K_256 on the first try; its K5-P3 verdict is near-linear
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["gen", "random", "256", "1.0", "5"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    g = parse_dimacs(out)
+    assert g.n == 256 and g.edge_count == 256 * 255 // 2
+    assert elapsed < 1.0
 
 
 def test_gen_bad_params(capsys):

@@ -158,6 +158,19 @@ def test_clique_kernels_at_scale():
     assert elapsed < 1.0
 
 
+def test_lex_min_max_clique_at_1023():
+    # the hub of K1 + CP(511): N(hub) is K_1022 minus a perfect matching
+    n = 1023
+    full = (1 << n) - 1
+    adj = [full & ~(1 << v | 1 << (v ^ 1)) for v in range(n - 1)]
+    adj.append(full & ~(1 << (n - 1)))
+    start = time.perf_counter()
+    lex = pure.lex_min_max_clique(adj, n, adj[n - 1])
+    elapsed = time.perf_counter() - start
+    assert lex == sum(1 << v for v in range(0, n - 1, 2))
+    assert elapsed < 1.5
+
+
 def test_pure_clique_kernels_with_universal_vertices():
     # dense sub masks where some vertices are joined to all the rest of sub
     stream = SplitMix64(37)

@@ -1,8 +1,10 @@
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
 from clawchroma import generators
+from clawchroma.bitops import bits_tuple
 from clawchroma.errors import ParamRangeError, ScaleExceededError
 from clawchroma.generators import (
     SplitMix64,
@@ -191,8 +193,8 @@ def test_random_claw_free_graph_matches_random_graph_across_blocks():
 
 
 def test_random_in_class_graph_matches_random_graph_across_blocks():
-    # the K5-P3 scan is cubic on near-complete draws, so those are checked
-    # on either side of every block boundary below 70 only
+    # the reference's K5-P3 scan is cubic on near-complete draws, so those
+    # are checked on either side of every block boundary below 70 only
     bounds = [b for b in generators._block_bounds() if b <= 70]
     near = sorted({n for b in bounds for n in (b - 1, b, b + 1)} | {70})
     for p in EDGE_PROBS:
@@ -203,6 +205,55 @@ def test_random_in_class_graph_matches_random_graph_across_blocks():
 @pytest.mark.parametrize("p", [1.0, 0.999])
 def test_random_claw_free_graph_matches_random_graph_at_1024(p):
     _assert_same_draw(random_claw_free_graph, _claw_free, 1024, p, 17)
+
+
+def test_random_in_class_graph_at_1024_complete():
+    n = 1024
+    stream, plain = SplitMix64(17), SplitMix64(17)
+    assert random_in_class_graph(n, 1.0, stream) == complete(n)
+    plain.skip(n * (n - 1) // 2)
+    assert stream.next_u64() == plain.next_u64()
+
+
+def _excluded_by_complement(g):
+    """The forbidden subgraph of a near-complete g, read from its sparse
+    complement H: "claw" for a triangle of H with a vertex outside the three
+    closed H-neighborhoods, "k5_minus_p3" for an induced path a-c-b of H
+    with an edge of g outside them, None when g is in the class."""
+    full = g.full_mask()
+    h = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
+    for c in range(g.n):
+        for a, b in combinations(bits_tuple(h[c]), 2):
+            rest = full & ~(h[a] | h[b] | h[c] | 1 << a | 1 << b | 1 << c)
+            if h[a] >> b & 1:
+                if rest:
+                    return "claw"
+            elif any(rest & g.adj[v] for v in bits_tuple(rest)):
+                return "k5_minus_p3"
+    return None
+
+
+def test_excluded_by_complement_matches_is_in_class():
+    stream = SplitMix64(47)
+    reasons = set()
+    for _ in range(300):
+        n = 5 + stream.next_below(20)
+        g = random_graph(n, 0.9 + 0.1 * stream.next_unit(), stream)
+        reason = _excluded_by_complement(g)
+        assert (reason is None) == bool(is_in_class(g))
+        reasons.add(reason)
+    assert reasons == {None, "claw", "k5_minus_p3"}
+
+
+@pytest.mark.parametrize("n, seed", [(128, 0), (128, 2), (1024, 0)])
+def test_random_in_class_graph_near_complete(n, seed):
+    # claw-free draws at p = 0.999, each checked against the complement;
+    # (128, 0) and (1024, 0) hold a K5-P3, (128, 2) is in the class
+    g = random_claw_free_graph(n, 0.999, SplitMix64(seed))
+    assert g is not None
+    expected = g if _excluded_by_complement(g) is None else None
+    assert random_in_class_graph(n, 0.999, SplitMix64(seed)) == expected
+    assert (expected is None) == (seed == 0)
 
 
 def test_random_claw_free_graph_block_constants_stay_bounded():

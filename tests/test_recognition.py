@@ -5,7 +5,12 @@ import pytest
 
 from clawchroma.errors import VertexOutOfRangeError
 from clawchroma._kernels import pure
-from clawchroma.generators import SplitMix64, enumerate_labeled, random_graph
+from clawchroma.generators import (
+    SplitMix64,
+    enumerate_labeled,
+    random_claw_free_graph,
+    random_graph,
+)
 from clawchroma.graph import build_graph
 from clawchroma.recognition import (
     CYCLE_C5,
@@ -126,6 +131,79 @@ def test_pure_k5_minus_p3_is_least_witness():
         hits += expected is not None
         misses += expected is None and find_claw(g) is None
     assert hits > 50 and misses > 50
+
+
+def _claw_free_decision_agrees_on_all_labeled(n):
+    """Compare the claw-free K5-P3 decision with the witness search on every
+    claw-free labeled graph with n vertices; (claw-free count, yes count)."""
+    kept = yes = 0
+    for g in enumerate_labeled(n):
+        if pure.find_claw(g.adj, n) is not None:
+            continue
+        got = pure.claw_free_has_k5_minus_p3(g.adj, n)
+        assert got == (pure.find_k5_minus_p3(g.adj, n) is not None), g
+        kept += 1
+        yes += got
+    return kept, yes
+
+
+def test_claw_free_k5_minus_p3_decision_up_to_n6():
+    counts = [_claw_free_decision_agrees_on_all_labeled(n) for n in range(7)]
+    assert counts[5:] == [(769, 30), (15272, 2865)]
+    # the exhaustive sweep's in-class count for n = 1..6
+    assert sum(kept - yes for kept, yes in counts[1:]) == 13217
+
+
+@pytest.mark.slow
+def test_claw_free_k5_minus_p3_decision_n7():
+    kept, yes = _claw_free_decision_agrees_on_all_labeled(7)
+    assert kept - yes == 238085  # the in-class labeled graphs with n = 7
+    assert yes > 0
+
+
+def test_claw_free_k5_minus_p3_decision_on_sweep_draws():
+    # the random sweep's sizes, at sparse and at dense edge probabilities
+    stream = SplitMix64(43)
+    verdicts = {True: 0, False: 0}
+    for i in range(1200):
+        n = 13 + stream.next_below(10)
+        u = stream.next_unit()
+        g = random_claw_free_graph(n, 0.5 * u if i % 2 else 0.75 + 0.25 * u, stream)
+        if g is None:
+            continue
+        got = pure.claw_free_has_k5_minus_p3(g.adj, n)
+        assert got == (pure.find_k5_minus_p3(g.adj, n) is not None), (i, n)
+        verdicts[got] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def test_claw_free_k5_minus_p3_decision_near_complete():
+    # K_n and K_n minus an edge have none (the complement has no path on
+    # three vertices); K_n minus a path on three vertices has one for n >= 5
+    start = time.perf_counter()
+    for n in (5, 6, 17, 64, 256, 1024):
+        full = (1 << n) - 1
+        kn = [full ^ 1 << v for v in range(n)]
+        minus_edge = kn[:]
+        minus_edge[0] ^= 2
+        minus_edge[1] ^= 1
+        minus_p3 = minus_edge[:]
+        minus_p3[1] ^= 4
+        minus_p3[2] ^= 2
+        cases = ((kn, False), (minus_edge, False), (minus_p3, True))
+        for adj, expected in cases:
+            assert pure.claw_free_has_k5_minus_p3(adj, n) is expected, n
+            if n <= 64:
+                assert (pure.find_k5_minus_p3(adj, n) is not None) is expected, n
+    assert time.perf_counter() - start < 1.0
+
+
+def test_claw_free_k5_minus_p3_decision_needs_claw_free():
+    # K2 joined to 3K1: the rule reads the claw at 0 as a K5-P3
+    g = build_graph(5, [(0, 1)] + [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+    assert pure.claw_free_has_k5_minus_p3(g.adj, 5) is True
+    assert pure.find_k5_minus_p3(g.adj, 5) is None
+    assert find_claw(g) is not None
 
 
 def test_witness_soundness_over_enumeration():
