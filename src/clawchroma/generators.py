@@ -16,6 +16,29 @@ random_in_class_graph then decides K5-P3 on the kept draws only, with a
 yes/no rule that needs claw-freeness (claw_free_has_k5_minus_p3), not the
 least-witness search.
 
+Each claw has one newest vertex k, its center or one of its leaves, so
+looking only for the claws through k finds the first claw. Two loops look
+for them, chosen by the draw's edge probability p:
+
+  p < 1/2   from N = N(k). k is the center iff three vertices of N are
+            pairwise non-adjacent; k is a leaf iff some u in N has two
+            non-adjacent neighbors outside N[k].
+  p >= 1/2  from the complement side, C = {0..k-1} - N, keeping a list of
+            the prefix's independent triples. k is a leaf iff some
+            non-adjacent pair a < b in C has a common neighbor in N, which
+            is the center; when a pair has none, {a, b, k} is an
+            independent triple and is stored. k is the center iff a stored
+            triple lies inside N: the leaves are an independent triple, and
+            when its newest vertex z < k was added, the other two were a
+            non-adjacent pair of z's C with no common neighbor in N(z),
+            since the draw was not dropped at z: the triple was stored.
+
+A step of the complement side costs about |C|^2 plus the number of stored
+triples, both small in a dense draw; in a sparse draw the triples blow up,
+which is why the first loop keeps p < 1/2. The complement side keeps each
+vertex's non-neighbors, not its neighbors, so a step touches |C| masks,
+and the adjacency is built once, from them, when the draw is kept.
+
 random_claw_free_graph mixes many values with a few big-int operations. The
 values of pairs (i, k), i < k, for a block of vertices k0 <= k < k1 are held
 in one int, one 128-bit lane per pair in column-major order: pair (i, k) is
@@ -238,25 +261,8 @@ def _block_edges(n: int, k0: int, k1: int, base: int, above: int) -> int:
     return int(carries.translate(_CARRY_TO_EDGE), 2)
 
 
-def random_claw_free_graph(
-    n: int, edge_prob: float, stream: SplitMix64
-) -> Graph | None:
-    """random_graph(n, edge_prob, stream) if that draw is claw-free, else None.
-
-    Consumes exactly the n*(n-1)/2 stream values of random_graph either way.
-    Vertex k is added with its edges to 0..k-1 and only the claws through k
-    are looked for: k as the center (three pairwise non-adjacent neighbors)
-    or as a leaf (a neighbor u with two non-adjacent neighbors outside
-    N[k]). The draw is dropped at the first claw.
-
-    The edge values are mixed one block of vertices at a time, when the draw
-    reaches the block, each pair in its own 128-bit lane of one int and the
-    edge test read from the lanes' carries (see the module docstring). The
-    values, and so the graph and the verdict, are those of random_graph.
-    """
-    threshold = _edge_threshold(n, edge_prob)
-    base = stream.skip(n * (n - 1) // 2)
-    above = (1 << 64) - threshold
+def _sparse_claw_free(n: int, base: int, above: int) -> list[int] | None:
+    """Adjacency of the draw, or None at its first claw, found from N(k)."""
     adj = [0] * n
     bounds = _block_bounds()
     bits = block = 0
@@ -290,7 +296,72 @@ def random_claw_free_graph(
                 mb ^= bb
                 if mb & ~adj[bb.bit_length() - 1]:
                     return None
-    return Graph(n, tuple(adj))
+    return adj
+
+
+def _dense_claw_free(n: int, base: int, above: int) -> list[int] | None:
+    """Adjacency of the draw, or None at its first claw, found from the
+    complement: co[v] holds v's non-neighbors so far, and triples the
+    independent triples of the prefix (see the module docstring)."""
+    co = [0] * n
+    triples: list[int] = []
+    bounds = _block_bounds()
+    bits = block = 0
+    for k in range(1, n):
+        if k == bounds[block]:
+            block += 1
+            bits = _block_edges(n, k, min(bounds[block], n), base, above)
+        nk = bits & ((1 << k) - 1)
+        bits >>= k
+        kbit = 1 << k
+        c = (kbit - 1) ^ nk
+        co[k] = c
+        # k as the center: a stored triple inside N(k)
+        for t in triples:
+            if not t & c:
+                return None
+        # k as a leaf, with a non-adjacent pair a < b of C as the others
+        m = c
+        while m:
+            ba = m & -m
+            a = ba.bit_length() - 1
+            m ^= ba
+            co[a] |= kbit
+            mb = m & co[a]
+            while mb:
+                bb = mb & -mb
+                mb ^= bb
+                if nk & ~(co[a] | co[bb.bit_length() - 1]):
+                    return None
+                triples.append(ba | bb | kbit)
+    full = (1 << n) - 1
+    return [full ^ co[v] ^ (1 << v) for v in range(n)]
+
+
+def random_claw_free_graph(
+    n: int, edge_prob: float, stream: SplitMix64
+) -> Graph | None:
+    """random_graph(n, edge_prob, stream) if that draw is claw-free, else None.
+
+    Consumes exactly the n*(n-1)/2 stream values of random_graph either way.
+    Vertex k is added with its edges to 0..k-1 and only the claws through k
+    are looked for; the draw is dropped at the first claw. Below edge
+    probability 1/2 they are found from N(k): k as the center (three
+    pairwise non-adjacent neighbors) or as a leaf (a neighbor u with two
+    non-adjacent neighbors outside N[k]). From 1/2 up they are found from
+    the complement side, through the prefix's independent triples (see the
+    module docstring). The edge values are mixed one block of vertices at
+    a time, each pair in its own lane of one int (module docstring again);
+    they, and so the graph and the verdict, are those of random_graph.
+    """
+    threshold = _edge_threshold(n, edge_prob)
+    base = stream.skip(n * (n - 1) // 2)
+    above = (1 << 64) - threshold
+    if threshold >= 1 << 63:
+        adj = _dense_claw_free(n, base, above)
+    else:
+        adj = _sparse_claw_free(n, base, above)
+    return None if adj is None else Graph(n, tuple(adj))
 
 
 def random_in_class_graph(

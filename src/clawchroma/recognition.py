@@ -90,9 +90,17 @@ def find_k5_minus_p3(g: Graph) -> ForbiddenWitness | None:
 
 
 def is_in_class(g: Graph) -> ClassVerdict:
-    """Decide class membership; the claw is checked first."""
+    """Decide class membership; the claw is checked first.
+
+    On a claw-free graph with more than half of all possible edges, the
+    K5-P3 search is cubic, so claw_free_has_k5_minus_p3 decides first and
+    the search runs only on a yes, for the same least witness.
+    """
+    n = g.n
     w = find_claw(g)
-    if w is None:
+    if w is None and (
+        4 * g.edge_count <= n * (n - 1) or K.claw_free_has_k5_minus_p3(g.adj, n)
+    ):
         w = find_k5_minus_p3(g)
     if w is None:
         return ClassVerdict(True)
@@ -171,18 +179,6 @@ def classify_neighborhood(g: Graph, u: int) -> NeighborhoodShape:
     return NeighborhoodShape(VIOLATION, q_t, r_t, witness=witness)
 
 
-def _misses_at_most_one(adj, sub: int) -> bool:
-    """<sub> is a clique minus a matching; sub & ~adj[v] holds v itself."""
-    return all((sub & ~adj[v]).bit_count() <= 2 for v in iter_bits(sub))
-
-
-def _is_two_cliques(adj, sub: int) -> bool:
-    """<sub> is two cliques, one maybe empty, with no edges between them."""
-    # iff the closed neighborhoods in sub take at most two values: an edge
-    # between the two classes would make both values all of sub
-    return len({(adj[v] & sub) | (1 << v) for v in iter_bits(sub)}) <= 2
-
-
 def verify_neighborhood_all_cliques(g: Graph, u: int) -> bool:
     """True iff one of the four shapes holds for EVERY maximum clique of <N(u)>.
 
@@ -194,5 +190,27 @@ def verify_neighborhood_all_cliques(g: Graph, u: int) -> bool:
     if not (0 <= u < g.n):
         raise VertexOutOfRangeError(f"vertex {u} outside 0..{g.n - 1}")
     adj = g.adj
-    shapes = (_is_c5, _is_p4, _misses_at_most_one, _is_two_cliques)
-    return any(shape(adj, adj[u]) for shape in shapes)
+    sub = adj[u]
+    # a clique minus a matching: each v misses at most one other vertex
+    m = sub
+    while m:
+        b = m & -m
+        x = sub & ~adj[b.bit_length() - 1] & ~b
+        if x & (x - 1):
+            break
+        m ^= b
+    else:
+        return True
+    # two cliques with no edges between them: each closed neighborhood in
+    # sub is the side of its vertex, the first vertex's or the rest
+    first = sub & -sub
+    side = (adj[first.bit_length() - 1] | first) & sub
+    m = sub
+    while m:
+        b = m & -m
+        if (adj[b.bit_length() - 1] | b) & sub != (side if b & side else sub ^ side):
+            break
+        m ^= b
+    else:
+        return True
+    return sub.bit_count() in (4, 5) and (_is_c5(adj, sub) or _is_p4(adj, sub))

@@ -11,7 +11,7 @@ from clawchroma import cli
 from clawchroma.cli import main
 from clawchroma.coloring import verify_proper
 from clawchroma.dimacs import parse_coloring, parse_dimacs, write_dimacs
-from graphzoo import claw, k4_minus_edge
+from graphzoo import claw, complete, k4_minus_edge
 
 from clawchroma import wheel
 
@@ -118,6 +118,17 @@ def test_gen_random_complete_256(capsys):
     assert code == 0
     g = parse_dimacs(out)
     assert g.n == 256 and g.edge_count == 256 * 255 // 2
+    assert elapsed < 1.0
+
+
+def test_check_complete_256(capsys, tmp_path):
+    # K_256 is denser than 1/2, so its K5-P3 verdict is the near-linear one
+    f = tmp_path / "k256.col"
+    f.write_text(write_dimacs(complete(256)))
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["check", str(f)])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out == "in-class true\n"
     assert elapsed < 1.0
 
 

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -128,11 +129,12 @@ def test_random_in_class_examples():
 
 def test_random_claw_free_graph_matches_random_graph():
     # same graph when the plain draw is claw-free, else None; same stream use
+    # odd i draw from the complement-side loop, p in [0.5, 1) and n up to 40
     stream = SplitMix64(29)
     kept = dropped = 0
     for i in range(600):
-        n = (0, 1, 2)[i] if i < 3 else stream.next_below(16)
-        p = 0.75 + 0.25 * stream.next_unit() if i % 2 else stream.next_unit()
+        n = (0, 1, 2)[i] if i < 3 else stream.next_below(41 if i % 2 else 16)
+        p = 0.5 + 0.5 * stream.next_unit() if i % 2 else stream.next_unit()
         seed = stream.next_u64()
         plain, early = SplitMix64(seed), SplitMix64(seed)
         g = random_graph(n, p, plain)
@@ -176,8 +178,10 @@ def _claw_free(g):
 
 
 # edgeless, complete, complete but for values >= 2^64 - 2^11, edge only on a
-# zero value (threshold 1), and dense enough to drop some draws late
-EDGE_PROBS = (0.0, 1.0, 1 - 2**-53, 2**-64, 0.95)
+# zero value (threshold 1), dense enough to drop some draws late, and the two
+# p on either side of the switch to the complement-side claw loop (threshold
+# 2^63 and 2^63 - 2^11)
+EDGE_PROBS = (0.0, 1.0, 1 - 2**-53, 2**-64, 0.95, 0.5, 0.5 - 2**-53)
 
 
 def test_random_claw_free_graph_matches_random_graph_across_blocks():
@@ -188,7 +192,7 @@ def test_random_claw_free_graph_matches_random_graph_across_blocks():
     for p in EDGE_PROBS:
         for n in range(71):
             kept += _assert_same_draw(random_claw_free_graph, _claw_free, n, p, n)
-    # the first four keep every draw, 0.95 keeps some and drops some
+    # the first four keep every draw, the other three keep some and drop some
     assert 4 * 71 < kept < 5 * 71
 
 
@@ -204,6 +208,10 @@ def test_random_in_class_graph_matches_random_graph_across_blocks():
 
 @pytest.mark.parametrize("p", [1.0, 0.999])
 def test_random_claw_free_graph_matches_random_graph_at_1024(p):
+    # the complement-side loop takes 0.15 s here, the N(k) loop 0.8 s
+    start = time.perf_counter()
+    random_claw_free_graph(1024, p, SplitMix64(17))
+    assert time.perf_counter() - start < 0.5
     _assert_same_draw(random_claw_free_graph, _claw_free, 1024, p, 17)
 
 

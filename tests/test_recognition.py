@@ -18,6 +18,7 @@ from clawchroma.recognition import (
     PATH_P4,
     UNIQUE_MISS,
     VIOLATION,
+    ClassVerdict,
     _is_c5,
     _is_isolated_rest,
     _is_p4,
@@ -92,10 +93,15 @@ def test_is_in_class_examples():
 
 
 def test_finders_match_naive_up_to_n6():
+    # is_in_class decides K5-P3 first on dense claw-free graphs; its verdict
+    # and witness stay those of the claw search, then the K5-P3 search
     for n in range(7):
         for g in enumerate_labeled(n):
-            assert (find_claw(g) is not None) == naive_has_claw(g)
-            assert (find_k5_minus_p3(g) is not None) == naive_has_w(g)
+            claw_w, k5_w = find_claw(g), find_k5_minus_p3(g)
+            assert (claw_w is not None) == naive_has_claw(g)
+            assert (k5_w is not None) == naive_has_w(g)
+            w = claw_w or k5_w
+            assert is_in_class(g) == ClassVerdict(w is None, w)
 
 
 def _brute_least_w(adj, n):
