@@ -5,8 +5,10 @@ coloring, for graphs of any size; the package reaches them through
 _kernels. One branch and bound, _clique_search, answers both clique-size
 questions: how large the largest clique is (clique_number, and the target
 size of the max_cliques enumeration) and whether a k-clique exists
-(has_clique). Recursive searches are module-level functions, not nested
-closures, so a call leaves no reference cycles for the garbage collector.
+(has_clique). One search colors: k_color is a single loop over an explicit
+stack, and dsatur is its first descent. Recursive searches are module-level
+functions, not nested closures, so a call leaves no reference cycles for
+the garbage collector.
 
 Conventions: adj is an indexable of per-vertex neighbor bitmasks, sub is a
 bitmask restricting the operation to an induced subgraph, colors are 1-based
@@ -289,15 +291,41 @@ def max_cliques(adj, n: int, sub: int) -> list[int]:
 
 
 def dsatur(adj, n: int, sub: int) -> list[int]:
-    """Greedy coloring by saturation degree, restricted to sub.
+    """Brelaz's greedy DSATUR coloring of sub: the first descent of k_color.
 
-    Vertex selection: max saturation, ties by induced degree, ties by least
-    index. Returns 1-based colors; vertices outside sub get 0.
+    With k = |sub| the color bound top + 1 <= k holds at every step, and
+    color top + 1 is always free, since no vertex has it yet. So the search
+    never backtracks: its first descent colors every vertex, taking the
+    vertex with the most distinct neighbor colors, then the most neighbors
+    in sub, then the least index, and giving it the least free color. That
+    is DSATUR. Returns 1-based colors; vertices outside sub get 0.
     """
-    colors = [0] * n
+    return k_color(adj, n, sub, sub.bit_count())
+
+
+def k_color(adj, n: int, sub: int, k: int, clique: int = 0):
+    """A proper coloring of sub with at most k colors, or None.
+
+    Exact backtracking with DSATUR's dynamic vertex selection, symmetry
+    breaking (a fresh color must be the next unused index) and an optional
+    precolored clique (its vertices take colors 1..|clique| in ascending
+    order); colors are tried in ascending order. Deterministic. Returns
+    1-based colors, 0 outside sub.
+
+    One loop with an explicit stack, so no depth reaches the recursion
+    limit. seen[c] holds the vertices of sub with a neighbor colored c, so
+    coloring v with c touches only adj[v] & sub & ~seen[c]. A stack frame
+    keeps (v, that mask, top before v, the colors left to try on v), and
+    backtracking undoes exactly what the step did.
+    """
+    if sub == 0:
+        return [0] * n
+    if k <= 0 or clique.bit_count() > k:
+        return None
     count = sub.bit_count()
-    if count == 0:
-        return colors
+    colors = [0] * n
+    nbc = [0] * n  # bit c-1 set iff some neighbor is colored c
+    seen = [0] * (count + 1)
     deg = [0] * n
     order = []
     m = sub
@@ -307,8 +335,23 @@ def dsatur(adj, n: int, sub: int) -> list[int]:
         m ^= b
         deg[v] = (adj[v] & sub).bit_count()
         order.append(v)
-    nbc = [0] * n  # bit c-1 set iff some neighbor is colored c
-    for _ in range(count):
+    top = 0  # the highest color used so far
+    m = clique
+    while m:
+        b = m & -m
+        v = b.bit_length() - 1
+        m ^= b
+        top += 1
+        colors[v] = top
+        bit = 1 << (top - 1)
+        mw = seen[top] = adj[v] & sub
+        while mw:
+            bw = mw & -mw
+            nbc[bw.bit_length() - 1] |= bit
+            mw ^= bw
+    left = count - top  # vertices still uncolored
+    stack = []
+    while left:
         best = -1
         bs = -1
         bd = -1
@@ -318,107 +361,35 @@ def dsatur(adj, n: int, sub: int) -> list[int]:
             s = nbc[v].bit_count()
             if s > bs or (s == bs and deg[v] > bd):
                 best, bs, bd = v, s, deg[v]
-        used = nbc[best]
-        c = ((~used) & (used + 1)).bit_length()  # lowest zero bit, 1-based
-        colors[best] = c
-        bit = 1 << (c - 1)
-        mw = adj[best] & sub
+        v = best
+        free = ~nbc[v] & ((1 << (top + 1 if top < k else k)) - 1)
+        while not free:
+            if not stack:
+                return None
+            v, mw, top, free = stack.pop()
+            left += 1
+            c = colors[v]
+            colors[v] = 0
+            seen[c] ^= mw
+            bit = 1 << (c - 1)
+            while mw:
+                bw = mw & -mw
+                nbc[bw.bit_length() - 1] ^= bit
+                mw ^= bw
+        bit = free & -free
+        c = bit.bit_length()
+        mw = adj[v] & sub & ~seen[c]
+        stack.append((v, mw, top, free ^ bit))
+        left -= 1
+        colors[v] = c
+        seen[c] |= mw
+        if c > top:
+            top = c
         while mw:
             bw = mw & -mw
             nbc[bw.bit_length() - 1] |= bit
             mw ^= bw
     return colors
-
-
-def _k_color_bt(
-    adj, sub: int, k: int, colors, nbc, deg, uncol: int, top: int
-) -> bool:
-    """One step of k_color: color the most saturated vertex of uncol, recurse.
-
-    colors and nbc are updated in place and restored on failure; top is the
-    highest color index used so far.
-    """
-    if uncol == 0:
-        return True
-    best = -1
-    bs = -1
-    bd = -1
-    m = uncol
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m ^= b
-        s = nbc[v].bit_count()
-        if s > bs or (s == bs and deg[v] > bd):
-            best, bs, bd = v, s, deg[v]
-    v = best
-    limit = top + 1 if top < k else k
-    forbidden = nbc[v]
-    for c in range(1, limit + 1):
-        bit = 1 << (c - 1)
-        if forbidden & bit:
-            continue
-        colors[v] = c
-        changed = 0
-        mw = adj[v] & sub
-        while mw:
-            bw = mw & -mw
-            w = bw.bit_length() - 1
-            mw ^= bw
-            if not nbc[w] & bit:
-                nbc[w] |= bit
-                changed |= bw
-        if _k_color_bt(
-            adj, sub, k, colors, nbc, deg, uncol & ~(1 << v), c if c > top else top
-        ):
-            return True
-        mw = changed
-        while mw:
-            bw = mw & -mw
-            nbc[bw.bit_length() - 1] ^= bit
-            mw ^= bw
-        colors[v] = 0
-    return False
-
-
-def k_color(adj, n: int, sub: int, k: int, clique: int = 0):
-    """A proper coloring of sub with at most k colors, or None.
-
-    Exact backtracking with DSATUR-style dynamic vertex selection, symmetry
-    breaking (a fresh color must be the next unused index) and an optional
-    precolored clique (its vertices take colors 1..|clique| in ascending
-    order). Deterministic. Returns 1-based colors, 0 outside sub.
-    """
-    if sub == 0:
-        return [0] * n
-    if k <= 0 or clique.bit_count() > k:
-        return None
-    colors = [0] * n
-    nbc = [0] * n
-    deg = [0] * n
-    m = sub
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m ^= b
-        deg[v] = (adj[v] & sub).bit_count()
-    used = 0
-    m = clique
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m ^= b
-        used += 1
-        colors[v] = used
-        bit = 1 << (used - 1)
-        mw = adj[v] & sub
-        while mw:
-            bw = mw & -mw
-            nbc[bw.bit_length() - 1] |= bit
-            mw ^= bw
-    if _k_color_bt(adj, sub, k, colors, nbc, deg, sub & ~clique, used):
-        return colors
-    return None
 
 
 def scan_in_class(n: int, start: int, stop: int) -> list[int]:

@@ -29,17 +29,6 @@ def bits_tuple(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def mask_is_clique(adj: tuple[int, ...], mask: int) -> bool:
-    """True iff every pair inside mask is adjacent; O(|mask|)."""
-    m = mask
-    while m:
-        b = m & -m
-        if (adj[b.bit_length() - 1] | b) & mask != mask:
-            return False
-        m ^= b
-    return True
-
-
 def universal_vertices(adj, sub: int) -> int:
     """The vertices of sub adjacent to every other vertex of sub.
 

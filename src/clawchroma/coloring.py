@@ -3,7 +3,9 @@
 exact_chromatic is the ground truth the verification sweeps compare
 everything against: it brackets the search between the clique number and the
 DSATUR color count (each computed by the caller or here) and decides each k
-by exact backtracking. Outputs are canonicalized (colors renumbered by first
+by exact backtracking. The top of the bracket is that search's own first
+leaf: DSATUR is k_color's first descent with a palette as large as the
+graph. Outputs are canonicalized (colors renumbered by first
 occurrence in vertex order) so identical inputs produce identical bytes
 downstream.
 """
@@ -38,9 +40,6 @@ class Coloring:
         for v, c in enumerate(self.assignment):
             masks[c] = masks.get(c, 0) | 1 << v
         return masks
-
-    def color_of(self, v: int) -> int:
-        return self.assignment[v]
 
     def canonical(self) -> "Coloring":
         """Renumber colors by first occurrence in vertex order."""

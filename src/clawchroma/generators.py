@@ -72,7 +72,7 @@ from math import isqrt
 
 from . import _kernels as K
 from .errors import ParamRangeError, ScaleExceededError
-from .graph import MAX_VERTICES, Graph, build_graph, from_edge_mask
+from .graph import MAX_VERTICES, Graph, build_graph, check_vertex_count, from_edge_mask
 
 ENUMERATION_MAX_VERTICES = 7
 
@@ -126,6 +126,7 @@ def wheel(k: int) -> Graph:
     """
     if k < 3:
         raise ParamRangeError(f"wheel rim size {k} < 3")
+    check_vertex_count(k + 1)
     edges = [(0, i) for i in range(1, k + 1)]
     edges += [(i, i % k + 1) for i in range(1, k + 1)]
     return build_graph(k + 1, edges)
@@ -142,6 +143,7 @@ def blown_up_odd_cycle(n: int, m: int) -> Graph:
         raise ParamRangeError(f"half-length {n} < 2")
     if m < 1:
         raise ParamRangeError(f"blow-up size {m} < 1")
+    check_vertex_count(2 * n + 1 + (m - 1) * n)
     length = 2 * n + 1
     blocks: list[list[int]] = []
     nxt = 0
@@ -164,6 +166,7 @@ def blown_up_odd_cycle(n: int, m: int) -> Graph:
 def line_graph(h: Graph) -> Graph:
     """Line graph of a simple graph: vertices are edges of h, adjacent when
     they share an endpoint. Always claw-free."""
+    check_vertex_count(h.edge_count)
     edges_h = list(h.edges())
     n = len(edges_h)
     out = []
@@ -181,8 +184,7 @@ def _edge_threshold(n: int, edge_prob: float) -> int:
     the returned threshold."""
     if n < 0:
         raise ParamRangeError(f"vertex count {n} < 0")
-    if n > MAX_VERTICES:
-        raise ScaleExceededError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    check_vertex_count(n)
     if not 0.0 <= edge_prob <= 1.0:
         raise ParamRangeError(f"edge probability {edge_prob} outside [0, 1]")
     return min(int(edge_prob * 2.0**64), 1 << 64)

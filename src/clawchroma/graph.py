@@ -42,9 +42,6 @@ class Graph:
         """Neighbors of v in ascending order."""
         return tuple(iter_bits(self.adj[v]))
 
-    def neighbor_mask(self, v: int) -> int:
-        return self.adj[v]
-
     def vertices(self) -> range:
         return range(self.n)
 
@@ -69,14 +66,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise ScaleExceededError unless 0 <= n <= MAX_VERTICES."""
+    if n < 0 or n > MAX_VERTICES:
+        raise ScaleExceededError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list.
 
     Duplicate edges collapse silently; self-loops and out-of-range endpoints
     are hard errors.
     """
-    if n < 0 or n > MAX_VERTICES:
-        raise ScaleExceededError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    check_vertex_count(n)
     adj = [0] * n
     for u, v in edges:
         if u == v:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels as K
-from .bitops import bits_tuple, iter_bits, mask_is_clique
+from .bitops import bits_tuple, iter_bits, universal_vertices
 from .errors import VertexOutOfRangeError
 from .graph import Graph
 
@@ -127,7 +127,7 @@ def _is_p4(adj, sub: int) -> bool:
 
 def _unique_miss_map(adj, clique: int, rest: int):
     """(r, q) pairs when every r misses exactly one q, injectively; else None."""
-    if not mask_is_clique(adj, rest):
+    if universal_vertices(adj, rest) != rest:
         return None
     pairs = []
     seen = 0
@@ -143,7 +143,7 @@ def _unique_miss_map(adj, clique: int, rest: int):
 
 
 def _is_isolated_rest(adj, clique: int, rest: int) -> bool:
-    if not mask_is_clique(adj, rest):
+    if universal_vertices(adj, rest) != rest:
         return False
     for r in iter_bits(rest):
         if adj[r] & clique:

@@ -135,6 +135,8 @@ def test_check_complete_256(capsys, tmp_path):
 def test_gen_bad_params(capsys):
     code, _, err = _run(capsys, ["gen", "wheel", "2"])
     assert code == 2 and "error" in err
+    code, _, err = _run(capsys, ["gen", "blowup", "100000", "3"])
+    assert code == 2 and "vertex count 400001 outside 0..1024" in err
 
 
 def test_verify_proper_and_improper(capsys, tmp_path):

@@ -51,9 +51,20 @@ def test_wheel_examples():
     assert g.n == 5 and g.degree(0) == 4
 
 
+def _raises_scale_fast(build, *args):
+    # the vertex count is checked before any edge is built
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceededError, match="outside 0..1024"):
+        build(*args)
+    assert time.perf_counter() - start < 0.01
+
+
 def test_wheel_param_range():
     with pytest.raises(ParamRangeError):
         wheel(2)
+    assert wheel(1023).n == 1024
+    _raises_scale_fast(wheel, 1024)
+    _raises_scale_fast(wheel, 300000)
 
 
 def test_wheel_class_boundary():
@@ -91,6 +102,9 @@ def test_blowup_param_range():
         blown_up_odd_cycle(1, 2)
     with pytest.raises(ParamRangeError):
         blown_up_odd_cycle(2, 0)
+    assert blown_up_odd_cycle(511, 1).n == 1023
+    _raises_scale_fast(blown_up_odd_cycle, 512, 1)
+    _raises_scale_fast(blown_up_odd_cycle, 100000, 3)
 
 
 def test_line_graph_examples():
@@ -100,6 +114,7 @@ def test_line_graph_examples():
     lg = line_graph(cycle(5))
     assert lg.n == 5 and degree_profile(lg) == ((2, 2, 2, 2, 2), 2)
     assert exact_chromatic(lg)[0] == 3
+    _raises_scale_fast(line_graph, complete(46))  # 1,035 edges
 
 
 def test_line_graphs_are_claw_free():
