@@ -14,6 +14,7 @@ from .pure import (
     find_claw,
     find_k5_minus_p3,
     has_clique,
+    in_class_extensions,
     k_color,
     lex_min_max_clique,
     max_cliques,

@@ -392,6 +392,54 @@ def k_color(adj, n: int, sub: int, k: int, clique: int = 0):
     return colors
 
 
+def in_class_extensions(adj, n: int) -> list[int]:
+    """Neighbor masks S of a new vertex n-1 that keep a graph in the class.
+
+    adj is an in-class graph on vertices 0..n-2. The class is hereditary,
+    so the graph plus a vertex v = n-1 joined to S is in it iff no claw and
+    no K5-minus-P3 goes through v. Claws are found from v's side: v as a
+    leaf of a claw centered at u in S (u has a non-adjacent pair of
+    neighbors outside S), or v as the center (S holds an independent
+    triple). A claw-free candidate then meets the precondition of
+    claw_free_has_k5_minus_p3. Masks are returned in ascending order.
+    """
+    v = n - 1
+    vbit = 1 << v
+    child = list(adj) + [0]
+    out = []
+    for s in range(vbit):
+        m = s
+        while m:
+            b = m & -m
+            u = b.bit_length() - 1
+            m ^= b
+            # v as a leaf of a claw centered at u
+            r = adj[u] & ~s
+            while r:
+                bx = r & -r
+                r ^= bx
+                if r & ~adj[bx.bit_length() - 1]:
+                    break
+            else:
+                # v as the center, with u as its least leaf
+                mb = s & ~adj[u] & (-1 << (u + 1))
+                while mb:
+                    bb = mb & -mb
+                    mb ^= bb
+                    if mb & ~adj[bb.bit_length() - 1]:
+                        break
+                else:
+                    continue
+            break
+        else:
+            for u in range(v):
+                child[u] = adj[u] | vbit if s >> u & 1 else adj[u]
+            child[v] = s
+            if not claw_free_has_k5_minus_p3(child, n):
+                out.append(s)
+    return out
+
+
 def scan_in_class(n: int, start: int, stop: int) -> list[int]:
     """Edge masks in [start, stop) whose graphs avoid both forbidden subgraphs.
 

@@ -20,6 +20,13 @@ Correctness rests on the exact fallback alone: a failed Kempe attempt writes
 no color, so it only decides how often the fallback runs. The RepairTrace
 records which mechanism colored each vertex.
 
+A vertex's insertion reads only its earlier neighbors, and the clique
+query, the Kempe swap and the exact fallback stay inside the prefix. So the
+colorer's state after vertices 0..k-1 (InsertionState) depends only on the
+graph those vertices induce: a graph that extends that prefix can resume
+from it, as the exhaustive sweep does, and get the coloring that starting
+from vertex 0 would give.
+
 omega_color_strict and class_color run the same coloring; the first only
 rejects up front a graph whose max degree exceeds 2*clique - 3.
 """
@@ -101,41 +108,72 @@ def _try_kempe_swap(adj, colors, u, nb, prefix, target) -> bool:
     return False
 
 
-def color_in_class(g: Graph) -> tuple[Coloring, RepairTrace]:
-    """Insertion coloring of a graph already known to be in the class.
+class InsertionState:
+    """The colorer after inserting vertices 0..k-1 of a graph, k = len(colors):
+    the colors, the mechanism of each step, and the prefix clique number and
+    maximum degree.
 
-    Uses omega colors when max degree <= 2*omega - 3, at most omega + 1
-    otherwise, or raises ClaimViolationError. The public entry points
-    omega_color_strict / class_color run the precondition checks; sweeps
-    that performed recognition themselves call this directly.
+    failure holds the message of an exact fallback that found no coloring;
+    insertion stopped there, the other fields are stale, and finish_coloring
+    raises it. A plain class: a dataclass would add to the import time.
+    """
+
+    __slots__ = ("colors", "steps", "omega", "delta", "failure")
+
+    def __init__(
+        self,
+        colors: list[int],
+        steps: list[tuple[int, str]],
+        omega: int,
+        delta: int,
+        failure: str | None = None,
+    ):
+        self.colors = colors
+        self.steps = steps
+        self.omega = omega
+        self.delta = delta
+        self.failure = failure
+
+
+def insert_vertices(
+    g: Graph, parent: InsertionState | None = None
+) -> InsertionState:
+    """The colorer's state after all of g.
+
+    parent is the state after the first len(parent.colors) vertices of g,
+    which is resumed on a copy; None starts from vertex 0. A failed parent
+    is returned as it is: every graph that extends it fails the same way.
     """
     n, adj = g.n, g.adj
-    colors = [0] * n
-    prefix = 0
-    omega_p = 0
-    delta_p = 0
-    deg = [0] * n
-    steps: list[tuple[int, str]] = []
-    for u in range(n):
+    if parent is None:
+        lo = omega_p = delta_p = 0
+        colors, steps = [0] * n, []
+    elif parent.failure is not None:
+        return parent
+    else:
+        lo = len(parent.colors)
+        colors = parent.colors + [0] * (n - lo)
+        steps = parent.steps.copy()
+        omega_p, delta_p = parent.omega, parent.delta
+    prefix = (1 << lo) - 1
+    for u in range(lo, n):
         nb = adj[u] & prefix
         # u raises the prefix clique number, by one at most, iff N(u) in the
         # prefix holds a clique of the old size
         if K.has_clique(adj, n, nb, omega_p):
             omega_p += 1
+        prefix_new = prefix | (1 << u)
         du = nb.bit_count()
-        deg[u] = du
         if du > delta_p:
             delta_p = du
         m = nb
         while m:
             b = m & -m
-            w = b.bit_length() - 1
             m ^= b
-            deg[w] += 1
-            if deg[w] > delta_p:
-                delta_p = deg[w]
+            dw = (adj[b.bit_length() - 1] & prefix_new).bit_count()
+            if dw > delta_p:
+                delta_p = dw
         target = omega_p if delta_p <= 2 * omega_p - 3 else omega_p + 1
-        prefix_new = prefix | (1 << u)
 
         used = 0
         m = nb
@@ -153,27 +191,49 @@ def color_in_class(g: Graph) -> tuple[Coloring, RepairTrace]:
             clique = K.lex_min_max_clique(adj, n, prefix_new)
             sol = K.k_color(adj, n, prefix_new, target, clique)
             if sol is None:
-                raise ClaimViolationError(
-                    "prefix_colorable",
-                    g,
+                failure = (
                     f"no {target}-coloring of an in-class prefix "
-                    f"(omega={omega_p}, delta={delta_p})",
+                    f"(omega={omega_p}, delta={delta_p})"
                 )
+                return InsertionState(colors, steps, omega_p, delta_p, failure)
             for v in iter_bits(prefix_new):
                 colors[v] = sol[v]
             mech = EXACT_FALLBACK
         steps.append((u, mech))
         prefix = prefix_new
+    return InsertionState(colors, steps, omega_p, delta_p)
 
-    out = Coloring(tuple(colors)).canonical()
+
+def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTrace]:
+    """Check the state after all of g and return its coloring.
+
+    Raises ClaimViolationError when insertion failed, or when the coloring is
+    improper or uses more colors than the target: omega colors when
+    max degree <= 2*omega - 3, omega + 1 otherwise.
+    """
+    if state.failure is not None:
+        raise ClaimViolationError("prefix_colorable", g, state.failure)
+    out = Coloring(tuple(state.colors)).canonical()
     if verify_proper(g, out) is not None:
         raise ClaimViolationError("colorer_proper", g, "output coloring improper")
-    # the last target is the whole graph's: omega under the bound, else omega + 1
-    if n and out.colors_used > target:
+    w, delta = state.omega, state.delta
+    target = w if delta <= 2 * w - 3 else w + 1
+    if g.n and out.colors_used > target:
         raise ClaimViolationError(
             "colorer_bound", g, f"used {out.colors_used} colors, target is {target}"
         )
-    return out, RepairTrace.from_steps(steps)
+    return out, RepairTrace.from_steps(state.steps)
+
+
+def color_in_class(g: Graph) -> tuple[Coloring, RepairTrace]:
+    """Insertion coloring of a graph already known to be in the class.
+
+    Uses omega colors when max degree <= 2*omega - 3, at most omega + 1
+    otherwise, or raises ClaimViolationError. The public entry points
+    omega_color_strict / class_color run the precondition checks; sweeps
+    that performed recognition themselves call this directly.
+    """
+    return finish_coloring(g, insert_vertices(g))
 
 
 def _check_preconditions(g: Graph) -> None:

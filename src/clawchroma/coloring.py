@@ -13,7 +13,6 @@ downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import _kernels as K
 from .bitops import iter_bits
@@ -29,11 +28,11 @@ class Coloring:
 
     assignment: tuple[int, ...]
 
-    @cached_property
+    @property
     def colors_used(self) -> int:
         return len(set(self.assignment))
 
-    @cached_property
+    @property
     def class_masks(self) -> dict[int, int]:
         """Color -> bitmask of the vertices carrying it."""
         masks: dict[int, int] = {}

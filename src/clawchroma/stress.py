@@ -1,26 +1,41 @@
 """Bulk verification sweeps: exhaustive at small n, seeded random above.
 
-For every swept graph the harness runs recognition; in-class graphs then get
-the full battery: oracle chromatic number against the clique number, the
-trichotomy's branch facts as report.trichotomy states them, the four-shape
-neighborhood classification for every vertex and every maximum clique, one
-constructive coloring checked against both colorer contracts (omega + 1
-colors at most, omega under the degree bound), and the path-or-cycle shape of
-every two-class component of every produced coloring. The clique number
-and DSATUR are computed once per graph and are the oracle's lower and upper
-bounds; the oracle's witness and the DSATUR coloring must be proper, the
-witness with exactly chi colors. When DSATUR was already optimal the oracle
-hands the same coloring back, and it is checked once. Each failed claim
-increments one violation counter; all counters must be zero.
+The exhaustive sweep grows the labeled in-class graphs level by level. The
+class is hereditary, so every in-class graph on n vertices is an in-class
+graph on vertices 0..n-2 plus vertex n-1, and it is in the class iff no claw
+and no K5-minus-P3 goes through that vertex; in_class_extensions lists the
+neighborhoods of vertex n-1 that pass. Every labeled graph on n vertices is
+still decided, by its parent's verdict or by the new vertex's check, so
+graphs_checked still adds 2^(n(n-1)/2) per n, and the in-class graphs are
+exactly those that scan_in_class, the scan over all edge masks, keeps. Each
+child resumes its parent's colorer state at vertex n-1, as that state
+depends only on the prefix. Graphs are visited in extension order, so the
+first counterexample per category is the first in that order. The random
+sweep keeps the seeded draws that are in the class.
+
+In-class graphs then get the full battery: oracle chromatic number against
+the clique number, the trichotomy's branch facts as report.trichotomy states
+them, the four-shape neighborhood classification for every vertex and every
+maximum clique, one constructive coloring checked against both colorer
+contracts (omega + 1 colors at most, omega under the degree bound), and the
+path-or-cycle shape of every two-class component of every produced coloring.
+The clique number and DSATUR are computed once per graph and are the
+oracle's lower and upper bounds; the oracle's witness and the DSATUR
+coloring must be proper, the witness with exactly chi colors. When DSATUR
+was already optimal the oracle hands the same coloring back, and it is
+checked once. Each failed claim increments one violation counter; all
+counters must be zero.
 
 Sweeps may be distributed over processes: CLAWCHROMA_THREADS takes an
 integer >= 0 (0, the default, and 1 run serially); any other value is a
 ParamRangeError, which the CLI reports with exit code 2. The process pool is
 imported and started only when more than one worker has work, and it never
-holds more processes than there are chunks or CPUs. Workers share nothing and
-partial results merge by deterministic ordered reduction, so summaries are
-identical run to run, with or without workers. The wall-clock time is
-deliberately not part of the summary payload.
+holds more processes than there are chunks or CPUs. A chunk of an exhaustive
+level is a slice of the previous level's graphs, and it returns their
+children in order. Workers share nothing and partial results merge by
+deterministic ordered reduction, so summaries are identical run to run,
+with or without workers. The wall-clock time is deliberately not part of the
+summary payload.
 """
 
 from __future__ import annotations
@@ -32,18 +47,21 @@ from dataclasses import dataclass, field
 
 from . import _kernels as K
 from .cliques import omega as omega_of
-from .colorer import color_in_class
+from .colorer import InsertionState, color_in_class, finish_coloring, insert_vertices
 from .coloring import ORACLE_MAX_VERTICES, dsatur_greedy, exact_chromatic, verify_proper
 from .errors import ClaimViolationError, ParamRangeError, ScaleExceededError
 # random_graph is unused here; the benchmark tracer still wraps stress.random_graph
 from .generators import SplitMix64, random_graph, random_in_class_graph  # noqa: F401
-from .graph import Graph, degree_profile, edge_mask_of, from_edge_mask
+from .graph import Graph, degree_profile, edge_mask_of
 from .kempe import find_branching_component
 # the benchmark tracer wraps stress.is_in_class (unused here)
 from .recognition import is_in_class, verify_neighborhood_all_cliques  # noqa: F401
 from .report import CHI_EQUALS_OMEGA, CHI_WITHIN_ONE, DEGREE_BOUND, WHEEL_BRANCH
 # the benchmark tracer wraps stress.find_induced_wheel6 (unused here)
 from .report import OMEGA_CASE, find_induced_wheel6, trichotomy  # noqa: F401
+
+# the fewest parents in one worker's chunk of an exhaustive level
+_MIN_CHUNK = 64
 
 COMPONENT_SHAPE = "component_shape"
 NEIGHBORHOOD_SHAPE = "neighborhood_shape"
@@ -87,10 +105,10 @@ class StressSummary:
             return 0.0
         return round(self.exact_fallbacks / self.vertices_colored_strict, 8)
 
-    def record(self, g: Graph) -> None:
+    def record(self, g: Graph, state: InsertionState | None = None) -> None:
         """Count one in-class graph and the claims it fails."""
         self.in_class_count += 1
-        viol, strict_vertices, strict_fallbacks = check_in_class_graph(g)
+        viol, strict_vertices, strict_fallbacks = check_in_class_graph(g, state)
         self.vertices_colored_strict += strict_vertices
         self.exact_fallbacks += strict_fallbacks
         for cat in viol:
@@ -128,11 +146,15 @@ class StressSummary:
         return out
 
 
-def check_in_class_graph(g: Graph) -> tuple[set[str], int, int]:
+def check_in_class_graph(
+    g: Graph, state: InsertionState | None = None
+) -> tuple[set[str], int, int]:
     """All per-graph claims for an in-class graph.
 
-    Returns (violated categories, vertices colored under the degree bound,
-    exact fallbacks the colorer used on them).
+    state is the colorer's state after all of g, when the caller already
+    ran the insertions; otherwise g is colored here. Returns (violated
+    categories, vertices colored under the degree bound, exact fallbacks the
+    colorer used on them).
     """
     w = omega_of(g)
     delta = degree_profile(g)[1]
@@ -151,7 +173,10 @@ def check_in_class_graph(g: Graph) -> tuple[set[str], int, int]:
     strict_vertices = strict_fallbacks = 0
     bound_holds = branch == OMEGA_CASE
     try:
-        coloring, trace = color_in_class(g)
+        if state is None:
+            coloring, trace = color_in_class(g)
+        else:
+            coloring, trace = finish_coloring(g, state)
     except ClaimViolationError:
         viol.add(CHI_WITHIN_ONE)
         if bound_holds:
@@ -177,12 +202,28 @@ def check_in_class_graph(g: Graph) -> tuple[set[str], int, int]:
     return viol, strict_vertices, strict_fallbacks
 
 
-def _exhaustive_chunk(args: tuple[int, int, int]) -> StressSummary:
-    n, start, stop = args
-    part = StressSummary("exhaustive", graphs_checked=stop - start)
-    for mask in K.scan_in_class(n, start, stop):
-        part.record(from_edge_mask(n, mask))
-    return part
+def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]:
+    """Check every in-class child on n vertices of a slice of level n - 1.
+
+    Each parent comes with its colorer state, which each child resumes at
+    vertex n - 1. Returns the chunk's summary and, when keep is set, the
+    children with their states, in order.
+    """
+    n, parents, keep = args
+    part = StressSummary("exhaustive")
+    children = []
+    vbit = 1 << (n - 1)
+    for parent, parent_state in parents:
+        padj = parent.adj
+        for nb in K.in_class_extensions(padj, n):
+            adj = [a | vbit if nb >> u & 1 else a for u, a in enumerate(padj)]
+            adj.append(nb)
+            g = Graph(n, tuple(adj), parent.edge_count + nb.bit_count())
+            state = insert_vertices(g, parent_state)
+            part.record(g, state)
+            if keep:
+                children.append((g, state))
+    return part, children
 
 
 def _random_chunk(args: tuple[int, int, list[int]]) -> StressSummary:
@@ -247,15 +288,23 @@ def run_stress(
         if max_n > 7:
             raise ScaleExceededError("exhaustive sweeps capped at n = 7")
         summary = StressSummary(mode=mode, max_n=max_n)
+        level = [(Graph(0, ()), None)]
         for n in range(1, max_n + 1):
-            total = 1 << (n * (n - 1) // 2)
-            step = total if workers <= 1 else max(4096, total // (8 * workers))
+            step = (
+                len(level) if workers <= 1
+                else max(_MIN_CHUNK, len(level) // (8 * workers))
+            )
+            keep = n < max_n
             chunks = [
-                (n, start, min(start + step, total))
-                for start in range(0, total, step)
+                (n, level[i : i + step], keep) for i in range(0, len(level), step)
             ]
-            for part in _run_chunks(chunks, _exhaustive_chunk, workers, False):
+            summary.graphs_checked += 1 << (n * (n - 1) // 2)
+            level = []
+            for part, children in _run_chunks(
+                chunks, _extension_chunk, workers, False
+            ):
                 summary.merge(part)
+                level += children
             if progress:
                 print(f"progress: n={n} done", file=sys.stderr)
     elif mode == "random":

@@ -181,6 +181,11 @@ def test_criteria_1_to_4_and_7_full_n7_sweep():
     summary = run_stress("exhaustive", max_n=7)
     assert summary.graphs_checked == 2 + 8 + 64 + 1024 + 32768 + 2097152 + 1
     assert summary.total_violations == 0, summary.violations
+    # the payload of the mask-scan sweep that the extension sweep replaced
+    assert summary.in_class_count == 251302
+    assert summary.vertices_colored_strict == 782947
+    assert summary.exact_fallbacks == 197
+    assert summary.fallback_rate == 0.00025161
     assert summary.wall_time < 1800
     _announce(
         "1/2/3/4/7 @ n=7",

@@ -1,6 +1,12 @@
 import pytest
 
-from clawchroma.colorer import class_color, color_in_class, omega_color_strict
+from clawchroma.colorer import (
+    class_color,
+    color_in_class,
+    finish_coloring,
+    insert_vertices,
+    omega_color_strict,
+)
 from clawchroma.coloring import verify_proper
 from clawchroma.errors import (
     BoundViolatedError,
@@ -8,7 +14,7 @@ from clawchroma.errors import (
     ScaleExceededError,
 )
 from clawchroma.generators import enumerate_labeled
-from clawchroma.graph import degree_profile, from_edge_mask
+from clawchroma.graph import degree_profile, from_edge_mask, induced_subgraph
 from clawchroma.recognition import is_in_class
 from graphzoo import claw, complete, empty, k4_minus_edge, prism
 
@@ -98,12 +104,15 @@ def test_relaxed_contract_exhaustive_small():
     # only the edges of the prefix, so after k insertions its colors are, up
     # to renumbering, its output on the induced prefix G[0..k-1]. That prefix
     # is itself a labeled in-class graph coloured here, and color_in_class
-    # checks each output for properness before returning.
+    # checks each output for properness before returning. So resuming the
+    # state of G[0..n-2] at vertex n-1 must give the same coloring and trace.
     for n in range(1, 7):
         for g in enumerate_labeled(n, lambda h: bool(is_in_class(h))):
-            coloring, _ = color_in_class(g)
+            coloring, trace = color_in_class(g)
             assert verify_proper(g, coloring) is None
             assert coloring.colors_used <= omega(g) + 1
+            prefix = insert_vertices(induced_subgraph(g, range(n - 1))[0])
+            assert finish_coloring(g, insert_vertices(g, prefix)) == (coloring, trace)
 
 
 def test_deterministic_output():

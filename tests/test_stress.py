@@ -3,11 +3,12 @@ import json
 import os
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from clawchroma import _kernels as K
-from clawchroma import stress
+from clawchroma import colorer, stress
 from clawchroma.cli import _dump_counterexamples
 from clawchroma.colorer import RepairTrace
 from clawchroma.coloring import Coloring
@@ -16,7 +17,7 @@ from clawchroma.errors import (
     ParamRangeError,
     ScaleExceededError,
 )
-from clawchroma.graph import edge_mask_of
+from clawchroma.graph import edge_mask_of, from_edge_mask
 from clawchroma.stress import (
     CHI_EQUALS_OMEGA,
     CHI_WITHIN_ONE,
@@ -66,7 +67,7 @@ def test_sweep_runs_dsatur_once_and_no_colorer_clique_search(monkeypatch):
     """One DSATUR per in-class graph; the colorer keeps prefix omega by
     has_clique, never by a clique_number search."""
     calls = Counter()
-    for name in ("dsatur", "clique_number"):
+    for name in ("dsatur", "clique_number", "has_clique"):
         def counted(*args, _fn=getattr(K, name), _name=name):
             calls[_name, sys._getframe(1).f_globals["__name__"]] += 1
             return _fn(*args)
@@ -77,11 +78,24 @@ def test_sweep_runs_dsatur_once_and_no_colorer_clique_search(monkeypatch):
     assert sum(c for (name, _), c in calls.items() if name == "dsatur") == 810
     assert calls["clique_number", "clawchroma.colorer"] == 0
     assert calls["clique_number", "clawchroma.cliques"] == 810  # omega
+    # one has_clique per inserted vertex: each graph resumes its parent's
+    # state, so only its last vertex is inserted
+    assert calls["has_clique", "clawchroma.colorer"] == 810
 
 
-def test_parallel_merge_is_deterministic():
-    serial = run_stress("exhaustive", max_n=4, workers=0)
-    parallel = run_stress("exhaustive", max_n=4, workers=2)
+def test_parallel_merge_is_deterministic(monkeypatch):
+    # small chunks, so that levels 4 and 5 are split between the workers
+    monkeypatch.setattr(stress, "_MIN_CHUNK", 4)
+    chunk_counts = []
+
+    def counted(chunks, *args, _run=stress._run_chunks):
+        chunk_counts.append(len(chunks))
+        return _run(chunks, *args)
+
+    monkeypatch.setattr(stress, "_run_chunks", counted)
+    parallel = run_stress("exhaustive", max_n=5, workers=2)
+    assert chunk_counts == [1, 1, 1, 2, 15]
+    serial = run_stress("exhaustive", max_n=5, workers=0)
     assert serial.payload() == parallel.payload()
 
     a = run_stress("random", n_lo=4, n_hi=8, samples=120, seed=9, workers=0)
@@ -117,7 +131,7 @@ RANDOM_120 = dict(mode="random", n_lo=4, n_hi=8, samples=120, seed=9)
 @pytest.mark.parametrize(
     "sweep, workers, cpus, sizes",
     [
-        # every n <= 4 has fewer graphs than one chunk holds
+        # every level n <= 4 has fewer parents than one chunk holds
         (dict(mode="exhaustive", max_n=4), 2, 8, []),
         (RANDOM_120, 2, 8, [2]),  # two chunks, two workers
         (RANDOM_120, 64, 8, [2]),  # never more workers than chunks
@@ -130,6 +144,57 @@ def test_pool_size_is_capped(monkeypatch, pool_sizes, sweep, workers, cpus, size
     pooled = run_stress(**sweep, workers=workers)
     assert pool_sizes == sizes
     assert pooled.payload() == run_stress(**sweep, workers=0).payload()
+
+
+def test_extension_sweeps_the_scans_graphs(monkeypatch):
+    expected = {
+        n: K.scan_in_class(n, 0, 1 << (n * (n - 1) // 2)) for n in range(1, 7)
+    }
+    swept = {n: [] for n in expected}
+
+    def record(g, state):
+        swept[g.n].append(edge_mask_of(g))
+        return set(), 0, 0
+
+    monkeypatch.setattr(stress, "check_in_class_graph", record)
+    run_stress("exhaustive", max_n=6, workers=0)
+    assert {n: sorted(masks) for n, masks in swept.items()} == expected
+
+
+def test_exhaustive_sweep_does_not_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("the exhaustive sweep scanned edge masks")
+
+    monkeypatch.setattr(K, "scan_in_class", scan)
+    golden = json.loads((Path(__file__).parent / "golden/exhaustive6.json").read_text())
+    assert run_stress("exhaustive", max_n=6, workers=0).payload() == golden
+
+
+def test_failed_prefix_fails_every_descendant(monkeypatch):
+    """With every Kempe swap and exact fallback of the colorer failing, the
+    sweep counts the violations that coloring each graph from scratch does,
+    descendants of a failed graph included."""
+    k_color = K.k_color
+
+    def colorer_k_color_fails(*args):
+        if sys._getframe(1).f_globals["__name__"] == "clawchroma.colorer":
+            return None
+        return k_color(*args)
+
+    monkeypatch.setattr(K, "k_color", colorer_k_color_fails)
+    monkeypatch.setattr(colorer, "_try_kempe_swap", lambda *args: False)
+    swept = run_stress("exhaustive", max_n=6, workers=0)
+    # the reference: scan every edge mask, color each graph from scratch
+    scanned = StressSummary("exhaustive", max_n=6)
+    for n in range(1, 7):
+        total = 1 << (n * (n - 1) // 2)
+        scanned.graphs_checked += total
+        for mask in K.scan_in_class(n, 0, total):
+            scanned.record(from_edge_mask(n, mask))
+    assert swept.payload() == scanned.payload()
+    # 10 graphs fail at n = 5, none earlier; at n = 6, 150 of the failures
+    # are children of those 10, which fail at the same prefix vertex
+    assert swept.violations[CHI_WITHIN_ONE] == 10 + 291 + 150
 
 
 def test_worker_count_from_env(monkeypatch):
