@@ -2,13 +2,14 @@
 
 These are the hot primitives behind recognition, clique search and exact
 coloring, for graphs of any size; the package reaches them through
-_kernels. One branch and bound, _clique_search, answers both clique-size
-questions: how large the largest clique is (clique_number, and the target
-size of the max_cliques enumeration) and whether a k-clique exists
-(has_clique). One search colors: k_color is a single loop over an explicit
-stack, and dsatur is its first descent. Recursive searches are module-level
-functions, not nested closures, so a call leaves no reference cycles for
-the garbage collector.
+_kernels. One branch and bound, _clique_search, answers all four clique
+questions: the clique number (clique_number), whether a k-clique exists
+(has_clique), the lexicographically least maximum clique
+(lex_min_max_clique) and the list of maximum cliques (max_cliques). One
+search colors: k_color, and dsatur is its first descent. Both searches are
+single loops over an explicit stack, so no clique or graph size reaches the
+recursion limit, and no kernel builds a closure, so a call leaves no
+reference cycles for the garbage collector.
 
 Conventions: adj is an indexable of per-vertex neighbor bitmasks, sub is a
 bitmask restricting the operation to an induced subgraph, colors are 1-based
@@ -137,57 +138,77 @@ def claw_free_has_k5_minus_p3(adj, n: int) -> bool:
     return False
 
 
-def _color_order(adj, cand: int):
-    """Greedy color classes over cand: vertex list plus per-vertex class index.
+def _clique_search(adj, cand: int, best: int, stop: int, out=None):
+    """(best, clique): the clique number of cand, or best if it is larger,
+    and the clique that last raised best (0 if none did).
 
-    Classes are built least-vertex-first; the class index of a vertex bounds
-    the largest clique containing it inside cand, which is the branch bound
-    of _clique_search.
+    The search ends as soon as best reaches stop. With out, a list, best is
+    held instead, and every (best + 1)-clique is appended to out in
+    ascending-tuple order. One loop over an explicit stack, whose frames
+    are the levels of the current clique.
+
+    Vertices are tried in ascending order, each level extending the current
+    clique by a candidate above its last vertex, so cliques are visited as
+    ascending tuples in lexicographic order, each before its extensions.
+    That is why the clique that raises best to the clique number w is the
+    lexicographically least maximum clique C: a subtree is pruned only when
+    it holds no clique larger than best, so C, or a prefix of it, can only
+    be pruned once best is w; and every clique visited before C precedes it
+    in that order, so if it had size w, C would not be the least.
+
+    The bound: a level colors its candidates greedily into classes, each
+    class built from the highest remaining vertex down. Class tops strictly
+    fall, so the candidates from v on meet exactly the classes whose top is
+    >= v, and their number bounds the largest clique among them. A level
+    that needs need more vertices to beat best ends at the first v above
+    the top of class need, so only the first need classes are built, and
+    more only when a deeper level raises best. When no more than need
+    candidates are left, the count alone decides (only all of them can
+    beat best), so no class is built; on a large clique this keeps each
+    level constant work.
     """
-    vs = []
-    bounds = []
+    clique = mask = size = built = low = 0
     rem = cand
-    color = 0
-    while rem:
-        color += 1
-        avail = rem
-        while avail:
-            b = avail & -avail
-            v = b.bit_length() - 1
-            avail ^= b
-            avail &= ~adj[v]
-            rem ^= b
-            vs.append(v)
-            bounds.append(color)
-    return vs, bounds
-
-
-def _clique_search(adj, cand: int, size: int, best: int, stop: int) -> int:
-    """max(best, size + the clique number of cand), or the first value
-    reached that is >= stop.
-
-    The greedy-color-class branch and bound of Tomita and Seki's MCQ: the
-    vertices are tried from the last color class down, and a vertex whose
-    class index cannot lift size above best ends the level. With stop at
-    best + 1 it decides whether a (best + 1)-clique exists; with stop above
-    |cand| it finds the maximum.
-    """
-    vs, bounds = _color_order(adj, cand)
-    for i in range(len(vs) - 1, -1, -1):
-        if size + bounds[i] <= best:
-            return best
-        v = vs[i]
-        if size + 1 > best:
+    stack = []
+    while True:
+        need = best + 1 - size
+        if built < need:
+            count = cand.bit_count()
+            if count <= need:  # only all of them together can beat best
+                low = -1 if count == need else 0
+            else:
+                while rem and built < need:
+                    top = rem.bit_length() - 1
+                    avail = rem
+                    while avail:
+                        v = avail.bit_length() - 1
+                        b = 1 << v
+                        rem ^= b
+                        avail &= ~adj[v] & ~b
+                    built += 1
+                low = (2 << top) - 1 if built == need else 0
+        b = cand & -cand & low
+        if not b:
+            if not stack:
+                return best, clique
+            mask, size, cand, rem, built, low = stack.pop()
+            continue
+        cand ^= b
+        if size >= best:
+            if out is not None:
+                out.append(mask | b)
+                continue
             best = size + 1
+            clique = mask | b
             if best >= stop:
-                return best
-        nc = cand & adj[v]
-        if nc:
-            best = _clique_search(adj, nc, size + 1, best, stop)
-            if best >= stop:
-                return best
-        cand ^= 1 << v
-    return best
+                return best, clique
+        nxt = cand & adj[b.bit_length() - 1]
+        if nxt.bit_count() >= best - size:
+            stack.append((mask, size, cand, rem, built, low))
+            mask |= b
+            size += 1
+            cand = rem = nxt
+            built = 0
 
 
 def clique_number(adj, n: int, sub: int) -> int:
@@ -197,8 +218,7 @@ def clique_number(adj, n: int, sub: int) -> int:
     in directly.
     """
     u = universal_vertices(adj, sub)
-    core = sub ^ u
-    return u.bit_count() + _clique_search(adj, core, 0, 0, core.bit_count() + 1)
+    return u.bit_count() + _clique_search(adj, sub ^ u, 0, n + 1)[0]
 
 
 def has_clique(adj, n: int, sub: int, k: int) -> bool:
@@ -212,82 +232,36 @@ def has_clique(adj, n: int, sub: int, k: int) -> bool:
         return False
     u = universal_vertices(adj, sub)
     k -= u.bit_count()
-    return k <= 0 or _clique_search(adj, sub ^ u, 0, k - 1, k) >= k
-
-
-def _max_cliques_rec(
-    adj, out: list, mask: int, cand: int, left: int, first: bool
-) -> bool:
-    """Append every (left)-clique of cand, joined to mask, in ascending order.
-
-    Branching on the candidates in ascending order emits cliques in
-    ascending-tuple order: mask is shared by all of them, so their order is
-    that of their cand parts. With first set, stop at the first clique and
-    return True.
-
-    The bound: color cand greedily into classes, each class built from the
-    highest remaining vertex down. Class tops strictly fall, so the
-    candidates from v on meet exactly the classes whose top is >= v, and
-    their number bounds the largest clique among them. Branching stops at
-    the first v above the top of class left, so only the first left classes
-    are built.
-    """
-    if not left:
-        out.append(mask)
-        return first
-    rem = cand
-    for _ in range(left):
-        if not rem:
-            return False
-        top = rem.bit_length() - 1
-        avail = rem
-        while avail:
-            v = avail.bit_length() - 1
-            b = 1 << v
-            rem ^= b
-            avail &= ~adj[v] & ~b
-    m = cand & ((2 << top) - 1)
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m ^= b
-        nxt = cand & adj[v] & (-1 << (v + 1))
-        if nxt.bit_count() >= left - 1 and _max_cliques_rec(
-            adj, out, mask | 1 << v, nxt, left - 1, first
-        ):
-            return True
-    return False
-
-
-def _search_max_cliques(adj, sub: int, first: bool) -> list[int]:
-    """Maximum cliques of sub in ascending-tuple order (only the first one
-    when first is set), searched on sub minus its universal vertices."""
-    u = universal_vertices(adj, sub)
-    core = sub ^ u
-    out: list[int] = []
-    w = _clique_search(adj, core, 0, 0, core.bit_count() + 1)
-    _max_cliques_rec(adj, out, u, core, w, first)
-    return out
+    return k <= 0 or _clique_search(adj, sub ^ u, k - 1, k)[0] >= k
 
 
 def lex_min_max_clique(adj, n: int, sub: int) -> int:
     """The lexicographically least maximum clique within sub, as a mask.
 
-    Cliques are compared as ascending vertex tuples: this is the first
-    clique the ascending max_cliques search emits.
+    Cliques are compared as ascending vertex tuples. The universal vertices
+    U of sub are in every maximum clique; adding U to two equal-size
+    cliques keeps the least element of their symmetric difference, so the
+    least clique of sub - U plus U is the least of sub.
     """
-    return _search_max_cliques(adj, sub, True)[0]
+    u = universal_vertices(adj, sub)
+    return u | _clique_search(adj, sub ^ u, 0, n + 1)[1]
 
 
 def max_cliques(adj, n: int, sub: int) -> list[int]:
     """All maximum cliques within sub as masks, in ascending-tuple order.
 
-    The empty mask has the empty clique as its single maximum clique. The
-    universal vertices U of sub are in every maximum clique; adding U to two
-    equal-size cliques keeps the least element of their symmetric
-    difference, so searching sub - U and adding U back keeps the order.
+    The empty mask has the empty clique as its single maximum clique. Like
+    lex_min_max_clique, it searches sub minus its universal vertices and
+    adds them back, which keeps the order.
     """
-    return _search_max_cliques(adj, sub, False)
+    u = universal_vertices(adj, sub)
+    core = sub ^ u
+    w = _clique_search(adj, core, 0, n + 1)[0]
+    if not w:
+        return [u]
+    out: list[int] = []
+    _clique_search(adj, core, w - 1, n + 1, out)
+    return [u | c for c in out]
 
 
 def dsatur(adj, n: int, sub: int) -> list[int]:

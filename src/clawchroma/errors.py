@@ -50,6 +50,9 @@ class NotInClassError(ClawChromaError):
         self.witness = witness
         super().__init__(message or f"graph is not in class: {witness}")
 
+    def __reduce__(self):
+        return type(self), (self.witness, str(self))
+
 
 class BoundViolatedError(ClawChromaError):
     """Strict coloring was requested but max degree exceeds 2*omega - 3."""
@@ -60,6 +63,9 @@ class BoundViolatedError(ClawChromaError):
         super().__init__(
             f"max degree {delta} exceeds 2*omega - 3 = {2 * omega - 3}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.delta, self.omega)
 
 
 class ParseError(ClawChromaError):
@@ -80,4 +86,8 @@ class ClaimViolationError(ClawChromaError):
     def __init__(self, category: str, graph, message: str):
         self.category = category
         self.graph = graph
+        self.message = message
         super().__init__(f"{category}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.category, self.graph, self.message)

@@ -1,6 +1,8 @@
+import ast
 import gc
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from clawchroma.cliques import (
 )
 from clawchroma.errors import VertexOutOfRangeError
 from clawchroma.generators import SplitMix64, enumerate_labeled, random_graph
-from clawchroma.graph import induced_subgraph
+from clawchroma.graph import build_graph, induced_subgraph
 from graphzoo import complete, cycle, empty, naive_omega, petersen
 
 from clawchroma import blown_up_odd_cycle, wheel
@@ -142,6 +144,60 @@ def test_has_clique_matches_clique_number_on_every_subgraph_up_to_n5():
     assert checked == 1 + 2 + 2 * 4 + 8 * 8 + 64 * 16 + 1024 * 32
 
 
+@pytest.mark.slow
+def test_clique_kernels_match_brute_force_at_n6():
+    n = 6
+    for g in enumerate_labeled(n):
+        full = g.full_mask()
+        w, cliques = _brute_max_cliques(g.adj, full)
+        assert pure.clique_number(g.adj, n, full) == w
+        assert pure.lex_min_max_clique(g.adj, n, full) == cliques[0]
+        assert pure.max_cliques(g.adj, n, full) == cliques
+        for k in range(n + 2):
+            assert pure.has_clique(g.adj, n, full, k) == (k <= w)
+
+
+@pytest.fixture(scope="module")
+def k1000_plus_k24():
+    """K_1000 and K_24 side by side: in the class, 1,024 vertices, and a
+    clique far deeper than the recursion limit."""
+    blocks = ((0, 1000), (1000, 1024))
+    return build_graph(
+        1024,
+        ((i, j) for lo, hi in blocks for i in range(lo, hi) for j in range(i + 1, hi)),
+    )
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
+def test_clique_kernels_on_a_1000_clique(k1000_plus_k24):
+    adj, n, full = k1000_plus_k24.adj, k1000_plus_k24.n, k1000_plus_k24.full_mask()
+    k1000 = (1 << 1000) - 1
+    for fn, args, expected in (
+        (pure.clique_number, (adj, n, full), 1000),
+        (pure.has_clique, (adj, n, full, 1000), True),
+        (pure.has_clique, (adj, n, full, 1001), False),
+        (pure.lex_min_max_clique, (adj, n, full), k1000),
+        (pure.max_cliques, (adj, n, full), [k1000]),
+    ):
+        result, elapsed = _timed(fn, *args)
+        assert result == expected, fn.__name__
+        assert elapsed < 1.0, fn.__name__
+
+
+def test_graph_clique_queries_on_a_1000_clique(k1000_plus_k24):
+    w, elapsed = _timed(omega, k1000_plus_k24)
+    assert w == 1000
+    assert elapsed < 1.0
+    result, elapsed = _timed(max_clique, k1000_plus_k24)
+    assert result.vertices == tuple(range(1000))
+    assert elapsed < 1.0
+
+
 def test_clique_kernels_at_scale():
     # K1 + CP(127): hub 254 joined to K_254 minus the matching {0, 1},
     # {2, 3}, ...; N(hub) has 2^127 maximum cliques
@@ -209,3 +265,19 @@ def test_pure_kernels_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_no_kernel_recurses():
+    # every search is a loop over an explicit stack, so no input size can
+    # reach the recursion limit
+    tree = ast.parse(Path(pure.__file__).read_text())
+    recursive = [
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for call in ast.walk(f)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == f.name
+    ]
+    assert recursive == []
