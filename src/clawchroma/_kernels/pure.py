@@ -300,15 +300,8 @@ def k_color(adj, n: int, sub: int, k: int, clique: int = 0):
     colors = [0] * n
     nbc = [0] * n  # bit c-1 set iff some neighbor is colored c
     seen = [0] * (count + 1)
-    deg = [0] * n
-    order = []
-    m = sub
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m ^= b
-        deg[v] = (adj[v] & sub).bit_count()
-        order.append(v)
+    deg = [(a & sub).bit_count() for a in adj]
+    order = [v for v in range(n) if sub >> v & 1]
     top = 0  # the highest color used so far
     m = clique
     while m:

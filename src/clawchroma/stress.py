@@ -9,9 +9,17 @@ still decided, by its parent's verdict or by the new vertex's check, so
 graphs_checked still adds 2^(n(n-1)/2) per n, and the in-class graphs are
 exactly those that scan_in_class, the scan over all edge masks, keeps. Each
 child resumes its parent's colorer state at vertex n-1, as that state
-depends only on the prefix. Graphs are visited in extension order, so the
-first counterexample per category is the first in that order. The random
-sweep keeps the seeded draws that are in the class.
+depends only on the prefix. It also resumes the sweep's own facts about the
+parent: the clique number, the maximum degree and the vertices whose
+neighborhood fails the four-shape check. With v = n-1 and S = N(v), a clique
+through v is v plus a clique of S, so omega is the parent's or
+1 + clique_number(S), searched only when |S| is at least the parent's omega;
+only v and S gain degree; and for u outside S + v, <N(u)> is the parent's
+induced subgraph unchanged, so only v and S are checked again. These are
+exact, so every count and counterexample is what recomputation gives. Graphs
+are visited in extension order, so the first counterexample per category is
+the first in that order. The random sweep keeps the seeded draws that are in
+the class.
 
 In-class graphs then get the full battery: oracle chromatic number against
 the clique number, the trichotomy's branch facts as report.trichotomy states
@@ -46,6 +54,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import _kernels as K
+from .bitops import iter_bits
 from .cliques import omega as omega_of
 from .colorer import InsertionState, color_in_class, finish_coloring, insert_vertices
 from .coloring import ORACLE_MAX_VERTICES, dsatur_greedy, exact_chromatic, verify_proper
@@ -105,10 +114,15 @@ class StressSummary:
             return 0.0
         return round(self.exact_fallbacks / self.vertices_colored_strict, 8)
 
-    def record(self, g: Graph, state: InsertionState | None = None) -> None:
+    def record(
+        self,
+        g: Graph,
+        state: InsertionState | None = None,
+        facts: tuple[int, int, int] | None = None,
+    ) -> None:
         """Count one in-class graph and the claims it fails."""
         self.in_class_count += 1
-        viol, strict_vertices, strict_fallbacks = check_in_class_graph(g, state)
+        viol, strict_vertices, strict_fallbacks = check_in_class_graph(g, state, facts)
         self.vertices_colored_strict += strict_vertices
         self.exact_fallbacks += strict_fallbacks
         for cat in viol:
@@ -147,17 +161,26 @@ class StressSummary:
 
 
 def check_in_class_graph(
-    g: Graph, state: InsertionState | None = None
+    g: Graph,
+    state: InsertionState | None = None,
+    facts: tuple[int, int, int] | None = None,
 ) -> tuple[set[str], int, int]:
     """All per-graph claims for an in-class graph.
 
     state is the colorer's state after all of g, when the caller already
-    ran the insertions; otherwise g is colored here. Returns (violated
-    categories, vertices colored under the degree bound, exact fallbacks the
-    colorer used on them).
+    ran the insertions; otherwise g is colored here. facts is g's (omega,
+    max degree, mask of the vertices whose neighborhood fails the four-shape
+    check), when the caller already has them; otherwise they are computed
+    here. Returns (violated categories, vertices colored under the degree
+    bound, exact fallbacks the colorer used on them).
     """
-    w = omega_of(g)
-    delta = degree_profile(g)[1]
+    if facts is None:
+        w = omega_of(g)
+        delta = degree_profile(g)[1]
+        shapes_hold = all(verify_neighborhood_all_cliques(g, u) for u in range(g.n))
+    else:
+        w, delta, bad = facts
+        shapes_hold = not bad
     greedy = dsatur_greedy(g)
     chi, oracle_coloring = exact_chromatic(g, greedy, w)
     branch, _, failures = trichotomy(g, w, delta, chi)
@@ -191,10 +214,8 @@ def check_in_class_graph(
             strict_fallbacks = trace.exact_fallbacks
             if coloring.colors_used != w:
                 viol.add(CHI_EQUALS_OMEGA)
-    for u in range(g.n):
-        if not verify_neighborhood_all_cliques(g, u):
-            viol.add(NEIGHBORHOOD_SHAPE)
-            break
+    if not shapes_hold:
+        viol.add(NEIGHBORHOOD_SHAPE)
     for coloring in colorings:
         if find_branching_component(g, coloring) is not None:
             viol.add(COMPONENT_SHAPE)
@@ -202,27 +223,47 @@ def check_in_class_graph(
     return viol, strict_vertices, strict_fallbacks
 
 
+def _child_facts(
+    g: Graph, parent_facts: tuple[int, int, int]
+) -> tuple[int, int, int]:
+    """The facts check_in_class_graph takes, for g from those of g minus its
+    last vertex v (see the module docstring)."""
+    w, delta, bad = parent_facts
+    n, adj = g.n, g.adj
+    nb = adj[n - 1]
+    if nb.bit_count() >= w:
+        w = max(w, 1 + K.clique_number(adj, n, nb))
+    changed = nb | 1 << (n - 1)
+    bad &= ~changed
+    for u in iter_bits(changed):
+        delta = max(delta, adj[u].bit_count())
+        if not verify_neighborhood_all_cliques(g, u):
+            bad |= 1 << u
+    return w, delta, bad
+
+
 def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]:
     """Check every in-class child on n vertices of a slice of level n - 1.
 
-    Each parent comes with its colorer state, which each child resumes at
-    vertex n - 1. Returns the chunk's summary and, when keep is set, the
-    children with their states, in order.
+    Each parent comes with its colorer state and its facts, which each child
+    resumes at vertex n - 1. Returns the chunk's summary and, when keep is
+    set, the children with their states and facts, in order.
     """
     n, parents, keep = args
     part = StressSummary("exhaustive")
     children = []
     vbit = 1 << (n - 1)
-    for parent, parent_state in parents:
+    for parent, parent_state, parent_facts in parents:
         padj = parent.adj
         for nb in K.in_class_extensions(padj, n):
             adj = [a | vbit if nb >> u & 1 else a for u, a in enumerate(padj)]
             adj.append(nb)
             g = Graph(n, tuple(adj), parent.edge_count + nb.bit_count())
             state = insert_vertices(g, parent_state)
-            part.record(g, state)
+            facts = _child_facts(g, parent_facts)
+            part.record(g, state, facts)
             if keep:
-                children.append((g, state))
+                children.append((g, state, facts))
     return part, children
 
 
@@ -288,8 +329,10 @@ def run_stress(
         if max_n > 7:
             raise ScaleExceededError("exhaustive sweeps capped at n = 7")
         summary = StressSummary(mode=mode, max_n=max_n)
-        level = [(Graph(0, ()), None)]
+        level = [(Graph(0, ()), None, (0, 0, 0))]
         for n in range(1, max_n + 1):
+            t_level = time.perf_counter()
+            in_class_before = summary.in_class_count
             step = (
                 len(level) if workers <= 1
                 else max(_MIN_CHUNK, len(level) // (8 * workers))
@@ -306,7 +349,12 @@ def run_stress(
                 summary.merge(part)
                 level += children
             if progress:
-                print(f"progress: n={n} done", file=sys.stderr)
+                done = summary.in_class_count - in_class_before
+                elapsed = time.perf_counter() - t_level
+                print(
+                    f"progress: n={n} done, {done} in class, {elapsed:.2f} s",
+                    file=sys.stderr,
+                )
     elif mode == "random":
         if n_lo is None or n_hi is None or samples is None or seed is None:
             raise ParamRangeError("random mode needs n_lo, n_hi, samples, seed")

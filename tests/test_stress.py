@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 from clawchroma import _kernels as K
 from clawchroma import colorer, stress
-from clawchroma.cli import _dump_counterexamples
+from clawchroma.cli import _dump_counterexamples, main
+from clawchroma.cliques import omega
 from clawchroma.colorer import RepairTrace
 from clawchroma.coloring import Coloring
 from clawchroma.errors import (
@@ -17,10 +19,11 @@ from clawchroma.errors import (
     ParamRangeError,
     ScaleExceededError,
 )
-from clawchroma.graph import edge_mask_of, from_edge_mask
+from clawchroma.graph import degree_profile, edge_mask_of, from_edge_mask
 from clawchroma.stress import (
     CHI_EQUALS_OMEGA,
     CHI_WITHIN_ONE,
+    NEIGHBORHOOD_SHAPE,
     StressSummary,
     check_in_class_graph,
     run_stress,
@@ -65,7 +68,8 @@ def test_random_zero_samples_is_an_empty_summary():
 
 def test_sweep_runs_dsatur_once_and_no_colorer_clique_search(monkeypatch):
     """One DSATUR per in-class graph; the colorer keeps prefix omega by
-    has_clique, never by a clique_number search."""
+    has_clique, never by a clique_number search; the sweep's own omega
+    searches only N(v) of each new vertex v."""
     calls = Counter()
     for name in ("dsatur", "clique_number", "has_clique"):
         def counted(*args, _fn=getattr(K, name), _name=name):
@@ -77,7 +81,10 @@ def test_sweep_runs_dsatur_once_and_no_colorer_clique_search(monkeypatch):
     assert s.in_class_count == 810
     assert sum(c for (name, _), c in calls.items() if name == "dsatur") == 810
     assert calls["clique_number", "clawchroma.colorer"] == 0
-    assert calls["clique_number", "clawchroma.cliques"] == 810  # omega
+    # omega is the parent's or 1 + omega(N(v)), searched only when |N(v)| is
+    # at least the parent's omega
+    assert calls["clique_number", "clawchroma.stress"] == 446
+    assert calls["clique_number", "clawchroma.cliques"] == 0
     # one has_clique per inserted vertex: each graph resumes its parent's
     # state, so only its last vertex is inserted
     assert calls["has_clique", "clawchroma.colorer"] == 810
@@ -152,7 +159,7 @@ def test_extension_sweeps_the_scans_graphs(monkeypatch):
     }
     swept = {n: [] for n in expected}
 
-    def record(g, state):
+    def record(g, state, facts):
         swept[g.n].append(edge_mask_of(g))
         return set(), 0, 0
 
@@ -170,6 +177,18 @@ def test_exhaustive_sweep_does_not_scan(monkeypatch):
     assert run_stress("exhaustive", max_n=6, workers=0).payload() == golden
 
 
+def _scanned(max_n):
+    """The reference sweep: scan every edge mask, check each in-class graph
+    from scratch."""
+    scanned = StressSummary("exhaustive", max_n=max_n)
+    for n in range(1, max_n + 1):
+        total = 1 << (n * (n - 1) // 2)
+        scanned.graphs_checked += total
+        for mask in K.scan_in_class(n, 0, total):
+            scanned.record(from_edge_mask(n, mask))
+    return scanned
+
+
 def test_failed_prefix_fails_every_descendant(monkeypatch):
     """With every Kempe swap and exact fallback of the colorer failing, the
     sweep counts the violations that coloring each graph from scratch does,
@@ -184,17 +203,54 @@ def test_failed_prefix_fails_every_descendant(monkeypatch):
     monkeypatch.setattr(K, "k_color", colorer_k_color_fails)
     monkeypatch.setattr(colorer, "_try_kempe_swap", lambda *args: False)
     swept = run_stress("exhaustive", max_n=6, workers=0)
-    # the reference: scan every edge mask, color each graph from scratch
-    scanned = StressSummary("exhaustive", max_n=6)
-    for n in range(1, 7):
-        total = 1 << (n * (n - 1) // 2)
-        scanned.graphs_checked += total
-        for mask in K.scan_in_class(n, 0, total):
-            scanned.record(from_edge_mask(n, mask))
-    assert swept.payload() == scanned.payload()
+    assert swept.payload() == _scanned(6).payload()
     # 10 graphs fail at n = 5, none earlier; at n = 6, 150 of the failures
     # are children of those 10, which fail at the same prefix vertex
     assert swept.violations[CHI_WITHIN_ONE] == 10 + 291 + 150
+
+
+def test_sweep_carries_omega_and_max_degree(monkeypatch):
+    seen = []
+
+    def recording(g, w, delta, chi, _fn=stress.trichotomy):
+        seen.append((g, w, delta))
+        return _fn(g, w, delta, chi)
+
+    monkeypatch.setattr(stress, "trichotomy", recording)
+    run_stress("exhaustive", max_n=6, workers=0)
+    assert len(seen) == 13217
+    for g, w, delta in seen:
+        assert (w, delta) == (omega(g), degree_profile(g)[1])
+
+
+def test_sweep_carries_failed_neighborhood_shapes(monkeypatch):
+    """A four-shape verdict that depends on <N(u)> alone is carried exactly:
+    the sweep counts what checking every vertex of every graph does."""
+
+    def fails_at_0_of_degree_3(g, u):
+        return not (u == 0 and g.adj[0].bit_count() == 3)
+
+    monkeypatch.setattr(
+        stress, "verify_neighborhood_all_cliques", fails_at_0_of_degree_3
+    )
+    swept = run_stress("exhaustive", max_n=6, workers=0)
+    assert swept.payload() == _scanned(6).payload()
+    assert swept.violations[NEIGHBORHOOD_SHAPE] > 0
+
+
+def test_exhaustive_progress_reports_each_level(capsys):
+    assert main(["stress", "--exhaustive", "4"]) == 0
+    quiet = capsys.readouterr().out
+    assert main(["stress", "--exhaustive", "4", "--progress"]) == 0
+    out, err = capsys.readouterr()
+    assert out == quiet
+    levels = [
+        re.fullmatch(r"progress: n=(\d+) done, (\d+) in class, \d+\.\d\d s", line)
+        for line in err.splitlines()[:4]
+    ]
+    assert [m and (int(m[1]), int(m[2])) for m in levels] == [
+        (1, 1), (2, 2), (3, 8), (4, 60)
+    ]
 
 
 def test_worker_count_from_env(monkeypatch):
