@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .pure import (
     claw_free_has_k5_minus_p3,
+    claw_through,
     clique_number,
     dsatur,
     find_claw,

@@ -9,7 +9,10 @@ questions: the clique number (clique_number), whether a k-clique exists
 search colors: k_color, and dsatur is its first descent. Both searches are
 single loops over an explicit stack, so no clique or graph size reaches the
 recursion limit, and no kernel builds a closure, so a call leaves no
-reference cycles for the garbage collector.
+reference cycles for the garbage collector. One rule, claw_through, finds
+the claws through a new vertex, for both sweeps that grow graphs a vertex
+at a time: the exhaustive sweep's children (in_class_extensions) and the
+sparse side of the random draw.
 
 Conventions: adj is an indexable of per-vertex neighbor bitmasks, sub is a
 bitmask restricting the operation to an induced subgraph, colors are 1-based
@@ -359,51 +362,56 @@ def k_color(adj, n: int, sub: int, k: int, clique: int = 0):
     return colors
 
 
-def in_class_extensions(adj, n: int) -> list[int]:
-    """Neighbor masks S of a new vertex n-1 that keep a graph in the class.
+def claw_through(adj, nb: int) -> bool:
+    """True iff a new vertex joined to nb lies in a claw.
+
+    adj is a graph the new vertex is not in yet, and nb its neighbors. The
+    new vertex is a leaf of a claw centered at some u in nb iff u has two
+    non-adjacent neighbors outside nb, and the center of one iff nb holds
+    an independent triple. Every claw of the grown graph that the graph
+    adj lacks goes through the new vertex, so when adj is claw-free the
+    grown graph is claw-free iff this is False.
+    """
+    m = nb
+    while m:
+        b = m & -m
+        u = b.bit_length() - 1
+        m ^= b
+        # a leaf of a claw centered at u
+        r = adj[u] & ~nb
+        while r:
+            bx = r & -r
+            r ^= bx
+            if r & ~adj[bx.bit_length() - 1]:
+                return True
+        # the center, with u as its least leaf
+        mb = nb & ~adj[u] & (-1 << (u + 1))
+        while mb:
+            bb = mb & -mb
+            mb ^= bb
+            if mb & ~adj[bb.bit_length() - 1]:
+                return True
+    return False
+
+
+def in_class_extensions(adj, n: int) -> list[tuple[int, ...]]:
+    """Adjacencies of the in-class graphs that add a vertex n-1 to adj.
 
     adj is an in-class graph on vertices 0..n-2. The class is hereditary,
-    so the graph plus a vertex v = n-1 joined to S is in it iff no claw and
-    no K5-minus-P3 goes through v. Claws are found from v's side: v as a
-    leaf of a claw centered at u in S (u has a non-adjacent pair of
-    neighbors outside S), or v as the center (S holds an independent
-    triple). A claw-free candidate then meets the precondition of
-    claw_free_has_k5_minus_p3. Masks are returned in ascending order.
+    so adj plus a vertex v = n-1 joined to S is in it iff no claw and no
+    K5-minus-P3 goes through v. claw_through finds the claws, and a
+    claw-free child meets the precondition of claw_free_has_k5_minus_p3.
+    The children come in ascending order of S, their last entry.
     """
-    v = n - 1
-    vbit = 1 << v
-    child = list(adj) + [0]
+    vbit = 1 << (n - 1)
     out = []
     for s in range(vbit):
-        m = s
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            m ^= b
-            # v as a leaf of a claw centered at u
-            r = adj[u] & ~s
-            while r:
-                bx = r & -r
-                r ^= bx
-                if r & ~adj[bx.bit_length() - 1]:
-                    break
-            else:
-                # v as the center, with u as its least leaf
-                mb = s & ~adj[u] & (-1 << (u + 1))
-                while mb:
-                    bb = mb & -mb
-                    mb ^= bb
-                    if mb & ~adj[bb.bit_length() - 1]:
-                        break
-                else:
-                    continue
-            break
-        else:
-            for u in range(v):
-                child[u] = adj[u] | vbit if s >> u & 1 else adj[u]
-            child[v] = s
-            if not claw_free_has_k5_minus_p3(child, n):
-                out.append(s)
+        if claw_through(adj, s):
+            continue
+        child = [a | vbit if s >> u & 1 else a for u, a in enumerate(adj)]
+        child.append(s)
+        if not claw_free_has_k5_minus_p3(child, n):
+            out.append(tuple(child))
     return out
 
 

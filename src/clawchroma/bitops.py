@@ -7,14 +7,7 @@ both the pure kernels and the high-level modules.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+from collections.abc import Iterator
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels as K
-from .bitops import iter_bits
 from .errors import PartialColoringError, ScaleExceededError
 from .graph import Graph
 
@@ -80,29 +79,14 @@ def dsatur_greedy(g: Graph) -> Coloring:
     return Coloring(tuple(raw)).canonical()
 
 
-def _pruning_clique(g: Graph) -> int:
-    if g.n <= ORACLE_MAX_VERTICES:
-        return K.lex_min_max_clique(g.adj, g.n, g.full_mask())
-    # beyond oracle scale fall back to a cheap greedy clique for pruning
-    mask = 0
-    cand = g.full_mask()
-    while cand:
-        best, bd = -1, -1
-        for v in iter_bits(cand):
-            d = (g.adj[v] & cand).bit_count()
-            if d > bd:
-                best, bd = v, d
-        mask |= 1 << best
-        cand &= g.adj[best]
-    return mask
-
-
 def k_colorable(g: Graph, k: int) -> Coloring | None:
     """A proper coloring with at most k colors iff one exists; exact."""
     if k < 0:
         return None
     # n colors always suffice, so larger palettes decide identically
-    raw = K.k_color(g.adj, g.n, g.full_mask(), min(k, g.n), _pruning_clique(g))
+    full = g.full_mask()
+    clique = K.lex_min_max_clique(g.adj, g.n, full)
+    raw = K.k_color(g.adj, g.n, full, min(k, g.n), clique)
     if raw is None:
         return None
     return Coloring(tuple(raw)).canonical()

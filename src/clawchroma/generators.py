@@ -17,12 +17,11 @@ yes/no rule that needs claw-freeness (claw_free_has_k5_minus_p3), not the
 least-witness search.
 
 Each claw has one newest vertex k, its center or one of its leaves, so
-looking only for the claws through k finds the first claw. Two loops look
+looking only for the claws through k finds the first claw. Two rules look
 for them, chosen by the draw's edge probability p:
 
-  p < 1/2   from N = N(k). k is the center iff three vertices of N are
-            pairwise non-adjacent; k is a leaf iff some u in N has two
-            non-adjacent neighbors outside N[k].
+  p < 1/2   from N = N(k), by K.claw_through, before k is added: the
+            rule the exhaustive sweep's extensions use too.
   p >= 1/2  from the complement side, C = {0..k-1} - N, keeping a list of
             the prefix's independent triples. k is a leaf iff some
             non-adjacent pair a < b in C has a common neighbor in N, which
@@ -35,7 +34,7 @@ for them, chosen by the draw's edge probability p:
 
 A step of the complement side costs about |C|^2 plus the number of stored
 triples, both small in a dense draw; in a sparse draw the triples blow up,
-which is why the first loop keeps p < 1/2. The complement side keeps each
+which is why claw_through keeps p < 1/2. The complement side keeps each
 vertex's non-neighbors, not its neighbors, so a step touches |C| masks,
 and the adjacency is built once, from them, when the draw is kept.
 
@@ -265,6 +264,7 @@ def _block_edges(n: int, k0: int, k1: int, base: int, above: int) -> int:
 
 def _sparse_claw_free(n: int, base: int, above: int) -> list[int] | None:
     """Adjacency of the draw, or None at its first claw, found from N(k)."""
+    claw_through = K.claw_through
     adj = [0] * n
     bounds = _block_bounds()
     bits = block = 0
@@ -276,28 +276,15 @@ def _sparse_claw_free(n: int, base: int, above: int) -> list[int] | None:
         bits >>= k
         if not nk:
             continue
+        if claw_through(adj, nk):
+            return None
         kbit = 1 << k
         adj[k] = nk
         m = nk
         while m:
             b = m & -m
-            u = b.bit_length() - 1
+            adj[b.bit_length() - 1] |= kbit
             m ^= b
-            adj[u] |= kbit
-            # k as a leaf of a claw centered at u
-            r = adj[u] & ~nk & ~kbit
-            while r:
-                bx = r & -r
-                r ^= bx
-                if r & ~adj[bx.bit_length() - 1]:
-                    return None
-            # k as the center, with u as its least leaf
-            mb = nk & ~adj[u] & (-1 << (u + 1))
-            while mb:
-                bb = mb & -mb
-                mb ^= bb
-                if mb & ~adj[bb.bit_length() - 1]:
-                    return None
     return adj
 
 
@@ -348,11 +335,9 @@ def random_claw_free_graph(
     Consumes exactly the n*(n-1)/2 stream values of random_graph either way.
     Vertex k is added with its edges to 0..k-1 and only the claws through k
     are looked for; the draw is dropped at the first claw. Below edge
-    probability 1/2 they are found from N(k): k as the center (three
-    pairwise non-adjacent neighbors) or as a leaf (a neighbor u with two
-    non-adjacent neighbors outside N[k]). From 1/2 up they are found from
-    the complement side, through the prefix's independent triples (see the
-    module docstring). The edge values are mixed one block of vertices at
+    probability 1/2 they are found from N(k) by K.claw_through, from 1/2 up
+    from the complement side, through the prefix's independent triples (see
+    the module docstring). The edge values are mixed one block of vertices at
     a time, each pair in its own lane of one int (module docstring again);
     they, and so the graph and the verdict, are those of random_graph.
     """

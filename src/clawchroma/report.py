@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import _kernels as K
-from .bitops import iter_bits, mask_of, universal_vertices
+from .bitops import iter_bits, universal_vertices
 from .cliques import omega as omega_of
 from .colorer import color_in_class
 from .coloring import ORACLE_MAX_VERTICES, Coloring, exact_chromatic
 from .errors import ClaimViolationError, ScaleExceededError
 from .graph import Graph, degree_profile
-from .recognition import ForbiddenWitness, is_in_class
+from .recognition import ForbiddenWitness, _is_c5, is_in_class
 
 WHEEL_CASE = "wheel_case"
 MIDDLE_CASE = "middle_case"
@@ -67,18 +66,16 @@ class ClassReport:
 def find_induced_wheel6(g: Graph) -> tuple[int, ...] | None:
     """Least induced 6-vertex wheel (hub plus 5-cycle), as a sorted 6-tuple.
 
-    A hub needs degree >= 5 and five neighbors inducing a 5-cycle; the rest
-    of the wheel's edge pattern then holds automatically.
+    Read off the least hub u whose <N(u)> is a 5-cycle. That is exact on
+    in-class graphs, the only ones trichotomy is given: there every <N(u)>
+    has one of the four shapes, each a C5 or co-bipartite (a P4, a clique
+    minus a matching, two disjoint cliques), and a co-bipartite graph has
+    no induced C5, so no larger N(u) holds a wheel's rim.
     """
     adj = g.adj
     for hub in range(g.n):
-        nb = tuple(iter_bits(adj[hub]))
-        if len(nb) < 5:
-            continue
-        for rim in combinations(nb, 5):
-            rim_mask = mask_of(rim)
-            if all((adj[v] & rim_mask).bit_count() == 2 for v in rim):
-                return tuple(sorted((hub,) + rim))
+        if _is_c5(adj, adj[hub]):
+            return tuple(iter_bits(adj[hub] | 1 << hub))
     return None
 
 

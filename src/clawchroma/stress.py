@@ -4,7 +4,7 @@ The exhaustive sweep grows the labeled in-class graphs level by level. The
 class is hereditary, so every in-class graph on n vertices is an in-class
 graph on vertices 0..n-2 plus vertex n-1, and it is in the class iff no claw
 and no K5-minus-P3 goes through that vertex; in_class_extensions lists the
-neighborhoods of vertex n-1 that pass. Every labeled graph on n vertices is
+children that pass, as adjacencies. Every labeled graph on n vertices is
 still decided, by its parent's verdict or by the new vertex's check, so
 graphs_checked still adds 2^(n(n-1)/2) per n, and the in-class graphs are
 exactly those that scan_in_class, the scan over all edge masks, keeps. Each
@@ -252,13 +252,9 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
     n, parents, keep = args
     part = StressSummary("exhaustive")
     children = []
-    vbit = 1 << (n - 1)
     for parent, parent_state, parent_facts in parents:
-        padj = parent.adj
-        for nb in K.in_class_extensions(padj, n):
-            adj = [a | vbit if nb >> u & 1 else a for u, a in enumerate(padj)]
-            adj.append(nb)
-            g = Graph(n, tuple(adj), parent.edge_count + nb.bit_count())
+        for adj in K.in_class_extensions(parent.adj, n):
+            g = Graph(n, adj, parent.edge_count + adj[-1].bit_count())
             state = insert_vertices(g, parent_state)
             facts = _child_facts(g, parent_facts)
             part.record(g, state, facts)

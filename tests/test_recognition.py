@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from clawchroma import _kernels as K
 from clawchroma.errors import VertexOutOfRangeError
 from clawchroma._kernels import pure
 from clawchroma.generators import (
@@ -210,6 +211,26 @@ def test_claw_free_k5_minus_p3_decision_needs_claw_free():
     assert pure.claw_free_has_k5_minus_p3(g.adj, 5) is True
     assert pure.find_k5_minus_p3(g.adj, 5) is None
     assert find_claw(g) is not None
+
+
+def test_claw_through_matches_find_claw_up_to_n5():
+    # every claw-free labeled graph on n <= 5 vertices plus a vertex n
+    # joined to each mask s: claw_through reads exactly the grown graph's claw
+    checked = hits = 0
+    for n in range(6):
+        vbit = 1 << n
+        for g in enumerate_labeled(n):
+            if pure.find_claw(g.adj, n) is not None:
+                continue
+            for s in range(vbit):
+                child = [a | vbit if s >> u & 1 else a for u, a in enumerate(g.adj)]
+                child.append(s)
+                got = K.claw_through(g.adj, s)
+                assert got == (pure.find_claw(child, n + 1) is not None), (g.adj, s)
+                checked += 1
+                hits += got
+    assert checked == 1 + 2 + 2 * 4 + 8 * 8 + 60 * 16 + 769 * 32
+    assert 0 < hits < checked
 
 
 def test_witness_soundness_over_enumeration():

@@ -1,10 +1,13 @@
 import json
+import time
+from itertools import combinations
 
 import pytest
 
 from clawchroma import _kernels as K
 from clawchroma import report
 from clawchroma._kernels import scan_in_class
+from clawchroma.bitops import iter_bits
 from clawchroma.cliques import omega
 from clawchroma.coloring import Coloring, exact_chromatic
 from clawchroma.errors import ClaimViolationError, ScaleExceededError
@@ -125,6 +128,7 @@ def test_oracle_fallback_reuses_omega_and_coloring(monkeypatch):
 
 def test_find_induced_wheel6():
     assert find_induced_wheel6(wheel(5)) == (0, 1, 2, 3, 4, 5)
+    assert find_induced_wheel6(wheel(7)) is None
     assert find_induced_wheel6(complete(6)) is None
     # embedded with relabeled vertices and an extra pendant
     g = build_graph(
@@ -133,6 +137,35 @@ def test_find_induced_wheel6():
          (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (0, 6)],
     )
     assert find_induced_wheel6(g) == (1, 2, 3, 4, 5, 7)
+
+
+def _wheel_by_rim_search(g):
+    """Least induced 6-wheel by trying every 5-subset of each N(hub)."""
+    adj = g.adj
+    for hub in range(g.n):
+        for rim in combinations(iter_bits(adj[hub]), 5):
+            rim_mask = sum(1 << v for v in rim)
+            if all((adj[v] & rim_mask).bit_count() == 2 for v in rim):
+                return tuple(sorted((hub, *rim)))
+    return None
+
+
+def test_find_induced_wheel6_matches_rim_search_up_to_n6():
+    wheels = 0
+    for n in range(7):
+        for mask in scan_in_class(n, 0, 1 << n * (n - 1) // 2):
+            g = from_edge_mask(n, mask)
+            w6 = find_induced_wheel6(g)
+            assert w6 == _wheel_by_rim_search(g), (n, mask)
+            wheels += w6 is not None
+    assert wheels == 72
+
+
+def test_find_induced_wheel6_at_1024_vertices():
+    g = complete(1024)
+    start = time.perf_counter()
+    assert find_induced_wheel6(g) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_emit_report_key_order_and_bytes():
