@@ -2,10 +2,10 @@
 
 exact_chromatic is the ground truth the verification sweeps compare
 everything against: it brackets the search between the clique number and the
-DSATUR color count (each computed by the caller or here) and decides each k
-by exact backtracking. The top of the bracket is that search's own first
-leaf: DSATUR is k_color's first descent with a palette as large as the
-graph. Outputs are canonicalized (colors renumbered by first
+color count of a proper coloring, each given by the caller or computed here,
+and decides each k by exact backtracking. The coloring computed here is
+DSATUR, the search's own first leaf: k_color's first descent with a palette
+as large as the graph. Outputs are canonicalized (colors renumbered by first
 occurrence in vertex order) so identical inputs produce identical bytes
 downstream.
 """

@@ -9,6 +9,11 @@ relative to twice the clique number:
   omega_case   delta <= 2*omega - 3: chi == omega
 
 with omega <= chi <= omega + 1 in all three and never delta > 2*omega - 1.
+Deciding chi is polynomial and constructive in the omega branch: the
+insertion coloring uses omega colors. The wheel branch is the single
+point (delta, omega) == (5, 3). The middle branch is NP-hard: for H cubic
+and triangle-free, L(H) is in the class with omega == 3 and delta == 4,
+and chi(L(H)) == 3 iff H is 3-edge-colorable (Holyer 1981).
 trichotomy states these facts once and returns each failed one as a
 ClaimViolationError named by its category: classify_trichotomy raises the
 first (silence is never an option here), the stress sweep counts them all.
@@ -23,6 +28,8 @@ classify_trichotomy decides chi by proof, in this order:
      and chi == omega + 1;
   3. otherwise the exact oracle decides, bracketed by omega and the
      insertion coloring.
+
+The stress sweep takes steps 1 and 3 without the certificate.
 """
 
 from __future__ import annotations

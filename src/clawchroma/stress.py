@@ -27,12 +27,13 @@ them, the four-shape neighborhood classification for every vertex and every
 maximum clique, one constructive coloring checked against both colorer
 contracts (omega + 1 colors at most, omega under the degree bound), and the
 path-or-cycle shape of every two-class component of every produced coloring.
-The clique number and DSATUR are computed once per graph and are the
-oracle's lower and upper bounds; the oracle's witness and the DSATUR
-coloring must be proper, the witness with exactly chi colors. When DSATUR
-was already optimal the oracle hands the same coloring back, and it is
-checked once. Each failed claim increments one violation counter; all
-counters must be zero.
+The clique number and the colorer's coloring are the oracle's lower and
+upper bounds, so no DSATUR runs unless the colorer fails, and the oracle
+searches only where that coloring uses omega + 1 colors. The oracle's
+witness must be proper with exactly chi colors; it is checked here even
+when it is the colorer's coloring handed back, because chi rests on it.
+Each failed claim increments one violation counter; all counters must be
+zero.
 
 Sweeps may be distributed over processes: CLAWCHROMA_THREADS takes an
 integer >= 0 (0, the default, and 1 run serially); any other value is a
@@ -171,8 +172,10 @@ def check_in_class_graph(
     ran the insertions; otherwise g is colored here. facts is g's (omega,
     max degree, mask of the vertices whose neighborhood fails the four-shape
     check), when the caller already has them; otherwise they are computed
-    here. Returns (violated categories, vertices colored under the degree
-    bound, exact fallbacks the colorer used on them).
+    here. The colorer runs first and its coloring tops the exact oracle's
+    bracket above omega; DSATUR tops it instead when the colorer fails.
+    Returns (violated categories, vertices colored under the degree bound,
+    exact fallbacks the colorer used on them).
     """
     if facts is None:
         w = omega_of(g)
@@ -181,32 +184,34 @@ def check_in_class_graph(
     else:
         w, delta, bad = facts
         shapes_hold = not bad
-    greedy = dsatur_greedy(g)
-    chi, oracle_coloring = exact_chromatic(g, greedy, w)
-    branch, _, failures = trichotomy(g, w, delta, chi)
-    viol = {e.category for e in failures}
-    # the oracle hands greedy back when DSATUR was already optimal
-    colorings = [oracle_coloring]
-    if greedy is not oracle_coloring:
-        colorings.append(greedy)
-    if oracle_coloring.colors_used != chi or any(
-        verify_proper(g, c) is not None for c in colorings
-    ):
-        viol.add(CHI_WITHIN_ONE)
-    strict_vertices = strict_fallbacks = 0
-    bound_holds = branch == OMEGA_CASE
     try:
         if state is None:
             coloring, trace = color_in_class(g)
         else:
             coloring, trace = finish_coloring(g, state)
     except ClaimViolationError:
+        coloring = None
+    upper = dsatur_greedy(g) if coloring is None else coloring
+    chi, oracle_coloring = exact_chromatic(g, upper, w)
+    branch, _, failures = trichotomy(g, w, delta, chi)
+    viol = {e.category for e in failures}
+    # chi rests on the witness, which is upper itself when no k below its
+    # color count succeeds
+    if (
+        oracle_coloring.colors_used != chi
+        or verify_proper(g, oracle_coloring) is not None
+    ):
+        viol.add(CHI_WITHIN_ONE)
+    colorings = [oracle_coloring]
+    if upper is not oracle_coloring:
+        colorings.append(upper)
+    strict_vertices = strict_fallbacks = 0
+    bound_holds = branch == OMEGA_CASE
+    if coloring is None:
         viol.add(CHI_WITHIN_ONE)
         if bound_holds:
             viol.add(CHI_EQUALS_OMEGA)
     else:
-        # color_in_class checked that its coloring is proper before returning
-        colorings.append(coloring)
         if coloring.colors_used > w + 1:
             viol.add(CHI_WITHIN_ONE)
         if bound_holds:

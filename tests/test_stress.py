@@ -13,13 +13,15 @@ from clawchroma import colorer, stress
 from clawchroma.cli import _dump_counterexamples, main
 from clawchroma.cliques import omega
 from clawchroma.colorer import RepairTrace
-from clawchroma.coloring import Coloring
+from clawchroma.coloring import Coloring, exact_chromatic
 from clawchroma.errors import (
     ClaimViolationError,
     ParamRangeError,
     ScaleExceededError,
 )
+from clawchroma.generators import line_graph
 from clawchroma.graph import degree_profile, edge_mask_of, from_edge_mask
+from clawchroma.report import MIDDLE_CASE, _chi_exceeds, trichotomy
 from clawchroma.stress import (
     CHI_EQUALS_OMEGA,
     CHI_WITHIN_ONE,
@@ -28,7 +30,7 @@ from clawchroma.stress import (
     check_in_class_graph,
     run_stress,
 )
-from graphzoo import claw, cycle, k4_minus_edge
+from graphzoo import claw, cycle, k4_minus_edge, petersen
 
 from clawchroma import wheel
 
@@ -66,12 +68,13 @@ def test_random_zero_samples_is_an_empty_summary():
     assert s.total_violations == 0
 
 
-def test_sweep_runs_dsatur_once_and_no_colorer_clique_search(monkeypatch):
-    """One DSATUR per in-class graph; the colorer keeps prefix omega by
-    has_clique, never by a clique_number search; the sweep's own omega
-    searches only N(v) of each new vertex v."""
+def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
+    """No DSATUR: the colorer's coloring tops the oracle's bracket, which
+    k_color opens only where that coloring uses omega + 1 colors; the colorer
+    keeps prefix omega by has_clique, never by a clique_number search; the
+    sweep's own omega searches only N(v) of each new vertex v."""
     calls = Counter()
-    for name in ("dsatur", "clique_number", "has_clique"):
+    for name in ("dsatur", "k_color", "clique_number", "has_clique"):
         def counted(*args, _fn=getattr(K, name), _name=name):
             calls[_name, sys._getframe(1).f_globals["__name__"]] += 1
             return _fn(*args)
@@ -79,7 +82,8 @@ def test_sweep_runs_dsatur_once_and_no_colorer_clique_search(monkeypatch):
         monkeypatch.setattr(K, name, counted)
     s = run_stress("exhaustive", max_n=5, workers=0)
     assert s.in_class_count == 810
-    assert sum(c for (name, _), c in calls.items() if name == "dsatur") == 810
+    assert sum(c for (name, _), c in calls.items() if name == "dsatur") == 0
+    assert calls["k_color", "clawchroma.coloring"] == 65
     assert calls["clique_number", "clawchroma.colorer"] == 0
     # omega is the parent's or 1 + omega(N(v)), searched only when |N(v)| is
     # at least the parent's omega
@@ -273,7 +277,8 @@ def test_check_in_class_graph_clean_on_wheel():
         ("exact_chromatic", (3, Coloring((1, 1, 2, 3, 2)))),
         # proper witness with more colors than chi
         ("exact_chromatic", (3, Coloring((1, 2, 3, 4, 5)))),
-        ("dsatur_greedy", Coloring((1, 2, 3, 3, 2))),
+        # improper colorer coloring at the bracket's top, returned as witness
+        ("color_in_class", (Coloring((1, 1, 2, 3, 2)), RepairTrace.from_steps([]))),
     ],
 )
 def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value):
@@ -309,6 +314,47 @@ def test_colorer_failure_categories(monkeypatch, g, colorer, expected):
     assert check_in_class_graph(g)[0] == set()
     monkeypatch.setattr(stress, "color_in_class", colorer)
     assert check_in_class_graph(g)[0] == expected
+
+
+def _chi_agrees_with_dsatur_bracket(max_n):
+    for n in range(1, max_n + 1):
+        for mask in K.scan_in_class(n, 0, 1 << (n * (n - 1) // 2)):
+            g = from_edge_mask(n, mask)
+            upper = colorer.color_in_class(g)[0]
+            assert exact_chromatic(g, upper, omega(g))[0] == exact_chromatic(g)[0]
+
+
+def test_colorer_bracket_gives_the_dsatur_bracket_chi():
+    """The sweep's oracle, bracketed by the colorer's coloring, finds the chi
+    that the oracle bracketed by DSATUR does, on every in-class graph."""
+    _chi_agrees_with_dsatur_bracket(6)
+
+
+@pytest.mark.slow
+def test_colorer_bracket_gives_the_dsatur_bracket_chi_n7():
+    _chi_agrees_with_dsatur_bracket(7)
+
+
+def test_line_graph_of_petersen_needs_one_oracle_call(monkeypatch):
+    """L(Petersen) is in the middle branch with chi = omega + 1 and has no
+    join-count certificate; the colorer's 4-coloring tops the bracket, so
+    the oracle decides k = 3 alone, and finds no 3-coloring."""
+    g = line_graph(petersen())
+    w, delta = omega(g), degree_profile(g)[1]
+    assert (g.n, w, delta) == (15, 3, 4)
+    assert trichotomy(g, w, delta, 4)[0] == MIDDLE_CASE
+    assert not _chi_exceeds(g, w)
+    oracle_calls = []
+
+    def recorded(adj, n, full, k, clique, _fn=K.k_color):
+        raw = _fn(adj, n, full, k, clique)
+        if sys._getframe(1).f_globals["__name__"] == "clawchroma.coloring":
+            oracle_calls.append((k, raw))
+        return raw
+
+    monkeypatch.setattr(K, "k_color", recorded)
+    assert check_in_class_graph(g)[0] == set()
+    assert oracle_calls == [(3, None)]
 
 
 def test_fallback_rate_definition():
