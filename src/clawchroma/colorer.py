@@ -27,8 +27,8 @@ graph those vertices induce: a graph that extends that prefix can resume
 from it, as the exhaustive sweep does, and get the coloring that starting
 from vertex 0 would give.
 
-omega_color_strict and class_color run the same coloring; the first only
-rejects up front a graph whose max degree exceeds 2*clique - 3.
+omega_color_strict and class_color run the same coloring; the first also
+rejects a graph whose max degree exceeds 2*clique - 3, read off its state.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from . import _kernels as K
 from .bitops import iter_bits, mask_components
-from .cliques import omega as omega_of
 from .coloring import ORACLE_MAX_VERTICES, Coloring, verify_proper
 from .errors import (
     BoundViolatedError,
@@ -45,7 +44,7 @@ from .errors import (
     NotInClassError,
     ScaleExceededError,
 )
-from .graph import Graph, degree_profile
+from .graph import Graph
 from .recognition import is_in_class
 
 DIRECT = "direct"
@@ -252,11 +251,10 @@ def omega_color_strict(g: Graph) -> tuple[Coloring, RepairTrace]:
     Requires max degree <= 2*omega - 3; raises BoundViolatedError otherwise.
     """
     _check_preconditions(g)
-    w = omega_of(g)
-    delta = degree_profile(g)[1]
-    if delta > 2 * w - 3:
-        raise BoundViolatedError(delta, w)
-    return color_in_class(g)
+    state = insert_vertices(g)
+    if state.failure is None and state.delta > 2 * state.omega - 3:
+        raise BoundViolatedError(state.delta, state.omega)
+    return finish_coloring(g, state)
 
 
 def class_color(g: Graph) -> tuple[Coloring, RepairTrace]:

@@ -18,18 +18,17 @@ trichotomy states these facts once and returns each failed one as a
 ClaimViolationError named by its category: classify_trichotomy raises the
 first (silence is never an option here), the stress sweep counts them all.
 
-classify_trichotomy decides chi by proof, in this order:
+prove_chi decides chi by proof from omega and a proper coloring:
 
-  1. the insertion coloring uses omega colors: chi == omega;
+  1. the coloring uses omega colors: chi == omega;
   2. it uses omega + 1 colors and a join-count certificate exists: an S in
      {V} + {N[v]}, with U the vertices of S adjacent to all the rest of S,
      such that |U| + ceil(|S - U| / alpha(S - U)) > omega. U is joined to
      S - U, so chi(S) = |U| + chi(S - U) >= |U| + |S - U| / alpha(S - U),
      and chi == omega + 1;
-  3. otherwise the exact oracle decides, bracketed by omega and the
-     insertion coloring.
+  3. otherwise the exact oracle decides, bracketed by omega and the coloring.
 
-The stress sweep takes steps 1 and 3 without the certificate.
+classify_trichotomy and the stress sweep both give it the insertion coloring.
 """
 
 from __future__ import annotations
@@ -104,6 +103,16 @@ def _chi_exceeds(g: Graph, w: int) -> bool:
     return False
 
 
+def prove_chi(g: Graph, w: int, upper: Coloring) -> tuple[int, Coloring]:
+    """(chi, witness coloring) of an in-class graph with clique number w, by
+    the three steps above from upper, a proper coloring; upper is the
+    witness unless the oracle finds fewer colors."""
+    k = upper.colors_used
+    if k == w or (k == w + 1 and _chi_exceeds(g, w)):
+        return k, upper
+    return exact_chromatic(g, upper, w)
+
+
 def trichotomy(
     g: Graph, w: int, delta: int, chi: int
 ) -> tuple[str | None, tuple[int, ...] | None, list[ClaimViolationError]]:
@@ -160,12 +169,7 @@ def classify_trichotomy(g: Graph) -> ClassReport:
     w = omega_of(g)
     delta = degree_profile(g)[1]
     coloring, _ = color_in_class(g)
-    if coloring.colors_used == w:
-        chi = w
-    elif coloring.colors_used == w + 1 and _chi_exceeds(g, w):
-        chi = w + 1
-    else:
-        chi, _ = exact_chromatic(g, coloring, w)
+    chi, _ = prove_chi(g, w, coloring)
     branch, w6, failures = trichotomy(g, w, delta, chi)
     if failures:
         raise failures[0]

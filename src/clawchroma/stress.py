@@ -21,17 +21,18 @@ are visited in extension order, so the first counterexample per category is
 the first in that order. The random sweep keeps the seeded draws that are in
 the class.
 
-In-class graphs then get the full battery: oracle chromatic number against
+In-class graphs then get the full battery: the chromatic number against
 the clique number, the trichotomy's branch facts as report.trichotomy states
 them, the four-shape neighborhood classification for every vertex and every
 maximum clique, one constructive coloring checked against both colorer
 contracts (omega + 1 colors at most, omega under the degree bound), and the
 path-or-cycle shape of every two-class component of every produced coloring.
-The clique number and the colorer's coloring are the oracle's lower and
-upper bounds, so no DSATUR runs unless the colorer fails, and the oracle
-searches only where that coloring uses omega + 1 colors. The oracle's
-witness must be proper with exactly chi colors; it is checked here even
-when it is the colorer's coloring handed back, because chi rests on it.
+report.prove_chi decides chi from the clique number and the colorer's
+coloring, so no DSATUR runs unless the colorer fails, and the oracle searches
+only where that coloring uses omega + 1 colors and no certificate exists.
+chi rests on prove_chi's witness, which must be proper with exactly chi
+colors; it is checked here unless it is the colorer's own coloring, which
+finish_coloring already checked.
 Each failed claim increments one violation counter; all counters must be
 zero.
 
@@ -58,17 +59,16 @@ from . import _kernels as K
 from .bitops import iter_bits
 from .cliques import omega as omega_of
 from .colorer import InsertionState, color_in_class, finish_coloring, insert_vertices
-from .coloring import ORACLE_MAX_VERTICES, dsatur_greedy, exact_chromatic, verify_proper
+# unused here, imported for the benchmark tracer, which wraps them at stress:
+# exact_chromatic, random_graph, is_in_class, find_induced_wheel6
+from .coloring import ORACLE_MAX_VERTICES, dsatur_greedy, exact_chromatic, verify_proper  # noqa: F401
 from .errors import ClaimViolationError, ParamRangeError, ScaleExceededError
-# random_graph is unused here; the benchmark tracer still wraps stress.random_graph
 from .generators import SplitMix64, random_graph, random_in_class_graph  # noqa: F401
 from .graph import Graph, degree_profile, edge_mask_of
 from .kempe import find_branching_component
-# the benchmark tracer wraps stress.is_in_class (unused here)
 from .recognition import is_in_class, verify_neighborhood_all_cliques  # noqa: F401
 from .report import CHI_EQUALS_OMEGA, CHI_WITHIN_ONE, DEGREE_BOUND, WHEEL_BRANCH
-# the benchmark tracer wraps stress.find_induced_wheel6 (unused here)
-from .report import OMEGA_CASE, find_induced_wheel6, trichotomy  # noqa: F401
+from .report import OMEGA_CASE, find_induced_wheel6, prove_chi, trichotomy  # noqa: F401
 
 # the fewest parents in one worker's chunk of an exhaustive level
 _MIN_CHUNK = 64
@@ -172,8 +172,8 @@ def check_in_class_graph(
     ran the insertions; otherwise g is colored here. facts is g's (omega,
     max degree, mask of the vertices whose neighborhood fails the four-shape
     check), when the caller already has them; otherwise they are computed
-    here. The colorer runs first and its coloring tops the exact oracle's
-    bracket above omega; DSATUR tops it instead when the colorer fails.
+    here. The colorer runs first and its coloring is prove_chi's upper
+    bound; DSATUR's is instead when the colorer fails.
     Returns (violated categories, vertices colored under the degree bound,
     exact fallbacks the colorer used on them).
     """
@@ -192,19 +192,15 @@ def check_in_class_graph(
     except ClaimViolationError:
         coloring = None
     upper = dsatur_greedy(g) if coloring is None else coloring
-    chi, oracle_coloring = exact_chromatic(g, upper, w)
+    chi, witness = prove_chi(g, w, upper)
     branch, _, failures = trichotomy(g, w, delta, chi)
     viol = {e.category for e in failures}
-    # chi rests on the witness, which is upper itself when no k below its
-    # color count succeeds
-    if (
-        oracle_coloring.colors_used != chi
-        or verify_proper(g, oracle_coloring) is not None
+    # chi rests on the witness; finish_coloring checked the colorer's own
+    if witness is not coloring and (
+        witness.colors_used != chi or verify_proper(g, witness) is not None
     ):
         viol.add(CHI_WITHIN_ONE)
-    colorings = [oracle_coloring]
-    if upper is not oracle_coloring:
-        colorings.append(upper)
+    colorings = [witness] if upper is witness else [witness, upper]
     strict_vertices = strict_fallbacks = 0
     bound_holds = branch == OMEGA_CASE
     if coloring is None:

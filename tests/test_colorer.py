@@ -1,6 +1,7 @@
 import pytest
 
 from clawchroma.colorer import (
+    InsertionState,
     class_color,
     color_in_class,
     finish_coloring,
@@ -10,6 +11,7 @@ from clawchroma.colorer import (
 from clawchroma.coloring import verify_proper
 from clawchroma.errors import (
     BoundViolatedError,
+    ClaimViolationError,
     NotInClassError,
     ScaleExceededError,
 )
@@ -113,6 +115,25 @@ def test_relaxed_contract_exhaustive_small():
             assert coloring.colors_used <= omega(g) + 1
             prefix = insert_vertices(induced_subgraph(g, range(n - 1))[0])
             assert finish_coloring(g, insert_vertices(g, prefix)) == (coloring, trace)
+
+
+@pytest.mark.parametrize(
+    "state, category",
+    [
+        # vertices 0 and 1 are adjacent and share a color
+        (InsertionState([1, 1, 2, 3], [], 3, 3), "colorer_proper"),
+        # proper, but omega + 1 colors where max degree <= 2*omega - 3
+        (InsertionState([1, 2, 3, 4], [], 3, 3), "colorer_bound"),
+        # an exact fallback found no coloring
+        (InsertionState([1, 0, 0, 0], [], 1, 0, "patched"), "prefix_colorable"),
+    ],
+)
+def test_finish_coloring_contract(state, category):
+    """finish_coloring is the one check of the colorer's coloring that the
+    stress sweep relies on."""
+    with pytest.raises(ClaimViolationError) as exc:
+        finish_coloring(k4_minus_edge(), state)
+    assert exc.value.category == category
 
 
 def test_deterministic_output():

@@ -9,18 +9,18 @@ from pathlib import Path
 import pytest
 
 from clawchroma import _kernels as K
-from clawchroma import colorer, stress
+from clawchroma import colorer, report, stress
 from clawchroma.cli import _dump_counterexamples, main
 from clawchroma.cliques import omega
-from clawchroma.colorer import RepairTrace
-from clawchroma.coloring import Coloring, exact_chromatic
+from clawchroma.colorer import InsertionState, RepairTrace
+from clawchroma.coloring import Coloring, exact_chromatic, k_colorable
 from clawchroma.errors import (
     ClaimViolationError,
     ParamRangeError,
     ScaleExceededError,
 )
 from clawchroma.generators import line_graph
-from clawchroma.graph import degree_profile, edge_mask_of, from_edge_mask
+from clawchroma.graph import build_graph, degree_profile, edge_mask_of, from_edge_mask
 from clawchroma.report import MIDDLE_CASE, _chi_exceeds, trichotomy
 from clawchroma.stress import (
     CHI_EQUALS_OMEGA,
@@ -70,7 +70,8 @@ def test_random_zero_samples_is_an_empty_summary():
 
 def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     """No DSATUR: the colorer's coloring tops the oracle's bracket, which
-    k_color opens only where that coloring uses omega + 1 colors; the colorer
+    k_color opens only where that coloring uses omega + 1 colors and no
+    join-count certificate exists (the 12 labeled C5s have one); the colorer
     keeps prefix omega by has_clique, never by a clique_number search; the
     sweep's own omega searches only N(v) of each new vertex v."""
     calls = Counter()
@@ -83,7 +84,7 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     s = run_stress("exhaustive", max_n=5, workers=0)
     assert s.in_class_count == 810
     assert sum(c for (name, _), c in calls.items() if name == "dsatur") == 0
-    assert calls["k_color", "clawchroma.coloring"] == 65
+    assert calls["k_color", "clawchroma.coloring"] == 53
     assert calls["clique_number", "clawchroma.colorer"] == 0
     # omega is the parent's or 1 + omega(N(v)), searched only when |N(v)| is
     # at least the parent's omega
@@ -92,6 +93,21 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     # one has_clique per inserted vertex: each graph resumes its parent's
     # state, so only its last vertex is inserted
     assert calls["has_clique", "clawchroma.colorer"] == 810
+
+
+def test_sweep_checks_each_coloring_once(monkeypatch):
+    """finish_coloring checks the colorer's coloring; the sweep checks chi's
+    witness only when it is another coloring, here each of the 53 oracle
+    witnesses (every oracle call at n <= 5 finds an omega-coloring)."""
+    checks = Counter()
+    for module in (colorer, stress):
+        def counted(g, c, _fn=module.verify_proper, _name=module.__name__):
+            checks[_name] += 1
+            return _fn(g, c)
+
+        monkeypatch.setattr(module, "verify_proper", counted)
+    run_stress("exhaustive", max_n=5, workers=0)
+    assert checks == {"clawchroma.colorer": 810, "clawchroma.stress": 53}
 
 
 def test_parallel_merge_is_deterministic(monkeypatch):
@@ -270,21 +286,26 @@ def test_check_in_class_graph_clean_on_wheel():
     assert fallbacks == 0
 
 
+# a P4 on which the colorer uses 3 colors: chi = 2 has no join-count
+# certificate, so the oracle decides it
+P4 = build_graph(4, [(0, 3), (1, 2), (2, 3)])
+
+
 @pytest.mark.parametrize(
     "target, value",
     [
-        # improper witness with the right color count
-        ("exact_chromatic", (3, Coloring((1, 1, 2, 3, 2)))),
-        # proper witness with more colors than chi
-        ("exact_chromatic", (3, Coloring((1, 2, 3, 4, 5)))),
-        # improper colorer coloring at the bracket's top, returned as witness
-        ("color_in_class", (Coloring((1, 1, 2, 3, 2)), RepairTrace.from_steps([]))),
+        # oracle witness: improper with the right color count
+        ("exact_chromatic", (2, Coloring((1, 1, 2, 2)))),
+        # oracle witness: proper with more colors than chi
+        ("exact_chromatic", (2, Coloring((1, 2, 3, 4)))),
+        # improper colorer state on C5, which finish_coloring rejects
+        ("insert_vertices", InsertionState([1, 1, 2, 3, 2], [], 2, 2)),
     ],
 )
 def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value):
-    g = cycle(5)
+    module, g = (report, P4) if target == "exact_chromatic" else (colorer, cycle(5))
     assert check_in_class_graph(g)[0] == set()
-    monkeypatch.setattr(stress, target, lambda _g, *_: value)
+    monkeypatch.setattr(module, target, lambda _g, *_: value)
     assert check_in_class_graph(g)[0] == {CHI_WITHIN_ONE}
 
 
@@ -333,6 +354,34 @@ def test_colorer_bracket_gives_the_dsatur_bracket_chi():
 @pytest.mark.slow
 def test_colorer_bracket_gives_the_dsatur_bracket_chi_n7():
     _chi_agrees_with_dsatur_bracket(7)
+
+
+def _sweep_certificates(monkeypatch, max_n):
+    """The join-count certificates an exhaustive sweep trusts in place of the
+    oracle, each confirmed by the oracle: no omega-coloring exists."""
+    certified = 0
+
+    def confirmed(g, w, _fn=report._chi_exceeds):
+        nonlocal certified
+        holds = _fn(g, w)
+        if holds:
+            assert k_colorable(g, w) is None
+            certified += 1
+        return holds
+
+    monkeypatch.setattr(report, "_chi_exceeds", confirmed)
+    assert run_stress("exhaustive", max_n=max_n, workers=0).total_violations == 0
+    return certified
+
+
+def test_sweep_certificates_agree_with_the_oracle(monkeypatch):
+    # the 12 labeled C5s and the 72 labeled W5s
+    assert _sweep_certificates(monkeypatch, 6) == 84
+
+
+@pytest.mark.slow
+def test_sweep_certificates_agree_with_the_oracle_n7(monkeypatch):
+    assert _sweep_certificates(monkeypatch, 7) == 17562
 
 
 def test_line_graph_of_petersen_needs_one_oracle_call(monkeypatch):
