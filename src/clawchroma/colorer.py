@@ -18,7 +18,10 @@ Each new vertex is colored by the first applicable mechanism:
 
 Correctness rests on the exact fallback alone: a failed Kempe attempt writes
 no color, so it only decides how often the fallback runs. The RepairTrace
-records which mechanism colored each vertex.
+records which mechanism colored each vertex; the state keeps the count per
+mechanism as it goes, so the trace is built without a rescan. The first two
+mechanisms are color_step, which report.prove_chi also uses to extend a
+coloring of G - v at v.
 
 A vertex's insertion reads only its earlier neighbors, and the clique
 query, the Kempe swap and the exact fallback stay inside the prefix. So the
@@ -64,18 +67,6 @@ class RepairTrace:
     pair_recolor_moves: int = 0
     cascade_moves: int = 0
 
-    @classmethod
-    def from_steps(cls, steps: list[tuple[int, str]]) -> "RepairTrace":
-        counts = {DIRECT: 0, KEMPE_SWAP: 0, EXACT_FALLBACK: 0}
-        for _, mech in steps:
-            counts[mech] += 1
-        return cls(
-            tuple(steps),
-            counts[DIRECT],
-            counts[KEMPE_SWAP],
-            counts[EXACT_FALLBACK],
-        )
-
 
 def _try_kempe_swap(adj, colors, u, nb, prefix, target) -> bool:
     """Swap one two-class component so a palette color frees up at u."""
@@ -107,17 +98,38 @@ def _try_kempe_swap(adj, colors, u, nb, prefix, target) -> bool:
     return False
 
 
+def color_step(adj, colors, u, nb, prefix, target) -> str | None:
+    """Color u inside the palette 1..target by the colorer's own step: the
+    least color absent from nb, u's neighbors in prefix, else one Kempe swap
+    in prefix. Returns the mechanism, or None with colors untouched when
+    neither applies."""
+    used = 0
+    m = nb
+    while m:
+        b = m & -m
+        used |= 1 << (colors[b.bit_length() - 1] - 1)
+        m ^= b
+    free = ~used & ((1 << target) - 1)
+    if free:
+        colors[u] = (free & -free).bit_length()
+        return DIRECT
+    if _try_kempe_swap(adj, colors, u, nb, prefix, target):
+        return KEMPE_SWAP
+    return None
+
+
 class InsertionState:
     """The colorer after inserting vertices 0..k-1 of a graph, k = len(colors):
-    the colors, the mechanism of each step, and the prefix clique number and
-    maximum degree.
+    the colors, the mechanism of each step, the prefix clique number and
+    maximum degree, and how many steps each mechanism took, as (direct,
+    kempe_swap, exact_fallback).
 
     failure holds the message of an exact fallback that found no coloring;
     insertion stopped there, the other fields are stale, and finish_coloring
     raises it. A plain class: a dataclass would add to the import time.
     """
 
-    __slots__ = ("colors", "steps", "omega", "delta", "failure")
+    __slots__ = ("colors", "steps", "omega", "delta", "failure", "counts")
 
     def __init__(
         self,
@@ -126,12 +138,14 @@ class InsertionState:
         omega: int,
         delta: int,
         failure: str | None = None,
+        counts: tuple[int, int, int] = (0, 0, 0),
     ):
         self.colors = colors
         self.steps = steps
         self.omega = omega
         self.delta = delta
         self.failure = failure
+        self.counts = counts
 
 
 def insert_vertices(
@@ -145,7 +159,7 @@ def insert_vertices(
     """
     n, adj = g.n, g.adj
     if parent is None:
-        lo = omega_p = delta_p = 0
+        lo = omega_p = delta_p = direct = kempe = fallback = 0
         colors, steps = [0] * n, []
     elif parent.failure is not None:
         return parent
@@ -154,6 +168,7 @@ def insert_vertices(
         colors = parent.colors + [0] * (n - lo)
         steps = parent.steps.copy()
         omega_p, delta_p = parent.omega, parent.delta
+        direct, kempe, fallback = parent.counts
     prefix = (1 << lo) - 1
     for u in range(lo, n):
         nb = adj[u] & prefix
@@ -174,18 +189,11 @@ def insert_vertices(
                 delta_p = dw
         target = omega_p if delta_p <= 2 * omega_p - 3 else omega_p + 1
 
-        used = 0
-        m = nb
-        while m:
-            b = m & -m
-            used |= 1 << (colors[b.bit_length() - 1] - 1)
-            m ^= b
-        free = ~used & ((1 << target) - 1)
-        if free:
-            colors[u] = (free & -free).bit_length()
-            mech = DIRECT
-        elif _try_kempe_swap(adj, colors, u, nb, prefix, target):
-            mech = KEMPE_SWAP
+        mech = color_step(adj, colors, u, nb, prefix, target)
+        if mech == DIRECT:
+            direct += 1
+        elif mech == KEMPE_SWAP:
+            kempe += 1
         else:
             clique = K.lex_min_max_clique(adj, n, prefix_new)
             sol = K.k_color(adj, n, prefix_new, target, clique)
@@ -198,9 +206,12 @@ def insert_vertices(
             for v in iter_bits(prefix_new):
                 colors[v] = sol[v]
             mech = EXACT_FALLBACK
+            fallback += 1
         steps.append((u, mech))
         prefix = prefix_new
-    return InsertionState(colors, steps, omega_p, delta_p)
+    return InsertionState(
+        colors, steps, omega_p, delta_p, counts=(direct, kempe, fallback)
+    )
 
 
 def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTrace]:
@@ -221,7 +232,7 @@ def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTr
         raise ClaimViolationError(
             "colorer_bound", g, f"used {out.colors_used} colors, target is {target}"
         )
-    return out, RepairTrace.from_steps(state.steps)
+    return out, RepairTrace(tuple(state.steps), *state.counts)
 
 
 def color_in_class(g: Graph) -> tuple[Coloring, RepairTrace]:

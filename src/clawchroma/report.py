@@ -28,7 +28,17 @@ prove_chi decides chi by proof from omega and a proper coloring:
      and chi == omega + 1;
   3. otherwise the exact oracle decides, bracketed by omega and the coloring.
 
-classify_trichotomy and the stress sweep both give it the insertion coloring.
+The stress sweep may also give it the chi and a witness coloring of G - v,
+for v the last vertex. chi is hereditary, so chi(G) >= chi(G - v), and the
+lower bound is the larger of that and omega: step 1 then closes when the
+coloring uses that many colors. When it does not and chi(G - v) is the
+bound, the witness of G - v is extended at v by the colorer's own step
+(colorer.color_step) in its palette, the least free color, else one Kempe
+swap; a proper result proves chi == chi(G - v). Steps 2 and 3 follow only
+when neither coloring closes the bracket, and the oracle starts at the bound.
+
+classify_trichotomy and the stress sweep both give it the insertion coloring;
+classify_trichotomy gives no G - v.
 """
 
 from __future__ import annotations
@@ -39,8 +49,8 @@ from dataclasses import dataclass
 from . import _kernels as K
 from .bitops import iter_bits, universal_vertices
 from .cliques import omega as omega_of
-from .colorer import color_in_class
-from .coloring import ORACLE_MAX_VERTICES, Coloring, exact_chromatic
+from .colorer import color_in_class, color_step
+from .coloring import ORACLE_MAX_VERTICES, Coloring, exact_chromatic, verify_proper
 from .errors import ClaimViolationError, ScaleExceededError
 from .graph import Graph, degree_profile
 from .recognition import ForbiddenWitness, _is_c5, is_in_class
@@ -103,14 +113,40 @@ def _chi_exceeds(g: Graph, w: int) -> bool:
     return False
 
 
-def prove_chi(g: Graph, w: int, upper: Coloring) -> tuple[int, Coloring]:
+def _extend_at_last(g: Graph, k: int, witness: Coloring) -> Coloring | None:
+    """witness, a k-coloring of g minus its last vertex v, extended at v by
+    the colorer's own step inside 1..k, when that gives a proper coloring."""
+    v = g.n - 1
+    colors = [*witness.assignment, 0]
+    prefix = (1 << v) - 1
+    if color_step(g.adj, colors, v, g.adj[v] & prefix, prefix, k) is None:
+        return None
+    out = Coloring(tuple(colors))
+    return out if verify_proper(g, out) is None else None
+
+
+def prove_chi(
+    g: Graph,
+    w: int,
+    upper: Coloring,
+    parent: tuple[int, Coloring] | None = None,
+) -> tuple[int, Coloring]:
     """(chi, witness coloring) of an in-class graph with clique number w, by
-    the three steps above from upper, a proper coloring; upper is the
-    witness unless the oracle finds fewer colors."""
+    the three steps above from upper, a proper coloring. parent, when given,
+    is (chi, witness coloring) of g minus its last vertex: it raises the
+    lower bound and its extension at that vertex is tried before step 2.
+    upper is the witness unless another coloring with fewer colors is."""
     k = upper.colors_used
-    if k == w or (k == w + 1 and _chi_exceeds(g, w)):
+    lower = w if parent is None else max(w, parent[0])
+    if k == lower:
         return k, upper
-    return exact_chromatic(g, upper, w)
+    if parent is not None and parent[0] == lower:
+        extended = _extend_at_last(g, *parent)
+        if extended is not None:
+            return lower, extended
+    if k == w + 1 and _chi_exceeds(g, w):
+        return k, upper
+    return exact_chromatic(g, upper, lower)
 
 
 def trichotomy(

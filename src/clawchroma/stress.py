@@ -7,19 +7,34 @@ and no K5-minus-P3 goes through that vertex; in_class_extensions lists the
 children that pass, as adjacencies. Every labeled graph on n vertices is
 still decided, by its parent's verdict or by the new vertex's check, so
 graphs_checked still adds 2^(n(n-1)/2) per n, and the in-class graphs are
-exactly those that scan_in_class, the scan over all edge masks, keeps. Each
-child resumes its parent's colorer state at vertex n-1, as that state
-depends only on the prefix. It also resumes the sweep's own facts about the
-parent: the clique number, the maximum degree and the vertices whose
-neighborhood fails the four-shape check. With v = n-1 and S = N(v), a clique
-through v is v plus a clique of S, so omega is the parent's or
-1 + clique_number(S), searched only when |S| is at least the parent's omega;
-only v and S gain degree; and for u outside S + v, <N(u)> is the parent's
-induced subgraph unchanged, so only v and S are checked again. These are
-exact, so every count and counterexample is what recomputation gives. Graphs
-are visited in extension order, so the first counterexample per category is
-the first in that order. The random sweep keeps the seeded draws that are in
-the class.
+exactly those that scan_in_class, the scan over all edge masks, keeps.
+
+Each child G, with v = n-1 and S = N(v), resumes what is known of its
+parent P = G - v, and each item is exact, so every count and counterexample
+is what checking G from scratch gives:
+
+  - the colorer's state at v, which depends only on the prefix; it keeps
+    the prefix clique number and maximum degree, so omega and delta of G
+    are read off it (recomputed only when insertion failed, which leaves
+    them stale);
+  - the vertices whose neighborhood fails the four-shape check: only v and
+    S gain neighbors, and for u outside S + v, <N(u)> is P's induced
+    subgraph unchanged, so only v and S are checked again;
+  - when P passed every check, its record (Verified): the colorer's
+    colors with their class masks, chi and chi's witness.
+
+With the record, and when the colorer's colors on P's vertices are P's (the
+lists are compared, as a repair at v may recolor P), G's coloring is
+checked through v alone: properness at v, its color count against the
+target, and the two-class degrees that v's edges change, those of v in
+every pair and of each u in S in the pair (color of u, color of v). Every
+other edge and two-class degree is P's, already verified. chi(G) >= chi(P),
+as G contains P, so prove_chi takes max(omega, chi(P)) as its lower bound
+and tries P's witness extended at v before a certificate or the oracle.
+Without the record, or when the prefix changed, G's coloring is checked in
+full. Graphs are visited in extension order, so the first counterexample per
+category is the first in that order. The random sweep keeps the seeded
+draws that are in the class.
 
 In-class graphs then get the full battery: the chromatic number against
 the clique number, the trichotomy's branch facts as report.trichotomy states
@@ -27,12 +42,13 @@ them, the four-shape neighborhood classification for every vertex and every
 maximum clique, one constructive coloring checked against both colorer
 contracts (omega + 1 colors at most, omega under the degree bound), and the
 path-or-cycle shape of every two-class component of every produced coloring.
-report.prove_chi decides chi from the clique number and the colorer's
-coloring, so no DSATUR runs unless the colorer fails, and the oracle searches
-only where that coloring uses omega + 1 colors and no certificate exists.
-chi rests on prove_chi's witness, which must be proper with exactly chi
-colors; it is checked here unless it is the colorer's own coloring, which
-finish_coloring already checked.
+report.prove_chi decides chi from the clique number, the colorer's
+coloring and, in the exhaustive sweep, the parent's chi and witness, so no
+DSATUR runs unless the colorer fails, and the oracle searches only where no
+coloring closes the bracket and no certificate exists. chi rests on
+prove_chi's witness, which must be proper with exactly chi colors; it is
+checked here unless it is the colorer's own coloring, which finish_coloring
+or the check through v already checked.
 Each failed claim increments one violation counter; all counters must be
 zero.
 
@@ -61,7 +77,7 @@ from .cliques import omega as omega_of
 from .colorer import InsertionState, color_in_class, finish_coloring, insert_vertices
 # unused here, imported for the benchmark tracer, which wraps them at stress:
 # exact_chromatic, random_graph, is_in_class, find_induced_wheel6
-from .coloring import ORACLE_MAX_VERTICES, dsatur_greedy, exact_chromatic, verify_proper  # noqa: F401
+from .coloring import ORACLE_MAX_VERTICES, Coloring, dsatur_greedy, exact_chromatic, verify_proper  # noqa: F401
 from .errors import ClaimViolationError, ParamRangeError, ScaleExceededError
 from .generators import SplitMix64, random_graph, random_in_class_graph  # noqa: F401
 from .graph import Graph, degree_profile, edge_mask_of
@@ -119,16 +135,21 @@ class StressSummary:
         self,
         g: Graph,
         state: InsertionState | None = None,
-        facts: tuple[int, int, int] | None = None,
-    ) -> None:
-        """Count one in-class graph and the claims it fails."""
+        bad: int | None = None,
+        parent: Verified | None = None,
+    ) -> Verified | None:
+        """Count one in-class graph and the claims it fails; returns the
+        record check_in_class_graph gives its children."""
         self.in_class_count += 1
-        viol, strict_vertices, strict_fallbacks = check_in_class_graph(g, state, facts)
+        viol, strict_vertices, strict_fallbacks, verified = check_in_class_graph(
+            g, state, bad, parent
+        )
         self.vertices_colored_strict += strict_vertices
         self.exact_fallbacks += strict_fallbacks
         for cat in viol:
             self.violations[cat] += 1
             self.counterexamples.setdefault(cat, (g.n, edge_mask_of(g)))
+        return verified
 
     def merge(self, part: StressSummary) -> None:
         """Add the counts of a later chunk; earlier counterexamples win."""
@@ -161,46 +182,102 @@ class StressSummary:
         return out
 
 
+@dataclass(slots=True)
+class Verified:
+    """What a graph that passed every check hands its children: the
+    colorer's colors, their class masks by color, chi and chi's witness."""
+
+    colors: list[int]
+    masks: dict[int, int]
+    chi: int
+    witness: Coloring
+
+
+def _checked_through_v(
+    g: Graph, state: InsertionState, parent: Verified
+) -> tuple[Coloring, dict[int, int]] | None:
+    """The colorer's coloring of g and its class masks, when its colors on
+    g - v, v the last vertex, are parent's and it passes the colorer's
+    checks through v alone: proper at v, within the target, and no
+    two-class component branching at v or at a neighbor of v in the pair of
+    v's color. Every check ignores color names, so the coloring is left
+    uncanonical. None sends g to the full checks."""
+    v = g.n - 1
+    colors = state.colors
+    if state.failure is not None or colors[:v] != parent.colors:
+        return None
+    adj, nb, c = g.adj, g.adj[v], colors[v]
+    own = parent.masks.get(c, 0)
+    if nb & own:
+        return None
+    own |= 1 << v
+    masks = {**parent.masks, c: own}
+    w, delta = state.omega, state.delta
+    if len(masks) > (w if delta <= 2 * w - 3 else w + 1):
+        return None
+    for mask in masks.values():
+        if mask != own and (nb & mask).bit_count() >= 3:
+            return None
+    for u in iter_bits(nb):
+        if (adj[u] & own).bit_count() >= 3:
+            return None
+    return Coloring(tuple(colors)), masks
+
+
 def check_in_class_graph(
     g: Graph,
     state: InsertionState | None = None,
-    facts: tuple[int, int, int] | None = None,
-) -> tuple[set[str], int, int]:
+    bad: int | None = None,
+    parent: Verified | None = None,
+) -> tuple[set[str], int, int, Verified | None]:
     """All per-graph claims for an in-class graph.
 
     state is the colorer's state after all of g, when the caller already
-    ran the insertions; otherwise g is colored here. facts is g's (omega,
-    max degree, mask of the vertices whose neighborhood fails the four-shape
-    check), when the caller already has them; otherwise they are computed
-    here. The colorer runs first and its coloring is prove_chi's upper
-    bound; DSATUR's is instead when the colorer fails.
+    ran the insertions; otherwise g is colored here. Omega and the maximum
+    degree are read off state unless it failed; otherwise they are computed
+    here. bad is the mask of the vertices whose neighborhood fails the
+    four-shape check, when the caller has it; otherwise every vertex is
+    checked here. parent is the record of g minus its last vertex, when that
+    graph passed every check; it needs state. The colorer runs first and its
+    coloring is prove_chi's upper bound; DSATUR's is instead when the
+    colorer fails.
     Returns (violated categories, vertices colored under the degree bound,
-    exact fallbacks the colorer used on them).
+    exact fallbacks the colorer used on them, and, when state was given and
+    g passed every check, g's record for its children).
     """
-    if facts is None:
+    if state is not None and state.failure is None:
+        w, delta = state.omega, state.delta
+    else:
         w = omega_of(g)
         delta = degree_profile(g)[1]
+    if bad is None:
         shapes_hold = all(verify_neighborhood_all_cliques(g, u) for u in range(g.n))
     else:
-        w, delta, bad = facts
         shapes_hold = not bad
-    try:
-        if state is None:
-            coloring, trace = color_in_class(g)
-        else:
-            coloring, trace = finish_coloring(g, state)
-    except ClaimViolationError:
-        coloring = None
+    resumed = None if parent is None else _checked_through_v(g, state, parent)
+    if resumed is not None:
+        coloring, masks = resumed
+        fallbacks = state.counts[2]
+    else:
+        try:
+            if state is None:
+                coloring, trace = color_in_class(g)
+            else:
+                coloring, trace = finish_coloring(g, state)
+            fallbacks = trace.exact_fallbacks
+        except ClaimViolationError:
+            coloring = None
     upper = dsatur_greedy(g) if coloring is None else coloring
-    chi, witness = prove_chi(g, w, upper)
+    chi, witness = prove_chi(
+        g, w, upper, None if parent is None else (parent.chi, parent.witness)
+    )
     branch, _, failures = trichotomy(g, w, delta, chi)
     viol = {e.category for e in failures}
-    # chi rests on the witness; finish_coloring checked the colorer's own
+    # chi rests on the witness; the colorer's own coloring is checked already
     if witness is not coloring and (
         witness.colors_used != chi or verify_proper(g, witness) is not None
     ):
         viol.add(CHI_WITHIN_ONE)
-    colorings = [witness] if upper is witness else [witness, upper]
     strict_vertices = strict_fallbacks = 0
     bound_holds = branch == OMEGA_CASE
     if coloring is None:
@@ -212,55 +289,57 @@ def check_in_class_graph(
             viol.add(CHI_WITHIN_ONE)
         if bound_holds:
             strict_vertices = g.n
-            strict_fallbacks = trace.exact_fallbacks
+            strict_fallbacks = fallbacks
             if coloring.colors_used != w:
                 viol.add(CHI_EQUALS_OMEGA)
     if not shapes_hold:
         viol.add(NEIGHBORHOOD_SHAPE)
-    for coloring in colorings:
-        if find_branching_component(g, coloring) is not None:
-            viol.add(COMPONENT_SHAPE)
-            break
-    return viol, strict_vertices, strict_fallbacks
+    # the colorer's coloring is checked through v when it was resumed
+    colorings = [] if resumed is not None else [upper]
+    if witness is not upper:
+        colorings.append(witness)
+    if any(find_branching_component(g, c) is not None for c in colorings):
+        viol.add(COMPONENT_SHAPE)
+    if state is None or viol:
+        return viol, strict_vertices, strict_fallbacks, None
+    if resumed is None:
+        masks = Coloring(tuple(state.colors)).class_masks
+    record = Verified(state.colors, masks, chi, witness)
+    return viol, strict_vertices, strict_fallbacks, record
 
 
-def _child_facts(
-    g: Graph, parent_facts: tuple[int, int, int]
-) -> tuple[int, int, int]:
-    """The facts check_in_class_graph takes, for g from those of g minus its
-    last vertex v (see the module docstring)."""
-    w, delta, bad = parent_facts
-    n, adj = g.n, g.adj
-    nb = adj[n - 1]
-    if nb.bit_count() >= w:
-        w = max(w, 1 + K.clique_number(adj, n, nb))
-    changed = nb | 1 << (n - 1)
+def _child_bad(g: Graph, bad: int) -> int:
+    """The vertices of g whose neighborhood fails the four-shape check, from
+    those of g minus its last vertex v: only v and N(v) have a new
+    neighborhood (see the module docstring)."""
+    v = g.n - 1
+    changed = g.adj[v] | 1 << v
     bad &= ~changed
     for u in iter_bits(changed):
-        delta = max(delta, adj[u].bit_count())
         if not verify_neighborhood_all_cliques(g, u):
             bad |= 1 << u
-    return w, delta, bad
+    return bad
 
 
 def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]:
     """Check every in-class child on n vertices of a slice of level n - 1.
 
-    Each parent comes with its colorer state and its facts, which each child
-    resumes at vertex n - 1. Returns the chunk's summary and, when keep is
-    set, the children with their states and facts, in order.
+    Each parent comes with its colorer state, its four-shape failures and
+    its record, or None when it failed a check, which each child resumes at
+    vertex n - 1. Returns the chunk's summary and, when keep is set, the
+    children with theirs, in order.
     """
     n, parents, keep = args
     part = StressSummary("exhaustive")
     children = []
-    for parent, parent_state, parent_facts in parents:
+    for parent, parent_state, parent_bad, verified in parents:
         for adj in K.in_class_extensions(parent.adj, n):
             g = Graph(n, adj, parent.edge_count + adj[-1].bit_count())
             state = insert_vertices(g, parent_state)
-            facts = _child_facts(g, parent_facts)
-            part.record(g, state, facts)
+            bad = _child_bad(g, parent_bad)
+            record = part.record(g, state, bad, verified)
             if keep:
-                children.append((g, state, facts))
+                children.append((g, state, bad, record))
     return part, children
 
 
@@ -326,7 +405,7 @@ def run_stress(
         if max_n > 7:
             raise ScaleExceededError("exhaustive sweeps capped at n = 7")
         summary = StressSummary(mode=mode, max_n=max_n)
-        level = [(Graph(0, ()), None, (0, 0, 0))]
+        level = [(Graph(0, ()), None, 0, None)]
         for n in range(1, max_n + 1):
             t_level = time.perf_counter()
             in_class_before = summary.in_class_count

@@ -13,18 +13,19 @@ from clawchroma import colorer, report, stress
 from clawchroma.cli import _dump_counterexamples, main
 from clawchroma.cliques import omega
 from clawchroma.colorer import InsertionState, RepairTrace
-from clawchroma.coloring import Coloring, exact_chromatic, k_colorable
+from clawchroma.coloring import Coloring, exact_chromatic, k_colorable, verify_proper
 from clawchroma.errors import (
     ClaimViolationError,
     ParamRangeError,
     ScaleExceededError,
 )
 from clawchroma.generators import line_graph
-from clawchroma.graph import build_graph, degree_profile, edge_mask_of, from_edge_mask
+from clawchroma.graph import Graph, build_graph, degree_profile, edge_mask_of, from_edge_mask
 from clawchroma.report import MIDDLE_CASE, _chi_exceeds, trichotomy
 from clawchroma.stress import (
     CHI_EQUALS_OMEGA,
     CHI_WITHIN_ONE,
+    COMPONENT_SHAPE,
     NEIGHBORHOOD_SHAPE,
     StressSummary,
     check_in_class_graph,
@@ -70,10 +71,11 @@ def test_random_zero_samples_is_an_empty_summary():
 
 def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     """No DSATUR: the colorer's coloring tops the oracle's bracket, which
-    k_color opens only where that coloring uses omega + 1 colors and no
-    join-count certificate exists (the 12 labeled C5s have one); the colorer
-    keeps prefix omega by has_clique, never by a clique_number search; the
-    sweep's own omega searches only N(v) of each new vertex v."""
+    k_color opens only where neither that coloring nor the parent's chi
+    witness extended at v closes it and no join-count certificate exists
+    (the 12 labeled C5s have one); the colorer keeps prefix omega by
+    has_clique, never by a clique_number search; the sweep reads omega off
+    the colorer's state, so it searches no clique itself."""
     calls = Counter()
     for name in ("dsatur", "k_color", "clique_number", "has_clique"):
         def counted(*args, _fn=getattr(K, name), _name=name):
@@ -84,11 +86,10 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     s = run_stress("exhaustive", max_n=5, workers=0)
     assert s.in_class_count == 810
     assert sum(c for (name, _), c in calls.items() if name == "dsatur") == 0
-    assert calls["k_color", "clawchroma.coloring"] == 53
+    assert calls["k_color", "clawchroma.coloring"] == 3
     assert calls["clique_number", "clawchroma.colorer"] == 0
-    # omega is the parent's or 1 + omega(N(v)), searched only when |N(v)| is
-    # at least the parent's omega
-    assert calls["clique_number", "clawchroma.stress"] == 446
+    # omega is the colorer state's, which no failed insertion made stale
+    assert calls["clique_number", "clawchroma.stress"] == 0
     assert calls["clique_number", "clawchroma.cliques"] == 0
     # one has_clique per inserted vertex: each graph resumes its parent's
     # state, so only its last vertex is inserted
@@ -96,18 +97,33 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
 
 
 def test_sweep_checks_each_coloring_once(monkeypatch):
-    """finish_coloring checks the colorer's coloring; the sweep checks chi's
-    witness only when it is another coloring, here each of the 53 oracle
-    witnesses (every oracle call at n <= 5 finds an omega-coloring)."""
+    """Each colorer coloring is checked once: through its new vertex when its
+    parent passed and its prefix colors are the parent's, else in full by
+    finish_coloring (here the n = 1 graph and 10 children whose insertion
+    made a Kempe swap). prove_chi checks each parent witness it extends
+    (50 here), and the sweep checks chi's witness whenever it is not the
+    colorer's coloring: those 50 and the oracle's 3."""
     checks = Counter()
-    for module in (colorer, stress):
+    for module in (colorer, report, stress):
         def counted(g, c, _fn=module.verify_proper, _name=module.__name__):
             checks[_name] += 1
             return _fn(g, c)
 
         monkeypatch.setattr(module, "verify_proper", counted)
+
+    def through_v(*args, _fn=stress._checked_through_v):
+        resumed = _fn(*args)
+        checks["through v"] += resumed is not None
+        return resumed
+
+    monkeypatch.setattr(stress, "_checked_through_v", through_v)
     run_stress("exhaustive", max_n=5, workers=0)
-    assert checks == {"clawchroma.colorer": 810, "clawchroma.stress": 53}
+    assert checks == {
+        "clawchroma.colorer": 11,
+        "through v": 799,
+        "clawchroma.report": 50,
+        "clawchroma.stress": 53,
+    }
 
 
 def test_parallel_merge_is_deterministic(monkeypatch):
@@ -179,9 +195,9 @@ def test_extension_sweeps_the_scans_graphs(monkeypatch):
     }
     swept = {n: [] for n in expected}
 
-    def record(g, state, facts):
+    def record(g, *_):
         swept[g.n].append(edge_mask_of(g))
-        return set(), 0, 0
+        return set(), 0, 0, None
 
     monkeypatch.setattr(stress, "check_in_class_graph", record)
     run_stress("exhaustive", max_n=6, workers=0)
@@ -227,6 +243,67 @@ def test_failed_prefix_fails_every_descendant(monkeypatch):
     # 10 graphs fail at n = 5, none earlier; at n = 6, 150 of the failures
     # are children of those 10, which fail at the same prefix vertex
     assert swept.violations[CHI_WITHIN_ONE] == 10 + 291 + 150
+
+
+# children at n = 6, each with a claw through its new vertex 5, so that the
+# colorer's proper coloring has a two-class component branching there: at 5
+# itself (joined to three isolated vertices, all colored 1) and at vertex 0
+# of the path 1-0-2 (5, joined to 0 and 3, takes 0's neighbors' color)
+CLAW_CHILDREN = {
+    (0, 0, 0, 0, 0): (0b100000, 0b100000, 0b100000, 0, 0, 0b111),
+    (0b110, 1, 1, 0, 0): (0b100110, 1, 1, 0b100000, 0, 0b1001),
+}
+
+
+def test_through_v_checks_match_full_checks_under_faults(monkeypatch):
+    """The checks through the new vertex count what checking each graph in
+    full does when the colorer errs. Its direct step gives v the color of
+    its one neighbor, which makes graphs fail with children from vertex 4
+    on; at vertex 5 it gives v a color outside the palette (v joined to two
+    vertices other than 0), or recolors vertex 0 like a neighbor, so the
+    prefix changes with no repair. The claw children above, taken in class
+    by both sweeps, have colorings branching at v and at a neighbor of v in
+    v's pair. Every Kempe swap and exact fallback at vertex 4 fails, so some
+    parents' insertion failed."""
+    color_step, k_color = colorer.color_step, K.k_color
+
+    def faulty_step(adj, colors, u, nb, prefix, target):
+        mech = color_step(adj, colors, u, nb, prefix, target)
+        if mech != "direct" or u < 4:
+            return mech
+        if nb.bit_count() == 1:
+            colors[u] = colors[nb.bit_length() - 1]
+        elif u == 5 and nb.bit_count() == 2 and not nb & 1:
+            colors[u] = target + 1
+        elif u == 5 and nb.bit_count() == 3 and adj[0] & prefix:
+            colors[0] = colors[(adj[0] & prefix).bit_length() - 1]
+        return mech
+
+    def failing_swap(adj, colors, u, *args, _fn=colorer._try_kempe_swap):
+        return u != 4 and _fn(adj, colors, u, *args)
+
+    def colorer_k_color_fails(*args):
+        if sys._getframe(1).f_globals["__name__"] == "clawchroma.colorer":
+            return None
+        return k_color(*args)
+
+    def with_claws(adj, n, _fn=K.in_class_extensions):
+        extra = CLAW_CHILDREN.get(adj)
+        return _fn(adj, n) + ([extra] if extra and n == 6 else [])
+
+    def scan_with_claws(n, start, stop, _fn=K.scan_in_class):
+        extra = [edge_mask_of(Graph(6, a)) for a in CLAW_CHILDREN.values()]
+        return _fn(n, start, stop) + (extra if n == 6 else [])
+
+    monkeypatch.setattr(colorer, "color_step", faulty_step)
+    monkeypatch.setattr(colorer, "_try_kempe_swap", failing_swap)
+    monkeypatch.setattr(K, "k_color", colorer_k_color_fails)
+    monkeypatch.setattr(K, "in_class_extensions", with_claws)
+    monkeypatch.setattr(K, "scan_in_class", scan_with_claws)
+    swept = run_stress("exhaustive", max_n=6, workers=0)
+    assert swept.payload() == _scanned(6).payload()
+    assert swept.violations[COMPONENT_SHAPE] == 2
+    assert swept.violations[CHI_WITHIN_ONE] > 0
 
 
 def test_sweep_carries_omega_and_max_degree(monkeypatch):
@@ -280,10 +357,11 @@ def test_worker_count_from_env(monkeypatch):
 
 
 def test_check_in_class_graph_clean_on_wheel():
-    viol, strict_vertices, fallbacks = check_in_class_graph(wheel(5))
+    viol, strict_vertices, fallbacks, record = check_in_class_graph(wheel(5))
     assert viol == set()
     assert strict_vertices == 0  # wheel violates the strict degree bound
     assert fallbacks == 0
+    assert record is None  # no colorer state was given
 
 
 # a P4 on which the colorer uses 3 colors: chi = 2 has no join-count
@@ -316,8 +394,8 @@ def _colorer_raises(g, **_):
 def _colorer_one_over(g, **_):
     # proper omega + 1 coloring of k4_minus_edge: the missing edge 2-3 is
     # not shared
-    steps = [(u, "direct") for u in range(4)]
-    return Coloring((1, 2, 3, 4)), RepairTrace.from_steps(steps)
+    steps = tuple((u, "direct") for u in range(4))
+    return Coloring((1, 2, 3, 4)), RepairTrace(steps, 4, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -381,7 +459,52 @@ def test_sweep_certificates_agree_with_the_oracle(monkeypatch):
 
 @pytest.mark.slow
 def test_sweep_certificates_agree_with_the_oracle_n7(monkeypatch):
-    assert _sweep_certificates(monkeypatch, 7) == 17562
+    # fewer than the graphs with chi = omega + 1: where the parent's chi is
+    # already omega + 1, heredity proves it and no certificate is searched
+    assert _sweep_certificates(monkeypatch, 7) == 16266
+
+
+def _sweep_chi_from_parents(monkeypatch, max_n):
+    """The chi values an exhaustive sweep takes from a graph's parent, by
+    heredity (chi of G - v above omega bounds chi below) or from the
+    parent's witness extended at v, with no certificate and no oracle; each
+    confirmed by the oracle: no (chi - 1)-coloring exists, and the witness
+    is proper with chi colors."""
+    taken = 0
+    searched = []
+
+    def certificate(*args, _fn=report._chi_exceeds):
+        searched.append("certificate")
+        return _fn(*args)
+
+    def oracle(*args, _fn=report.exact_chromatic):
+        searched.append("oracle")
+        return _fn(*args)
+
+    def confirmed(g, w, upper, parent=None, _fn=report.prove_chi):
+        nonlocal taken
+        searched.clear()
+        chi, witness = _fn(g, w, upper, parent)
+        if parent is not None and not searched and (chi > w or witness is not upper):
+            assert k_colorable(g, chi - 1) is None
+            assert witness.colors_used == chi and verify_proper(g, witness) is None
+            taken += 1
+        return chi, witness
+
+    monkeypatch.setattr(report, "_chi_exceeds", certificate)
+    monkeypatch.setattr(report, "exact_chromatic", oracle)
+    monkeypatch.setattr(stress, "prove_chi", confirmed)
+    assert run_stress("exhaustive", max_n=max_n, workers=0).total_violations == 0
+    return taken
+
+
+def test_sweep_chi_from_parents_agrees_with_the_oracle(monkeypatch):
+    assert _sweep_chi_from_parents(monkeypatch, 6) == 1470
+
+
+@pytest.mark.slow
+def test_sweep_chi_from_parents_agrees_with_the_oracle_n7(monkeypatch):
+    assert _sweep_chi_from_parents(monkeypatch, 7) == 34281
 
 
 def test_line_graph_of_petersen_needs_one_oracle_call(monkeypatch):
