@@ -16,6 +16,7 @@ from .pure import (
     find_k5_minus_p3,
     has_clique,
     in_class_extensions,
+    k5_minus_p3_through,
     k_color,
     lex_min_max_clique,
     max_cliques,

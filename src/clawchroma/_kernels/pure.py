@@ -12,7 +12,12 @@ recursion limit, and no kernel builds a closure, so a call leaves no
 reference cycles for the garbage collector. One rule, claw_through, finds
 the claws through a new vertex, for both sweeps that grow graphs a vertex
 at a time: the exhaustive sweep's children (in_class_extensions) and the
-sparse side of the random draw.
+sparse side of the random draw. One more, k5_minus_p3_through, decides the
+K5-minus-P3s through the new vertex of a claw-free child, for the
+exhaustive sweep. A whole claw-free graph is decided by
+claw_free_has_k5_minus_p3 instead, for the random draw and recognition: on
+a dense graph the rule through a vertex v costs O(|N(v)|^2), and the
+whole-graph rule is near-linear there.
 
 Conventions: adj is an indexable of per-vertex neighbor bitmasks, sub is a
 bitmask restricting the operation to an induced subgraph, colors are 1-based
@@ -394,24 +399,70 @@ def claw_through(adj, nb: int) -> bool:
     return False
 
 
+def k5_minus_p3_through(adj, nb: int) -> bool:
+    """True iff a new vertex v joined to nb lies in a K5-minus-P3.
+
+    Precondition: adj has no K5-minus-P3, and adj plus v is claw-free
+    (claw_through is False). Then every K5-minus-P3 of the grown graph goes
+    through v, and this decides whether the grown graph has one. Roles as
+    in find_k5_minus_p3: de is the edge joined to a, b and c, ab is an
+    edge, and c misses a and b. With S = nb, v takes one of three roles
+    (d and e, and a and b, are symmetric):
+
+      v = c  some edge de inside S has two common neighbors outside S;
+      v = d  some edge ec inside S leaves two vertices of S & N(e) - N[c];
+      v = a  some edge de inside S has a common neighbor c outside S and a
+             common neighbor b in S that misses c.
+
+    Each is also sufficient. The two vertices of the first two rules are
+    the a and b, and they are adjacent: otherwise d (first) or e (second)
+    is the center of a claw on a, b and v or c.
+    """
+    me = nb
+    while me:
+        be = me & -me
+        e = be.bit_length() - 1
+        me ^= be
+        ae = adj[e]
+        inner = nb & ae
+        mc = inner
+        while mc:
+            bc = mc & -mc
+            c = bc.bit_length() - 1
+            mc ^= bc
+            ac = adj[c]
+            rest = inner & ~ac & ~bc
+            if rest & (rest - 1):  # v = d, with e and c
+                return True
+            if bc < be:
+                continue  # the edge ec as de: each edge once
+            common = ae & ac
+            out = common & ~nb
+            if out & (out - 1):  # v = c
+                return True
+            if out and common & nb & ~adj[out.bit_length() - 1]:  # v = a
+                return True
+    return False
+
+
 def in_class_extensions(adj, n: int) -> list[tuple[int, ...]]:
     """Adjacencies of the in-class graphs that add a vertex n-1 to adj.
 
     adj is an in-class graph on vertices 0..n-2. The class is hereditary,
     so adj plus a vertex v = n-1 joined to S is in it iff no claw and no
-    K5-minus-P3 goes through v. claw_through finds the claws, and a
-    claw-free child meets the precondition of claw_free_has_k5_minus_p3.
-    The children come in ascending order of S, their last entry.
+    K5-minus-P3 goes through v: claw_through finds the claws, and on a
+    claw-free child k5_minus_p3_through decides the K5-minus-P3s. Only a
+    child that passes both is built. The children come in ascending order
+    of S, their last entry.
     """
     vbit = 1 << (n - 1)
     out = []
     for s in range(vbit):
-        if claw_through(adj, s):
+        if claw_through(adj, s) or k5_minus_p3_through(adj, s):
             continue
         child = [a | vbit if s >> u & 1 else a for u, a in enumerate(adj)]
         child.append(s)
-        if not claw_free_has_k5_minus_p3(child, n):
-            out.append(tuple(child))
+        out.append(tuple(child))
     return out
 
 

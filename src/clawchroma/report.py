@@ -130,23 +130,25 @@ def prove_chi(
     w: int,
     upper: Coloring,
     parent: tuple[int, Coloring] | None = None,
-) -> tuple[int, Coloring]:
-    """(chi, witness coloring) of an in-class graph with clique number w, by
-    the three steps above from upper, a proper coloring. parent, when given,
-    is (chi, witness coloring) of g minus its last vertex: it raises the
-    lower bound and its extension at that vertex is tried before step 2.
-    upper is the witness unless another coloring with fewer colors is."""
+) -> tuple[int, Coloring, bool]:
+    """(chi, witness coloring, checked) of an in-class graph with clique
+    number w, by the three steps above from upper, a proper coloring.
+    parent, when given, is (chi, witness coloring) of g minus its last
+    vertex: it raises the lower bound and its extension at that vertex is
+    tried before step 2. upper is the witness unless another coloring with
+    fewer colors is. checked is True iff the witness is that extension,
+    which is checked proper here; the oracle's witness is not checked."""
     k = upper.colors_used
     lower = w if parent is None else max(w, parent[0])
     if k == lower:
-        return k, upper
+        return k, upper, False
     if parent is not None and parent[0] == lower:
         extended = _extend_at_last(g, *parent)
         if extended is not None:
-            return lower, extended
+            return lower, extended, True
     if k == w + 1 and _chi_exceeds(g, w):
-        return k, upper
-    return exact_chromatic(g, upper, lower)
+        return k, upper, False
+    return (*exact_chromatic(g, upper, lower), False)
 
 
 def trichotomy(
@@ -205,7 +207,7 @@ def classify_trichotomy(g: Graph) -> ClassReport:
     w = omega_of(g)
     delta = degree_profile(g)[1]
     coloring, _ = color_in_class(g)
-    chi, _ = prove_chi(g, w, coloring)
+    chi, _, _ = prove_chi(g, w, coloring)
     branch, w6, failures = trichotomy(g, w, delta, chi)
     if failures:
         raise failures[0]

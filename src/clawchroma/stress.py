@@ -4,10 +4,11 @@ The exhaustive sweep grows the labeled in-class graphs level by level. The
 class is hereditary, so every in-class graph on n vertices is an in-class
 graph on vertices 0..n-2 plus vertex n-1, and it is in the class iff no claw
 and no K5-minus-P3 goes through that vertex; in_class_extensions lists the
-children that pass, as adjacencies. Every labeled graph on n vertices is
-still decided, by its parent's verdict or by the new vertex's check, so
-graphs_checked still adds 2^(n(n-1)/2) per n, and the in-class graphs are
-exactly those that scan_in_class, the scan over all edge masks, keeps.
+children that pass, as adjacencies, deciding both by local rules through
+the new vertex. Every labeled graph on n vertices is still decided, by its
+parent's verdict or by the new vertex's check, so graphs_checked still adds
+2^(n(n-1)/2) per n, and the in-class graphs are exactly those that
+scan_in_class, the scan over all edge masks, keeps.
 
 Each child G, with v = n-1 and S = N(v), resumes what is known of its
 parent P = G - v, and each item is exact, so every count and counterexample
@@ -34,7 +35,8 @@ and tries P's witness extended at v before a certificate or the oracle.
 Without the record, or when the prefix changed, G's coloring is checked in
 full. Graphs are visited in extension order, so the first counterexample per
 category is the first in that order. The random sweep keeps the seeded
-draws that are in the class.
+draws that are in the class and runs the colorer's insertions on each, so
+there too omega and delta are read off its state, not searched again.
 
 In-class graphs then get the full battery: the chromatic number against
 the clique number, the trichotomy's branch facts as report.trichotomy states
@@ -48,7 +50,9 @@ DSATUR runs unless the colorer fails, and the oracle searches only where no
 coloring closes the bracket and no certificate exists. chi rests on
 prove_chi's witness, which must be proper with exactly chi colors; it is
 checked here unless it is the colorer's own coloring, which finish_coloring
-or the check through v already checked.
+or the check through v already checked, or the parent's witness extended at
+v, which prove_chi checked: proper, and in chi(P) colors, so it has exactly
+chi(P) = chi colors.
 Each failed claim increments one violation counter; all counters must be
 zero.
 
@@ -242,8 +246,9 @@ def check_in_class_graph(
     coloring is prove_chi's upper bound; DSATUR's is instead when the
     colorer fails.
     Returns (violated categories, vertices colored under the degree bound,
-    exact fallbacks the colorer used on them, and, when state was given and
-    g passed every check, g's record for its children).
+    exact fallbacks the colorer used on them, and, when state and bad were
+    given, as the exhaustive sweep gives them, and g passed every check,
+    g's record for its children).
     """
     if state is not None and state.failure is None:
         w, delta = state.omega, state.delta
@@ -268,13 +273,14 @@ def check_in_class_graph(
         except ClaimViolationError:
             coloring = None
     upper = dsatur_greedy(g) if coloring is None else coloring
-    chi, witness = prove_chi(
+    chi, witness, checked = prove_chi(
         g, w, upper, None if parent is None else (parent.chi, parent.witness)
     )
     branch, _, failures = trichotomy(g, w, delta, chi)
     viol = {e.category for e in failures}
-    # chi rests on the witness; the colorer's own coloring is checked already
-    if witness is not coloring and (
+    # chi rests on the witness; prove_chi checked the parent's witness it
+    # extended, and the colorer's own coloring is checked already
+    if not checked and witness is not coloring and (
         witness.colors_used != chi or verify_proper(g, witness) is not None
     ):
         viol.add(CHI_WITHIN_ONE)
@@ -300,7 +306,7 @@ def check_in_class_graph(
         colorings.append(witness)
     if any(find_branching_component(g, c) is not None for c in colorings):
         viol.add(COMPONENT_SHAPE)
-    if state is None or viol:
+    if state is None or bad is None or viol:
         return viol, strict_vertices, strict_fallbacks, None
     if resumed is None:
         masks = Coloring(tuple(state.colors)).class_masks
@@ -352,7 +358,7 @@ def _random_chunk(args: tuple[int, int, list[int]]) -> StressSummary:
         p = stream.next_unit()
         g = random_in_class_graph(n, p, stream)
         if g is not None:
-            part.record(g)
+            part.record(g, insert_vertices(g))
     return part
 
 

@@ -11,6 +11,7 @@ from clawchroma.generators import (
     enumerate_labeled,
     random_claw_free_graph,
     random_graph,
+    random_in_class_graph,
 )
 from clawchroma.graph import build_graph
 from clawchroma.recognition import (
@@ -231,6 +232,66 @@ def test_claw_through_matches_find_claw_up_to_n5():
                 hits += got
     assert checked == 1 + 2 + 2 * 4 + 8 * 8 + 60 * 16 + 769 * 32
     assert 0 < hits < checked
+
+
+def _k5_minus_p3_through_agrees(adj, n, s):
+    """k5_minus_p3_through for the vertex n joined to s, on an in-class
+    graph adj with n vertices, asserted equal to the witness search on the
+    grown graph, which must be claw-free."""
+    child = [a | 1 << n if s >> u & 1 else a for u, a in enumerate(adj)]
+    child.append(s)
+    got = K.k5_minus_p3_through(adj, s)
+    assert got == (pure.find_k5_minus_p3(child, n + 1) is not None), (adj, s)
+    return got
+
+
+def _k5_minus_p3_through_agrees_on_children(n):
+    """Compare k5_minus_p3_through with the witness search on every
+    claw-free child of every in-class labeled graph on n vertices, over
+    all masks; (children checked, children with a K5-P3)."""
+    checked = hits = 0
+    for g in enumerate_labeled(n):
+        if pure.find_claw(g.adj, n) is not None:
+            continue
+        if pure.find_k5_minus_p3(g.adj, n) is not None:
+            continue
+        for s in range(1 << n):
+            if not K.claw_through(g.adj, s):
+                checked += 1
+                hits += _k5_minus_p3_through_agrees(g.adj, n, s)
+    return checked, hits
+
+
+def test_k5_minus_p3_through_matches_find_k5_minus_p3_up_to_n5():
+    # the parents of the exhaustive sweep's graphs up to n = 6: one
+    # claw-free mask per check that in_class_extensions makes
+    counts = [_k5_minus_p3_through_agrees_on_children(n) for n in range(6)]
+    assert counts == [(1, 0), (2, 0), (8, 0), (60, 0), (769, 30), (14582, 2175)]
+
+
+@pytest.mark.slow
+def test_k5_minus_p3_through_matches_find_k5_minus_p3_n6():
+    checked, hits = _k5_minus_p3_through_agrees_on_children(6)
+    assert checked - hits == 238085  # the in-class labeled graphs with n = 7
+    assert (checked, hits) == (338617, 100532)
+
+
+def test_k5_minus_p3_through_on_seeded_children():
+    # seeded in-class draws with n 5..23, at sparse and at dense edge
+    # probabilities, each grown by a vertex joined to 16 random masks
+    stream = SplitMix64(47)
+    verdicts = {True: 0, False: 0}
+    for i in range(2000):
+        n = 5 + stream.next_below(19)
+        u = stream.next_unit()
+        g = random_in_class_graph(n, 0.5 * u if i % 2 else 0.75 + 0.25 * u, stream)
+        if g is None:
+            continue
+        for _ in range(16):
+            s = stream.next_u64() & ((1 << n) - 1)
+            if not K.claw_through(g.adj, s):
+                verdicts[_k5_minus_p3_through_agrees(g.adj, n, s)] += 1
+    assert verdicts == {True: 2433, False: 1276}
 
 
 def test_witness_soundness_over_enumeration():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from clawchroma import _kernels as K
+from clawchroma._kernels import pure
 from clawchroma import colorer, report, stress
 from clawchroma.cli import _dump_counterexamples, main
 from clawchroma.cliques import omega
@@ -96,13 +97,28 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     assert calls["has_clique", "clawchroma.colorer"] == 810
 
 
+def test_sweep_decides_k5_minus_p3_through_the_new_vertex(monkeypatch):
+    """The sweep decides K5-P3 by the local rule through each child's new
+    vertex, once per claw-free mask, and never on a whole child."""
+    calls = Counter()
+    for module in (K, pure):
+        for name in ("claw_free_has_k5_minus_p3", "k5_minus_p3_through"):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    assert run_stress("exhaustive", max_n=6, workers=0).in_class_count == 13217
+    assert calls == {"k5_minus_p3_through": 15422}
+
+
 def test_sweep_checks_each_coloring_once(monkeypatch):
     """Each colorer coloring is checked once: through its new vertex when its
     parent passed and its prefix colors are the parent's, else in full by
     finish_coloring (here the n = 1 graph and 10 children whose insertion
     made a Kempe swap). prove_chi checks each parent witness it extends
-    (50 here), and the sweep checks chi's witness whenever it is not the
-    colorer's coloring: those 50 and the oracle's 3."""
+    (50 here), and the sweep checks chi's witness when it is neither the
+    colorer's coloring nor one of those: the oracle's 3."""
     checks = Counter()
     for module in (colorer, report, stress):
         def counted(g, c, _fn=module.verify_proper, _name=module.__name__):
@@ -122,7 +138,7 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
         "clawchroma.colorer": 11,
         "through v": 799,
         "clawchroma.report": 50,
-        "clawchroma.stress": 53,
+        "clawchroma.stress": 3,
     }
 
 
@@ -484,12 +500,12 @@ def _sweep_chi_from_parents(monkeypatch, max_n):
     def confirmed(g, w, upper, parent=None, _fn=report.prove_chi):
         nonlocal taken
         searched.clear()
-        chi, witness = _fn(g, w, upper, parent)
+        chi, witness, checked = _fn(g, w, upper, parent)
         if parent is not None and not searched and (chi > w or witness is not upper):
             assert k_colorable(g, chi - 1) is None
             assert witness.colors_used == chi and verify_proper(g, witness) is None
             taken += 1
-        return chi, witness
+        return chi, witness, checked
 
     monkeypatch.setattr(report, "_chi_exceeds", certificate)
     monkeypatch.setattr(report, "exact_chromatic", oracle)
