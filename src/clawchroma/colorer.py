@@ -2,12 +2,13 @@
 
 Vertices are inserted one at a time while a proper coloring of the current
 prefix is maintained inside a target palette: the prefix clique number when
-the prefix satisfies max-degree <= 2*clique-3, one more color otherwise. The
-target never shrinks as the prefix grows, so earlier colors stay valid.
-Inserting a vertex u raises the prefix clique number by one at most, and
-exactly when its earlier neighbors hold a clique of the old size, so the
-prefix clique number is kept by increment: one has_clique query per vertex,
-which stops at the first such clique, instead of a full clique search.
+the prefix satisfies max-degree <= 2*clique-3, one more color otherwise
+(target_colors). The target never shrinks as the prefix grows, so earlier
+colors stay valid. Inserting a vertex u raises the prefix clique number by
+one at most, and exactly when its earlier neighbors hold a clique of the old
+size, so the prefix clique number is kept by increment: one has_clique query
+per vertex, which stops at the first such clique, instead of a full clique
+search.
 
 Each new vertex is colored by the first applicable mechanism:
 
@@ -96,6 +97,12 @@ def _try_kempe_swap(adj, colors, u, nb, prefix, target) -> bool:
                 colors[u] = freed
                 return True
     return False
+
+
+def target_colors(w: int, delta: int) -> int:
+    """The colorer's palette for clique number w and maximum degree delta:
+    w colors when delta <= 2*w - 3, else w + 1."""
+    return w if delta <= 2 * w - 3 else w + 1
 
 
 def color_step(adj, colors, u, nb, prefix, target) -> str | None:
@@ -187,7 +194,7 @@ def insert_vertices(
             dw = (adj[b.bit_length() - 1] & prefix_new).bit_count()
             if dw > delta_p:
                 delta_p = dw
-        target = omega_p if delta_p <= 2 * omega_p - 3 else omega_p + 1
+        target = target_colors(omega_p, delta_p)
 
         mech = color_step(adj, colors, u, nb, prefix, target)
         if mech == DIRECT:
@@ -226,8 +233,7 @@ def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTr
     out = Coloring(tuple(state.colors)).canonical()
     if verify_proper(g, out) is not None:
         raise ClaimViolationError("colorer_proper", g, "output coloring improper")
-    w, delta = state.omega, state.delta
-    target = w if delta <= 2 * w - 3 else w + 1
+    target = target_colors(state.omega, state.delta)
     if g.n and out.colors_used > target:
         raise ClaimViolationError(
             "colorer_bound", g, f"used {out.colors_used} colors, target is {target}"
@@ -263,7 +269,7 @@ def omega_color_strict(g: Graph) -> tuple[Coloring, RepairTrace]:
     """
     _check_preconditions(g)
     state = insert_vertices(g)
-    if state.failure is None and state.delta > 2 * state.omega - 3:
+    if state.failure is None and target_colors(state.omega, state.delta) > state.omega:
         raise BoundViolatedError(state.delta, state.omega)
     return finish_coloring(g, state)
 

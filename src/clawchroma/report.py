@@ -34,10 +34,13 @@ lower bound is the larger of that and omega: step 1 then closes when the
 coloring uses that many colors. When it does not and chi(G - v) is the
 bound, the witness of G - v is extended at v by the colorer's own step
 (colorer.color_step) in its palette, the least free color, else one Kempe
-swap; a proper result proves chi == chi(G - v). Steps 2 and 3 follow only
-when neither coloring closes the bracket, and the oracle starts at the bound.
+swap; that result is the witness of chi == chi(G - v), which the sweep
+checks proper, as it checks every witness but the colorer's own coloring.
+Steps 2 and 3 follow only when neither coloring closes the bracket, and the
+oracle starts at the bound.
 
-classify_trichotomy and the stress sweep both give it the insertion coloring;
+classify_trichotomy and the stress sweep both give it the insertion coloring
+and read omega and the maximum degree off the colorer's state;
 classify_trichotomy gives no G - v.
 """
 
@@ -48,11 +51,13 @@ from dataclasses import dataclass
 
 from . import _kernels as K
 from .bitops import iter_bits, universal_vertices
-from .cliques import omega as omega_of
-from .colorer import color_in_class, color_step
-from .coloring import ORACLE_MAX_VERTICES, Coloring, exact_chromatic, verify_proper
+# unused here, imported for the benchmark tracer, which wraps them at report:
+# omega_of, color_in_class
+from .cliques import omega as omega_of  # noqa: F401
+from .colorer import color_in_class, color_step, finish_coloring, insert_vertices  # noqa: F401
+from .coloring import ORACLE_MAX_VERTICES, Coloring, exact_chromatic
 from .errors import ClaimViolationError, ScaleExceededError
-from .graph import Graph, degree_profile
+from .graph import Graph
 from .recognition import ForbiddenWitness, _is_c5, is_in_class
 
 WHEEL_CASE = "wheel_case"
@@ -115,14 +120,13 @@ def _chi_exceeds(g: Graph, w: int) -> bool:
 
 def _extend_at_last(g: Graph, k: int, witness: Coloring) -> Coloring | None:
     """witness, a k-coloring of g minus its last vertex v, extended at v by
-    the colorer's own step inside 1..k, when that gives a proper coloring."""
+    the colorer's own step inside 1..k, or None when that step fails."""
     v = g.n - 1
     colors = [*witness.assignment, 0]
     prefix = (1 << v) - 1
     if color_step(g.adj, colors, v, g.adj[v] & prefix, prefix, k) is None:
         return None
-    out = Coloring(tuple(colors))
-    return out if verify_proper(g, out) is None else None
+    return Coloring(tuple(colors))
 
 
 def prove_chi(
@@ -130,25 +134,25 @@ def prove_chi(
     w: int,
     upper: Coloring,
     parent: tuple[int, Coloring] | None = None,
-) -> tuple[int, Coloring, bool]:
-    """(chi, witness coloring, checked) of an in-class graph with clique
-    number w, by the three steps above from upper, a proper coloring.
-    parent, when given, is (chi, witness coloring) of g minus its last
-    vertex: it raises the lower bound and its extension at that vertex is
-    tried before step 2. upper is the witness unless another coloring with
-    fewer colors is. checked is True iff the witness is that extension,
-    which is checked proper here; the oracle's witness is not checked."""
+) -> tuple[int, Coloring]:
+    """(chi, witness coloring) of an in-class graph with clique number w, by
+    the three steps above from upper, a proper coloring. parent, when given,
+    is (chi, witness coloring) of g minus its last vertex: it raises the
+    lower bound and its extension at that vertex is tried before step 2.
+    upper is the witness unless another coloring with fewer colors is. No
+    witness is checked here: chi rests on the witness, so a caller that
+    trusts chi checks it, unless it is upper."""
     k = upper.colors_used
     lower = w if parent is None else max(w, parent[0])
     if k == lower:
-        return k, upper, False
+        return k, upper
     if parent is not None and parent[0] == lower:
         extended = _extend_at_last(g, *parent)
         if extended is not None:
-            return lower, extended, True
+            return lower, extended
     if k == w + 1 and _chi_exceeds(g, w):
-        return k, upper, False
-    return (*exact_chromatic(g, upper, lower), False)
+        return k, upper
+    return exact_chromatic(g, upper, lower)
 
 
 def trichotomy(
@@ -204,10 +208,10 @@ def classify_trichotomy(g: Graph) -> ClassReport:
             coloring=None,
             witnesses=(verdict.witness,),
         )
-    w = omega_of(g)
-    delta = degree_profile(g)[1]
-    coloring, _ = color_in_class(g)
-    chi, _, _ = prove_chi(g, w, coloring)
+    state = insert_vertices(g)
+    coloring, _ = finish_coloring(g, state)
+    w, delta = state.omega, state.delta
+    chi, _ = prove_chi(g, w, coloring)
     branch, w6, failures = trichotomy(g, w, delta, chi)
     if failures:
         raise failures[0]

@@ -35,8 +35,10 @@ and tries P's witness extended at v before a certificate or the oracle.
 Without the record, or when the prefix changed, G's coloring is checked in
 full. Graphs are visited in extension order, so the first counterexample per
 category is the first in that order. The random sweep keeps the seeded
-draws that are in the class and runs the colorer's insertions on each, so
-there too omega and delta are read off its state, not searched again.
+draws that are in the class, runs the colorer's insertions on each and
+checks every vertex's neighborhood, so both sweeps hand check_in_class_graph
+the same facts, and there too omega and delta are read off the colorer's
+state, not searched again.
 
 In-class graphs then get the full battery: the chromatic number against
 the clique number, the trichotomy's branch facts as report.trichotomy states
@@ -50,9 +52,7 @@ DSATUR runs unless the colorer fails, and the oracle searches only where no
 coloring closes the bracket and no certificate exists. chi rests on
 prove_chi's witness, which must be proper with exactly chi colors; it is
 checked here unless it is the colorer's own coloring, which finish_coloring
-or the check through v already checked, or the parent's witness extended at
-v, which prove_chi checked: proper, and in chi(P) colors, so it has exactly
-chi(P) = chi colors.
+or the check through v already checked.
 Each failed claim increments one violation counter; all counters must be
 zero.
 
@@ -78,9 +78,9 @@ from dataclasses import dataclass, field
 from . import _kernels as K
 from .bitops import iter_bits
 from .cliques import omega as omega_of
-from .colorer import InsertionState, color_in_class, finish_coloring, insert_vertices
 # unused here, imported for the benchmark tracer, which wraps them at stress:
-# exact_chromatic, random_graph, is_in_class, find_induced_wheel6
+# color_in_class, exact_chromatic, random_graph, is_in_class, find_induced_wheel6
+from .colorer import InsertionState, color_in_class, finish_coloring, insert_vertices, target_colors  # noqa: F401
 from .coloring import ORACLE_MAX_VERTICES, Coloring, dsatur_greedy, exact_chromatic, verify_proper  # noqa: F401
 from .errors import ClaimViolationError, ParamRangeError, ScaleExceededError
 from .generators import SplitMix64, random_graph, random_in_class_graph  # noqa: F401
@@ -90,7 +90,7 @@ from .recognition import is_in_class, verify_neighborhood_all_cliques  # noqa: F
 from .report import CHI_EQUALS_OMEGA, CHI_WITHIN_ONE, DEGREE_BOUND, WHEEL_BRANCH
 from .report import OMEGA_CASE, find_induced_wheel6, prove_chi, trichotomy  # noqa: F401
 
-# the fewest parents in one worker's chunk of an exhaustive level
+# the fewest items, parents or sample seeds, in one worker's chunk
 _MIN_CHUNK = 64
 
 COMPONENT_SHAPE = "component_shape"
@@ -138,8 +138,8 @@ class StressSummary:
     def record(
         self,
         g: Graph,
-        state: InsertionState | None = None,
-        bad: int | None = None,
+        state: InsertionState,
+        bad: int,
         parent: Verified | None = None,
     ) -> Verified | None:
         """Count one in-class graph and the claims it fails; returns the
@@ -216,8 +216,7 @@ def _checked_through_v(
         return None
     own |= 1 << v
     masks = {**parent.masks, c: own}
-    w, delta = state.omega, state.delta
-    if len(masks) > (w if delta <= 2 * w - 3 else w + 1):
+    if len(masks) > target_colors(state.omega, state.delta):
         return None
     for mask in masks.values():
         if mask != own and (nb & mask).bit_count() >= 3:
@@ -229,58 +228,42 @@ def _checked_through_v(
 
 
 def check_in_class_graph(
-    g: Graph,
-    state: InsertionState | None = None,
-    bad: int | None = None,
-    parent: Verified | None = None,
+    g: Graph, state: InsertionState, bad: int, parent: Verified | None = None
 ) -> tuple[set[str], int, int, Verified | None]:
     """All per-graph claims for an in-class graph.
 
-    state is the colorer's state after all of g, when the caller already
-    ran the insertions; otherwise g is colored here. Omega and the maximum
-    degree are read off state unless it failed; otherwise they are computed
-    here. bad is the mask of the vertices whose neighborhood fails the
-    four-shape check, when the caller has it; otherwise every vertex is
-    checked here. parent is the record of g minus its last vertex, when that
-    graph passed every check; it needs state. The colorer runs first and its
-    coloring is prove_chi's upper bound; DSATUR's is instead when the
-    colorer fails.
+    state is the colorer's state after all of g (insert_vertices), and bad
+    the mask of the vertices whose neighborhood fails the four-shape check
+    (_shape_failures). Omega and the maximum degree are read off state,
+    unless insertion failed and left them stale; then they are computed
+    here. parent is the record of g minus its last vertex, when that graph
+    passed every check. The colorer's coloring is prove_chi's upper bound;
+    DSATUR's is instead when the colorer fails.
     Returns (violated categories, vertices colored under the degree bound,
-    exact fallbacks the colorer used on them, and, when state and bad were
-    given, as the exhaustive sweep gives them, and g passed every check,
-    g's record for its children).
+    exact fallbacks the colorer used on them, and, when g passed every
+    check, g's record for its children).
     """
-    if state is not None and state.failure is None:
+    if state.failure is None:
         w, delta = state.omega, state.delta
     else:
         w = omega_of(g)
         delta = degree_profile(g)[1]
-    if bad is None:
-        shapes_hold = all(verify_neighborhood_all_cliques(g, u) for u in range(g.n))
-    else:
-        shapes_hold = not bad
     resumed = None if parent is None else _checked_through_v(g, state, parent)
     if resumed is not None:
         coloring, masks = resumed
-        fallbacks = state.counts[2]
     else:
         try:
-            if state is None:
-                coloring, trace = color_in_class(g)
-            else:
-                coloring, trace = finish_coloring(g, state)
-            fallbacks = trace.exact_fallbacks
+            coloring, _ = finish_coloring(g, state)
         except ClaimViolationError:
             coloring = None
     upper = dsatur_greedy(g) if coloring is None else coloring
-    chi, witness, checked = prove_chi(
+    chi, witness = prove_chi(
         g, w, upper, None if parent is None else (parent.chi, parent.witness)
     )
     branch, _, failures = trichotomy(g, w, delta, chi)
     viol = {e.category for e in failures}
-    # chi rests on the witness; prove_chi checked the parent's witness it
-    # extended, and the colorer's own coloring is checked already
-    if not checked and witness is not coloring and (
+    # chi rests on the witness; the colorer's own coloring is checked already
+    if witness is not coloring and (
         witness.colors_used != chi or verify_proper(g, witness) is not None
     ):
         viol.add(CHI_WITHIN_ONE)
@@ -295,10 +278,10 @@ def check_in_class_graph(
             viol.add(CHI_WITHIN_ONE)
         if bound_holds:
             strict_vertices = g.n
-            strict_fallbacks = fallbacks
+            strict_fallbacks = state.counts[2]
             if coloring.colors_used != w:
                 viol.add(CHI_EQUALS_OMEGA)
-    if not shapes_hold:
+    if bad:
         viol.add(NEIGHBORHOOD_SHAPE)
     # the colorer's coloring is checked through v when it was resumed
     colorings = [] if resumed is not None else [upper]
@@ -306,7 +289,7 @@ def check_in_class_graph(
         colorings.append(witness)
     if any(find_branching_component(g, c) is not None for c in colorings):
         viol.add(COMPONENT_SHAPE)
-    if state is None or bad is None or viol:
+    if viol:
         return viol, strict_vertices, strict_fallbacks, None
     if resumed is None:
         masks = Coloring(tuple(state.colors)).class_masks
@@ -314,14 +297,12 @@ def check_in_class_graph(
     return viol, strict_vertices, strict_fallbacks, record
 
 
-def _child_bad(g: Graph, bad: int) -> int:
-    """The vertices of g whose neighborhood fails the four-shape check, from
-    those of g minus its last vertex v: only v and N(v) have a new
-    neighborhood (see the module docstring)."""
-    v = g.n - 1
-    changed = g.adj[v] | 1 << v
-    bad &= ~changed
-    for u in iter_bits(changed):
+def _shape_failures(g: Graph, check: int, bad: int = 0) -> int:
+    """bad with the vertices in check replaced by those of them whose
+    neighborhood fails the four-shape check. A child's are its parent's
+    with v and N(v) checked again (see the module docstring)."""
+    bad &= ~check
+    for u in iter_bits(check):
         if not verify_neighborhood_all_cliques(g, u):
             bad |= 1 << u
     return bad
@@ -342,7 +323,7 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
         for adj in K.in_class_extensions(parent.adj, n):
             g = Graph(n, adj, parent.edge_count + adj[-1].bit_count())
             state = insert_vertices(g, parent_state)
-            bad = _child_bad(g, parent_bad)
+            bad = _shape_failures(g, adj[-1] | 1 << (n - 1), parent_bad)
             record = part.record(g, state, bad, verified)
             if keep:
                 children.append((g, state, bad, record))
@@ -358,7 +339,7 @@ def _random_chunk(args: tuple[int, int, list[int]]) -> StressSummary:
         p = stream.next_unit()
         g = random_in_class_graph(n, p, stream)
         if g is not None:
-            part.record(g, insert_vertices(g))
+            part.record(g, insert_vertices(g), _shape_failures(g, g.full_mask()))
     return part
 
 
@@ -373,22 +354,36 @@ def _worker_count(workers: int | None) -> int:
     return max(0, workers)
 
 
-def _run_chunks(
-    chunks, fn, workers: int, progress: bool
-) -> list[StressSummary]:
+def _slices(items: list, workers: int) -> list[list]:
+    """items in order: one slice when serial, else slices of at least
+    _MIN_CHUNK items, about eight per worker."""
+    if workers <= 1:
+        step = max(len(items), 1)
+    else:
+        step = max(_MIN_CHUNK, len(items) // (8 * workers))
+    return [items[i : i + step] for i in range(0, len(items), step)]
+
+
+def _gather(results, total: int, progress: bool) -> list:
+    parts = []
+    for part in results:
+        parts.append(part)
+        if progress:
+            print(f"progress: chunk {len(parts)}/{total}", file=sys.stderr)
+    return parts
+
+
+def _run_chunks(chunks, fn, workers: int, progress: bool) -> list:
+    """fn over chunks, in order; with progress, a line on stderr as each
+    chunk's result arrives."""
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
-        parts = []
-        for i, chunk in enumerate(chunks):
-            parts.append(fn(chunk))
-            if progress:
-                print(f"progress: chunk {i + 1}/{len(chunks)}", file=sys.stderr)
-        return parts
+        return _gather(map(fn, chunks), len(chunks), progress)
     # imported here so that processes which never fork do not load it
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+        return _gather(pool.map(fn, chunks), len(chunks), progress)
 
 
 def run_stress(
@@ -415,14 +410,8 @@ def run_stress(
         for n in range(1, max_n + 1):
             t_level = time.perf_counter()
             in_class_before = summary.in_class_count
-            step = (
-                len(level) if workers <= 1
-                else max(_MIN_CHUNK, len(level) // (8 * workers))
-            )
             keep = n < max_n
-            chunks = [
-                (n, level[i : i + step], keep) for i in range(0, len(level), step)
-            ]
+            chunks = [(n, parents, keep) for parents in _slices(level, workers)]
             summary.graphs_checked += 1 << (n * (n - 1) // 2)
             level = []
             for part, children in _run_chunks(
@@ -451,11 +440,7 @@ def run_stress(
         )
         master = SplitMix64(seed)
         sample_seeds = [master.next_u64() for _ in range(samples)]
-        step = max(samples, 1) if workers <= 1 else max(64, samples // (8 * workers))
-        chunks = [
-            (n_lo, n_hi, sample_seeds[i : i + step])
-            for i in range(0, samples, step)
-        ]
+        chunks = [(n_lo, n_hi, seeds) for seeds in _slices(sample_seeds, workers)]
         for part in _run_chunks(chunks, _random_chunk, workers, progress):
             summary.merge(part)
     else:

@@ -11,7 +11,7 @@ from clawchroma.bitops import iter_bits
 from clawchroma.cliques import omega
 from clawchroma.coloring import Coloring, exact_chromatic
 from clawchroma.errors import ClaimViolationError, ScaleExceededError
-from clawchroma.graph import build_graph, from_edge_mask
+from clawchroma.graph import build_graph, degree_profile, from_edge_mask
 from clawchroma.report import (
     MIDDLE_CASE,
     OMEGA_CASE,
@@ -97,7 +97,7 @@ def test_classify_trichotomy_raises_first_failure(monkeypatch):
     # then chi_within_one
     g = k4_minus_edge()
     monkeypatch.setattr(
-        report, "color_in_class", lambda _g: (Coloring((1, 2, 3, 4)), None)
+        report, "finish_coloring", lambda _g, _state: (Coloring((1, 2, 3, 4)), None)
     )
     monkeypatch.setattr(report, "exact_chromatic", lambda *_: (5, None))
     with pytest.raises(ClaimViolationError) as exc:
@@ -107,7 +107,8 @@ def test_classify_trichotomy_raises_first_failure(monkeypatch):
 
 def test_oracle_fallback_reuses_omega_and_coloring(monkeypatch):
     # P4 0-3-2-1: the colorer uses 3 colors and no join-count certificate
-    # exists, so the oracle decides chi = 2 from the bracket it is handed
+    # exists, so the oracle decides chi = 2 from the bracket it is handed;
+    # omega is read off the colorer's state, so no clique search runs
     calls = {"dsatur": 0, "clique_number": 0}
 
     def counted(name):
@@ -123,7 +124,7 @@ def test_oracle_fallback_reuses_omega_and_coloring(monkeypatch):
         monkeypatch.setattr(K, name, counted(name))
     r = classify_trichotomy(build_graph(4, [(0, 3), (1, 2), (2, 3)]))
     assert (r.omega, r.chi, r.coloring.colors_used) == (2, 2, 3)
-    assert calls == {"dsatur": 0, "clique_number": 1}
+    assert calls == {"dsatur": 0, "clique_number": 0}
 
 
 def test_find_induced_wheel6():
@@ -228,7 +229,9 @@ def report_chi_agrees_with_oracle(monkeypatch, n):
     checked = 0
     for mask in scan_in_class(n, 0, 1 << (n * (n - 1) // 2)):
         g = from_edge_mask(n, mask)
-        assert classify_trichotomy(g).chi == exact_chromatic(g)[0], (n, mask)
+        r = classify_trichotomy(g)
+        assert r.chi == exact_chromatic(g)[0], (n, mask)
+        assert (r.omega, r.delta) == (omega(g), degree_profile(g)[1]), (n, mask)
         checked += 1
     assert all(w == 2 for w, chi in fallbacks if chi == w + 1)
     return checked

@@ -29,6 +29,7 @@ from clawchroma.stress import (
     COMPONENT_SHAPE,
     NEIGHBORHOOD_SHAPE,
     StressSummary,
+    _shape_failures,
     check_in_class_graph,
     run_stress,
 )
@@ -116,11 +117,11 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
     """Each colorer coloring is checked once: through its new vertex when its
     parent passed and its prefix colors are the parent's, else in full by
     finish_coloring (here the n = 1 graph and 10 children whose insertion
-    made a Kempe swap). prove_chi checks each parent witness it extends
-    (50 here), and the sweep checks chi's witness when it is neither the
-    colorer's coloring nor one of those: the oracle's 3."""
+    made a Kempe swap). The sweep checks chi's witness whenever it is not
+    the colorer's coloring: 50 parent witnesses extended at v and the
+    oracle's 3."""
     checks = Counter()
-    for module in (colorer, report, stress):
+    for module in (colorer, stress):
         def counted(g, c, _fn=module.verify_proper, _name=module.__name__):
             checks[_name] += 1
             return _fn(g, c)
@@ -137,8 +138,7 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
     assert checks == {
         "clawchroma.colorer": 11,
         "through v": 799,
-        "clawchroma.report": 50,
-        "clawchroma.stress": 3,
+        "clawchroma.stress": 53,
     }
 
 
@@ -205,6 +205,16 @@ def test_pool_size_is_capped(monkeypatch, pool_sizes, sweep, workers, cpus, size
     assert pooled.payload() == run_stress(**sweep, workers=0).payload()
 
 
+def test_pooled_random_progress_reports_each_chunk(monkeypatch, pool_sizes, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    run_stress(**RANDOM_120, workers=2, progress=True)
+    assert pool_sizes == [2]
+    assert capsys.readouterr().err.splitlines() == [
+        "progress: chunk 1/2",
+        "progress: chunk 2/2",
+    ]
+
+
 def test_extension_sweeps_the_scans_graphs(monkeypatch):
     expected = {
         n: K.scan_in_class(n, 0, 1 << (n * (n - 1) // 2)) for n in range(1, 7)
@@ -237,7 +247,10 @@ def _scanned(max_n):
         total = 1 << (n * (n - 1) // 2)
         scanned.graphs_checked += total
         for mask in K.scan_in_class(n, 0, total):
-            scanned.record(from_edge_mask(n, mask))
+            g = from_edge_mask(n, mask)
+            scanned.record(
+                g, colorer.insert_vertices(g), _shape_failures(g, g.full_mask())
+            )
     return scanned
 
 
@@ -322,6 +335,22 @@ def test_through_v_checks_match_full_checks_under_faults(monkeypatch):
     assert swept.violations[CHI_WITHIN_ONE] > 0
 
 
+def test_faulty_extension_step_is_counted(monkeypatch):
+    """A parent's chi witness extended at v by a faulty step, which gives v
+    its least neighbor's color, is an improper witness of chi: the sweep
+    checks it and counts the graph."""
+
+    def faulty_step(adj, colors, u, nb, prefix, target, _fn=colorer.color_step):
+        mech = _fn(adj, colors, u, nb, prefix, target)
+        if mech == "direct" and nb:
+            colors[u] = colors[(nb & -nb).bit_length() - 1]
+        return mech
+
+    monkeypatch.setattr(report, "color_step", faulty_step)
+    swept = run_stress("exhaustive", max_n=6, workers=0)
+    assert swept.violations[CHI_WITHIN_ONE] > 0
+
+
 def test_sweep_carries_omega_and_max_degree(monkeypatch):
     seen = []
 
@@ -372,12 +401,22 @@ def test_worker_count_from_env(monkeypatch):
     assert s.payload() == run_stress("exhaustive", max_n=4, workers=0).payload()
 
 
+def _checked(g):
+    """check_in_class_graph on g from scratch, as the reference scan runs it."""
+    return check_in_class_graph(
+        g, colorer.insert_vertices(g), _shape_failures(g, g.full_mask())
+    )
+
+
 def test_check_in_class_graph_clean_on_wheel():
-    viol, strict_vertices, fallbacks, record = check_in_class_graph(wheel(5))
+    g = wheel(5)
+    viol, strict_vertices, fallbacks, record = _checked(g)
     assert viol == set()
     assert strict_vertices == 0  # wheel violates the strict degree bound
     assert fallbacks == 0
-    assert record is None  # no colorer state was given
+    # a graph that passes gets a record: its colorer coloring and chi
+    assert record.colors == colorer.insert_vertices(g).colors
+    assert record.chi == 4
 
 
 # a P4 on which the colorer uses 3 colors: chi = 2 has no join-count
@@ -398,16 +437,16 @@ P4 = build_graph(4, [(0, 3), (1, 2), (2, 3)])
 )
 def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value):
     module, g = (report, P4) if target == "exact_chromatic" else (colorer, cycle(5))
-    assert check_in_class_graph(g)[0] == set()
+    assert _checked(g)[0] == set()
     monkeypatch.setattr(module, target, lambda _g, *_: value)
-    assert check_in_class_graph(g)[0] == {CHI_WITHIN_ONE}
+    assert _checked(g)[0] == {CHI_WITHIN_ONE}
 
 
-def _colorer_raises(g, **_):
+def _colorer_raises(g, *_):
     raise ClaimViolationError("colorer_proper", g, "patched")
 
 
-def _colorer_one_over(g, **_):
+def _colorer_one_over(g, *_):
     # proper omega + 1 coloring of k4_minus_edge: the missing edge 2-3 is
     # not shared
     steps = tuple((u, "direct") for u in range(4))
@@ -426,9 +465,9 @@ def _colorer_one_over(g, **_):
     ],
 )
 def test_colorer_failure_categories(monkeypatch, g, colorer, expected):
-    assert check_in_class_graph(g)[0] == set()
-    monkeypatch.setattr(stress, "color_in_class", colorer)
-    assert check_in_class_graph(g)[0] == expected
+    assert _checked(g)[0] == set()
+    monkeypatch.setattr(stress, "finish_coloring", colorer)
+    assert _checked(g)[0] == expected
 
 
 def _chi_agrees_with_dsatur_bracket(max_n):
@@ -500,12 +539,12 @@ def _sweep_chi_from_parents(monkeypatch, max_n):
     def confirmed(g, w, upper, parent=None, _fn=report.prove_chi):
         nonlocal taken
         searched.clear()
-        chi, witness, checked = _fn(g, w, upper, parent)
+        chi, witness = _fn(g, w, upper, parent)
         if parent is not None and not searched and (chi > w or witness is not upper):
             assert k_colorable(g, chi - 1) is None
             assert witness.colors_used == chi and verify_proper(g, witness) is None
             taken += 1
-        return chi, witness, checked
+        return chi, witness
 
     monkeypatch.setattr(report, "_chi_exceeds", certificate)
     monkeypatch.setattr(report, "exact_chromatic", oracle)
@@ -541,7 +580,7 @@ def test_line_graph_of_petersen_needs_one_oracle_call(monkeypatch):
         return raw
 
     monkeypatch.setattr(K, "k_color", recorded)
-    assert check_in_class_graph(g)[0] == set()
+    assert _checked(g)[0] == set()
     assert oracle_calls == [(3, None)]
 
 

@@ -14,6 +14,9 @@ PACKAGE = ROOT / "src" / "clawchroma"
 
 # imported only so that the tracer can wrap them at that module
 TRACER_ONLY = {
+    ("clawchroma.report", "color_in_class"),
+    ("clawchroma.report", "omega_of"),
+    ("clawchroma.stress", "color_in_class"),
     ("clawchroma.stress", "exact_chromatic"),
     ("clawchroma.stress", "find_induced_wheel6"),
     ("clawchroma.stress", "is_in_class"),
