@@ -10,35 +10,30 @@ parent's verdict or by the new vertex's check, so graphs_checked still adds
 2^(n(n-1)/2) per n, and the in-class graphs are exactly those that
 scan_in_class, the scan over all edge masks, keeps.
 
-Each child G, with v = n-1 and S = N(v), resumes what is known of its
-parent P = G - v, and each item is exact, so every count and counterexample
-is what checking G from scratch gives:
+Each child G, with v = n-1 and S = N(v), resumes its parent P = G - v
+at v, and exactly: every count and counterexample is what checking G from
+scratch gives. The colorer's state at v depends only on the prefix, so G's
+insertion continues P's; omega and delta of G are read off it (recomputed
+only when insertion failed, which leaves them stale). A parent that passed
+every check hands its children a record (Verified): the colorer's colors
+with their class masks, chi and chi's witness.
 
-  - the colorer's state at v, which depends only on the prefix; it keeps
-    the prefix clique number and maximum degree, so omega and delta of G
-    are read off it (recomputed only when insertion failed, which leaves
-    them stale);
-  - the vertices whose neighborhood fails the four-shape check: only v and
-    S gain neighbors, and for u outside S + v, <N(u)> is P's induced
-    subgraph unchanged, so only v and S are checked again;
-  - when P passed every check, its record (Verified): the colorer's
-    colors with their class masks, chi and chi's witness.
-
-With the record, and when the colorer's colors on P's vertices are P's (the
-lists are compared, as a repair at v may recolor P), G's coloring is
-checked through v alone: properness at v, its color count against the
-target, and the two-class degrees that v's edges change, those of v in
-every pair and of each u in S in the pair (color of u, color of v). Every
-other edge and two-class degree is P's, already verified. chi(G) >= chi(P),
-as G contains P, so prove_chi takes max(omega, chi(P)) as its lower bound
-and tries P's witness extended at v before a certificate or the oracle.
-Without the record, or when the prefix changed, G's coloring is checked in
-full. Graphs are visited in extension order, so the first counterexample per
-category is the first in that order. The random sweep keeps the seeded
-draws that are in the class, runs the colorer's insertions on each and
-checks every vertex's neighborhood, so both sweeps hand check_in_class_graph
-the same facts, and there too omega and delta are read off the colorer's
-state, not searched again.
+check_in_class_graph checks one mask of vertices, by one rule: N[v] alone
+when G's parent passed every check, G's insertion did not fail and the
+colorer's colors on P's vertices are P's (the lists are compared, as a
+repair at v may recolor P); every vertex otherwise, which includes every
+graph of the random sweep. Each fact checked at a vertex u reads only N(u)
+and the colors on N[u]: the four-shape test on <N(u)>, properness at u, and
+u's degree in each two-class subgraph. Only v and S gain neighbors, and no
+other vertex's color changes, so for u outside N[v] each fact is P's,
+already verified. The color count is checked once per graph, against the
+colorer's target for G's branch. chi(G) >= chi(P), as G contains P, so
+prove_chi takes max(omega, chi(P)) as its lower bound and tries P's witness
+extended at v before a certificate or the oracle. Graphs are visited in
+extension order, so the first counterexample per category is the first in
+that order. The random sweep keeps the seeded draws that are in the class
+and runs the colorer's insertions on each, so both sweeps hand
+check_in_class_graph the same facts.
 
 In-class graphs then get the full battery: the chromatic number against
 the clique number, the trichotomy's branch facts as report.trichotomy states
@@ -50,9 +45,9 @@ report.prove_chi decides chi from the clique number, the colorer's
 coloring and, in the exhaustive sweep, the parent's chi and witness, so no
 DSATUR runs unless the colorer fails, and the oracle searches only where no
 coloring closes the bracket and no certificate exists. chi rests on
-prove_chi's witness, which must be proper with exactly chi colors; it is
-checked here unless it is the colorer's own coloring, which finish_coloring
-or the check through v already checked.
+prove_chi's witness, which must be proper with exactly chi colors and
+branch nowhere; it is checked here unless it is the colorer's own coloring,
+which the pass over the mask checked.
 Each failed claim increments one violation counter; all counters must be
 zero.
 
@@ -62,10 +57,11 @@ ParamRangeError, which the CLI reports with exit code 2. The process pool is
 imported and started only when more than one worker has work, and it never
 holds more processes than there are chunks or CPUs. A chunk of an exhaustive
 level is a slice of the previous level's graphs, and it returns their
-children in order. Workers share nothing and partial results merge by
-deterministic ordered reduction, so summaries are identical run to run,
-with or without workers. The wall-clock time is deliberately not part of the
-summary payload.
+children in order; a chunk of a random sweep is a range of sample indices,
+whose seeds it reads off the master stream as it draws. Workers share
+nothing and partial results merge by deterministic ordered reduction, so
+summaries are identical run to run, with or without workers. The
+wall-clock time is deliberately not part of the summary payload.
 """
 
 from __future__ import annotations
@@ -80,9 +76,9 @@ from .bitops import iter_bits
 from .cliques import omega as omega_of
 # unused here, imported for the benchmark tracer, which wraps them at stress:
 # color_in_class, exact_chromatic, random_graph, is_in_class, find_induced_wheel6
-from .colorer import InsertionState, color_in_class, finish_coloring, insert_vertices, target_colors  # noqa: F401
+from .colorer import InsertionState, color_in_class, insert_vertices, target_colors  # noqa: F401
 from .coloring import ORACLE_MAX_VERTICES, Coloring, dsatur_greedy, exact_chromatic, verify_proper  # noqa: F401
-from .errors import ClaimViolationError, ParamRangeError, ScaleExceededError
+from .errors import ParamRangeError, ScaleExceededError
 from .generators import SplitMix64, random_graph, random_in_class_graph  # noqa: F401
 from .graph import Graph, degree_profile, edge_mask_of
 from .kempe import find_branching_component
@@ -139,14 +135,13 @@ class StressSummary:
         self,
         g: Graph,
         state: InsertionState,
-        bad: int,
         parent: Verified | None = None,
     ) -> Verified | None:
         """Count one in-class graph and the claims it fails; returns the
         record check_in_class_graph gives its children."""
         self.in_class_count += 1
         viol, strict_vertices, strict_fallbacks, verified = check_in_class_graph(
-            g, state, bad, parent
+            g, state, parent
         )
         self.vertices_colored_strict += strict_vertices
         self.exact_fallbacks += strict_fallbacks
@@ -197,149 +192,121 @@ class Verified:
     witness: Coloring
 
 
-def _checked_through_v(
-    g: Graph, state: InsertionState, parent: Verified
-) -> tuple[Coloring, dict[int, int]] | None:
-    """The colorer's coloring of g and its class masks, when its colors on
-    g - v, v the last vertex, are parent's and it passes the colorer's
-    checks through v alone: proper at v, within the target, and no
-    two-class component branching at v or at a neighbor of v in the pair of
-    v's color. Every check ignores color names, so the coloring is left
-    uncanonical. None sends g to the full checks."""
-    v = g.n - 1
-    colors = state.colors
-    if state.failure is not None or colors[:v] != parent.colors:
-        return None
-    adj, nb, c = g.adj, g.adj[v], colors[v]
-    own = parent.masks.get(c, 0)
-    if nb & own:
-        return None
-    own |= 1 << v
-    masks = {**parent.masks, c: own}
-    if len(masks) > target_colors(state.omega, state.delta):
-        return None
-    for mask in masks.values():
-        if mask != own and (nb & mask).bit_count() >= 3:
-            return None
-    for u in iter_bits(nb):
-        if (adj[u] & own).bit_count() >= 3:
-            return None
-    return Coloring(tuple(colors)), masks
-
-
 def check_in_class_graph(
-    g: Graph, state: InsertionState, bad: int, parent: Verified | None = None
+    g: Graph, state: InsertionState, parent: Verified | None = None
 ) -> tuple[set[str], int, int, Verified | None]:
     """All per-graph claims for an in-class graph.
 
-    state is the colorer's state after all of g (insert_vertices), and bad
-    the mask of the vertices whose neighborhood fails the four-shape check
-    (_shape_failures). Omega and the maximum degree are read off state,
-    unless insertion failed and left them stale; then they are computed
-    here. parent is the record of g minus its last vertex, when that graph
-    passed every check. The colorer's coloring is prove_chi's upper bound;
-    DSATUR's is instead when the colorer fails.
+    state is the colorer's state after all of g (insert_vertices). Omega and
+    the maximum degree are read off it, unless insertion failed and left
+    them stale; then they are computed here. parent is the record of g minus
+    its last vertex v, when that graph passed every check. The facts at each
+    vertex are checked over N[v] alone when parent is given, insertion did
+    not fail and the colorer's colors on g - v are parent's, else over every
+    vertex (see the module docstring). The colorer's coloring is prove_chi's
+    upper bound; DSATUR's is instead when insertion failed or the coloring is
+    improper. Every check ignores color names, so the coloring is left
+    uncanonical.
     Returns (violated categories, vertices colored under the degree bound,
     exact fallbacks the colorer used on them, and, when g passed every
     check, g's record for its children).
     """
+    adj, colors, v = g.adj, state.colors, g.n - 1
     if state.failure is None:
         w, delta = state.omega, state.delta
     else:
         w = omega_of(g)
         delta = degree_profile(g)[1]
-    resumed = None if parent is None else _checked_through_v(g, state, parent)
-    if resumed is not None:
-        coloring, masks = resumed
+    coloring = Coloring(tuple(colors))
+    if state.failure is None and parent is not None and colors[:v] == parent.colors:
+        check = adj[v] | 1 << v
+        masks = parent.masks.copy()
+        masks[colors[v]] = masks.get(colors[v], 0) | 1 << v
     else:
-        try:
-            coloring, _ = finish_coloring(g, state)
-        except ClaimViolationError:
-            coloring = None
+        check = g.full_mask()
+        masks = coloring.class_masks
+    proper = state.failure is None
+    viol = set()
+    branches = False
+    for u in iter_bits(check):
+        if not verify_neighborhood_all_cliques(g, u):
+            viol.add(NEIGHBORHOOD_SHAPE)
+        if proper:
+            nu = adj[u]
+            if nu & masks[colors[u]]:
+                proper = False
+            elif not branches and nu.bit_count() >= 3:
+                # u's degree in the pair of its color and each other color
+                branches = any((nu & m).bit_count() >= 3 for m in masks.values())
+    if not proper:
+        coloring = None
+    elif branches:
+        viol.add(COMPONENT_SHAPE)
     upper = dsatur_greedy(g) if coloring is None else coloring
     chi, witness = prove_chi(
         g, w, upper, None if parent is None else (parent.chi, parent.witness)
     )
     branch, _, failures = trichotomy(g, w, delta, chi)
-    viol = {e.category for e in failures}
-    # chi rests on the witness; the colorer's own coloring is checked already
-    if witness is not coloring and (
-        witness.colors_used != chi or verify_proper(g, witness) is not None
-    ):
-        viol.add(CHI_WITHIN_ONE)
+    viol.update(e.category for e in failures)
+    # chi rests on the witness; the colorer's own coloring is checked above
+    if witness is not coloring:
+        if witness.colors_used != chi or verify_proper(g, witness) is not None:
+            viol.add(CHI_WITHIN_ONE)
+        if find_branching_component(g, witness) is not None:
+            viol.add(COMPONENT_SHAPE)
     strict_vertices = strict_fallbacks = 0
     bound_holds = branch == OMEGA_CASE
     if coloring is None:
         viol.add(CHI_WITHIN_ONE)
         if bound_holds:
             viol.add(CHI_EQUALS_OMEGA)
-    else:
-        if coloring.colors_used > w + 1:
-            viol.add(CHI_WITHIN_ONE)
-        if bound_holds:
-            strict_vertices = g.n
-            strict_fallbacks = state.counts[2]
-            if coloring.colors_used != w:
-                viol.add(CHI_EQUALS_OMEGA)
-    if bad:
-        viol.add(NEIGHBORHOOD_SHAPE)
-    # the colorer's coloring is checked through v when it was resumed
-    colorings = [] if resumed is not None else [upper]
-    if witness is not upper:
-        colorings.append(witness)
-    if any(find_branching_component(g, c) is not None for c in colorings):
-        viol.add(COMPONENT_SHAPE)
+    elif len(masks) > target_colors(w, delta):
+        # the colorer's contract for the branch: omega colors, else omega + 1
+        viol.add(CHI_EQUALS_OMEGA if bound_holds else CHI_WITHIN_ONE)
+    elif bound_holds:
+        strict_vertices = g.n
+        strict_fallbacks = state.counts[2]
     if viol:
         return viol, strict_vertices, strict_fallbacks, None
-    if resumed is None:
-        masks = Coloring(tuple(state.colors)).class_masks
-    record = Verified(state.colors, masks, chi, witness)
+    record = Verified(colors, masks, chi, witness)
     return viol, strict_vertices, strict_fallbacks, record
-
-
-def _shape_failures(g: Graph, check: int, bad: int = 0) -> int:
-    """bad with the vertices in check replaced by those of them whose
-    neighborhood fails the four-shape check. A child's are its parent's
-    with v and N(v) checked again (see the module docstring)."""
-    bad &= ~check
-    for u in iter_bits(check):
-        if not verify_neighborhood_all_cliques(g, u):
-            bad |= 1 << u
-    return bad
 
 
 def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]:
     """Check every in-class child on n vertices of a slice of level n - 1.
 
-    Each parent comes with its colorer state, its four-shape failures and
-    its record, or None when it failed a check, which each child resumes at
-    vertex n - 1. Returns the chunk's summary and, when keep is set, the
-    children with theirs, in order.
+    Each parent comes with its colorer state and its record, or None when it
+    failed a check, which each child resumes at vertex n - 1. Returns the
+    chunk's summary and, when keep is set, the children with theirs, in
+    order.
     """
     n, parents, keep = args
     part = StressSummary("exhaustive")
     children = []
-    for parent, parent_state, parent_bad, verified in parents:
+    for parent, parent_state, verified in parents:
         for adj in K.in_class_extensions(parent.adj, n):
             g = Graph(n, adj, parent.edge_count + adj[-1].bit_count())
             state = insert_vertices(g, parent_state)
-            bad = _shape_failures(g, adj[-1] | 1 << (n - 1), parent_bad)
-            record = part.record(g, state, bad, verified)
+            record = part.record(g, state, verified)
             if keep:
-                children.append((g, state, bad, record))
+                children.append((g, state, record))
     return part, children
 
 
-def _random_chunk(args: tuple[int, int, list[int]]) -> StressSummary:
-    n_lo, n_hi, sample_seeds = args
-    part = StressSummary("random", graphs_checked=len(sample_seeds))
-    for s in sample_seeds:
-        stream = SplitMix64(s)
+def _random_chunk(args: tuple[int, int, int, range]) -> StressSummary:
+    """Draw and check the samples whose indices are in indices: sample i is
+    drawn from the i-th value of the master stream seeded by seed."""
+    n_lo, n_hi, seed, indices = args
+    master = SplitMix64(seed)
+    master.skip(indices.start)
+    part = StressSummary("random", graphs_checked=len(indices))
+    for _ in indices:
+        stream = SplitMix64(master.next_u64())
         n = n_lo + stream.next_below(n_hi - n_lo + 1)
         p = stream.next_unit()
         g = random_in_class_graph(n, p, stream)
         if g is not None:
-            part.record(g, insert_vertices(g), _shape_failures(g, g.full_mask()))
+            part.record(g, insert_vertices(g))
     return part
 
 
@@ -354,7 +321,7 @@ def _worker_count(workers: int | None) -> int:
     return max(0, workers)
 
 
-def _slices(items: list, workers: int) -> list[list]:
+def _slices(items: list | range, workers: int) -> list:
     """items in order: one slice when serial, else slices of at least
     _MIN_CHUNK items, about eight per worker."""
     if workers <= 1:
@@ -406,7 +373,7 @@ def run_stress(
         if max_n > 7:
             raise ScaleExceededError("exhaustive sweeps capped at n = 7")
         summary = StressSummary(mode=mode, max_n=max_n)
-        level = [(Graph(0, ()), None, 0, None)]
+        level = [(Graph(0, ()), None, None)]
         for n in range(1, max_n + 1):
             t_level = time.perf_counter()
             in_class_before = summary.in_class_count
@@ -438,9 +405,10 @@ def run_stress(
         summary = StressSummary(
             mode=mode, n_lo=n_lo, n_hi=n_hi, samples=samples, seed=seed
         )
-        master = SplitMix64(seed)
-        sample_seeds = [master.next_u64() for _ in range(samples)]
-        chunks = [(n_lo, n_hi, seeds) for seeds in _slices(sample_seeds, workers)]
+        chunks = [
+            (n_lo, n_hi, seed, indices)
+            for indices in _slices(range(samples), workers)
+        ]
         for part in _run_chunks(chunks, _random_chunk, workers, progress):
             summary.merge(part)
     else:

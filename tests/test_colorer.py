@@ -129,8 +129,8 @@ def test_relaxed_contract_exhaustive_small():
     ],
 )
 def test_finish_coloring_contract(state, category):
-    """finish_coloring is the one check of the colorer's coloring that the
-    stress sweep relies on."""
+    """finish_coloring is the one check of the colorer's coloring that
+    report and the public colorers rely on."""
     with pytest.raises(ClaimViolationError) as exc:
         finish_coloring(k4_minus_edge(), state)
     assert exc.value.category == category

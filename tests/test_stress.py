@@ -3,6 +3,7 @@ import json
 import os
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -11,15 +12,12 @@ import pytest
 from clawchroma import _kernels as K
 from clawchroma._kernels import pure
 from clawchroma import colorer, report, stress
+from clawchroma.bitops import iter_bits
 from clawchroma.cli import _dump_counterexamples, main
 from clawchroma.cliques import omega
-from clawchroma.colorer import InsertionState, RepairTrace
+from clawchroma.colorer import InsertionState
 from clawchroma.coloring import Coloring, exact_chromatic, k_colorable, verify_proper
-from clawchroma.errors import (
-    ClaimViolationError,
-    ParamRangeError,
-    ScaleExceededError,
-)
+from clawchroma.errors import ParamRangeError, ScaleExceededError
 from clawchroma.generators import line_graph
 from clawchroma.graph import Graph, build_graph, degree_profile, edge_mask_of, from_edge_mask
 from clawchroma.report import MIDDLE_CASE, _chi_exceeds, trichotomy
@@ -29,7 +27,6 @@ from clawchroma.stress import (
     COMPONENT_SHAPE,
     NEIGHBORHOOD_SHAPE,
     StressSummary,
-    _shape_failures,
     check_in_class_graph,
     run_stress,
 )
@@ -63,6 +60,21 @@ def test_random_param_errors():
         run_stress("random", n_lo=1, n_hi=2, samples=-1, seed=1)
     with pytest.raises(ParamRangeError):
         run_stress("random", n_lo=1, n_hi=2, samples=10)
+
+
+def test_random_sweep_memory_does_not_grow_with_samples():
+    """Each chunk reads its sample seeds off the master stream as it draws,
+    so no list of them is built: 5,000 one-vertex samples peak at a few
+    KiB."""
+    run_stress("random", n_lo=1, n_hi=1, samples=1, seed=4, workers=0)
+    tracemalloc.start()
+    try:
+        s = run_stress("random", n_lo=1, n_hi=1, samples=5000, seed=4, workers=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.in_class_count == 5000
+    assert peak < 64 * 1024
 
 
 def test_random_zero_samples_is_an_empty_summary():
@@ -114,12 +126,13 @@ def test_sweep_decides_k5_minus_p3_through_the_new_vertex(monkeypatch):
 
 
 def test_sweep_checks_each_coloring_once(monkeypatch):
-    """Each colorer coloring is checked once: through its new vertex when its
-    parent passed and its prefix colors are the parent's, else in full by
-    finish_coloring (here the n = 1 graph and 10 children whose insertion
-    made a Kempe swap). The sweep checks chi's witness whenever it is not
-    the colorer's coloring: 50 parent witnesses extended at v and the
-    oracle's 3."""
+    """Each graph's shapes and colorer coloring are checked in one pass over
+    its check mask: N[v] when its parent passed and its prefix colors are
+    the parent's, every vertex otherwise (here the n = 1 graph and 10
+    children whose insertion made a Kempe swap). No coloring is checked by
+    the colorer's own verify_proper. The sweep checks chi's witness whenever
+    it is not the colorer's coloring: 50 parent witnesses extended at v and
+    the oracle's 3."""
     checks = Counter()
     for module in (colorer, stress):
         def counted(g, c, _fn=module.verify_proper, _name=module.__name__):
@@ -127,19 +140,27 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
             return _fn(g, c)
 
         monkeypatch.setattr(module, "verify_proper", counted)
+    graphs = []
 
-    def through_v(*args, _fn=stress._checked_through_v):
-        resumed = _fn(*args)
-        checks["through v"] += resumed is not None
-        return resumed
+    def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
+        graphs.append((g, parent is not None, set()))
+        return _fn(g, state, parent)
 
-    monkeypatch.setattr(stress, "_checked_through_v", through_v)
+    def shape(g, u, _fn=stress.verify_neighborhood_all_cliques):
+        graphs[-1][2].add(u)
+        return _fn(g, u)
+
+    monkeypatch.setattr(stress, "check_in_class_graph", checked)
+    monkeypatch.setattr(stress, "verify_neighborhood_all_cliques", shape)
     run_stress("exhaustive", max_n=5, workers=0)
-    assert checks == {
-        "clawchroma.colorer": 11,
-        "through v": 799,
-        "clawchroma.stress": 53,
-    }
+    for g, resumed, vertices in graphs:
+        v = g.n - 1
+        if resumed and vertices == {v, *iter_bits(g.adj[v])}:
+            checks["N[v]"] += 1
+        else:
+            assert vertices == set(range(g.n))
+            checks["every vertex"] += 1
+    assert checks == {"N[v]": 799, "every vertex": 11, "clawchroma.stress": 53}
 
 
 def test_parallel_merge_is_deterministic(monkeypatch):
@@ -248,9 +269,7 @@ def _scanned(max_n):
         scanned.graphs_checked += total
         for mask in K.scan_in_class(n, 0, total):
             g = from_edge_mask(n, mask)
-            scanned.record(
-                g, colorer.insert_vertices(g), _shape_failures(g, g.full_mask())
-            )
+            scanned.record(g, colorer.insert_vertices(g))
     return scanned
 
 
@@ -403,9 +422,7 @@ def test_worker_count_from_env(monkeypatch):
 
 def _checked(g):
     """check_in_class_graph on g from scratch, as the reference scan runs it."""
-    return check_in_class_graph(
-        g, colorer.insert_vertices(g), _shape_failures(g, g.full_mask())
-    )
+    return check_in_class_graph(g, colorer.insert_vertices(g))
 
 
 def test_check_in_class_graph_clean_on_wheel():
@@ -431,7 +448,7 @@ P4 = build_graph(4, [(0, 3), (1, 2), (2, 3)])
         ("exact_chromatic", (2, Coloring((1, 1, 2, 2)))),
         # oracle witness: proper with more colors than chi
         ("exact_chromatic", (2, Coloring((1, 2, 3, 4)))),
-        # improper colorer state on C5, which finish_coloring rejects
+        # improper colorer state on C5, which the sweep rejects
         ("insert_vertices", InsertionState([1, 1, 2, 3, 2], [], 2, 2)),
     ],
 )
@@ -442,15 +459,16 @@ def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value
     assert _checked(g)[0] == {CHI_WITHIN_ONE}
 
 
-def _colorer_raises(g, *_):
-    raise ClaimViolationError("colorer_proper", g, "patched")
+def _colorer_raises(g):
+    """The state of a colorer run that failed at vertex 0, leaving omega and
+    the maximum degree stale."""
+    return InsertionState([0] * g.n, [], 0, 0, "no coloring of a prefix")
 
 
-def _colorer_one_over(g, *_):
-    # proper omega + 1 coloring of k4_minus_edge: the missing edge 2-3 is
-    # not shared
-    steps = tuple((u, "direct") for u in range(4))
-    return Coloring((1, 2, 3, 4)), RepairTrace(steps, 4, 0, 0)
+def _colorer_one_over(g):
+    """A proper omega + 1 coloring of k4_minus_edge: the missing edge 2-3 is
+    not shared."""
+    return InsertionState([1, 2, 3, 4], [], 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -464,10 +482,9 @@ def _colorer_one_over(g, *_):
         (wheel(5), _colorer_raises, {CHI_WITHIN_ONE}),
     ],
 )
-def test_colorer_failure_categories(monkeypatch, g, colorer, expected):
+def test_colorer_failure_categories(g, colorer, expected):
     assert _checked(g)[0] == set()
-    monkeypatch.setattr(stress, "finish_coloring", colorer)
-    assert _checked(g)[0] == expected
+    assert check_in_class_graph(g, colorer(g))[0] == expected
 
 
 def _chi_agrees_with_dsatur_bracket(max_n):
