@@ -1,23 +1,22 @@
 """clawchroma: structure and coloring of {K1,3, K5-P3}-free graphs.
 
-Recognizes the class, classifies vertex neighborhoods, computes exact clique
-numbers and chromatic numbers at desk scale, produces clique-number-exact
-colorings under the degree bound delta <= 2*omega - 3, and verifies the
-guaranteed structural facts exhaustively over small labeled graphs.
+Recognizes the class, checks the four neighborhood shapes, computes exact
+clique numbers and chromatic numbers at desk scale, produces
+clique-number-exact colorings under the degree bound delta <= 2*omega - 3,
+and verifies the guaranteed structural facts exhaustively over small labeled
+graphs.
 """
 
 from ._kernels import backend_name
-from .cliques import CliqueResult, max_clique, max_clique_in_neighborhood, max_clique_through, omega
+from .cliques import omega
 from .colorer import RepairTrace, class_color, omega_color_strict
-from .coloring import Coloring, dsatur_greedy, exact_chromatic, k_colorable, verify_proper
-from .generators import blown_up_odd_cycle, enumerate_labeled, line_graph, random_in_class, wheel
-from .graph import Graph, build_graph, degree_profile, from_edge_mask, induced_subgraph
-from .kempe import KempeComponent, find_branching_component, swap_component, two_color_components
+from .coloring import Coloring, dsatur_greedy, exact_chromatic, verify_proper
+from .generators import blown_up_odd_cycle, line_graph, random_in_class, wheel
+from .graph import Graph, build_graph, degree_profile, from_edge_mask
+from .kempe import KempeComponent, find_branching_component, two_color_components
 from .recognition import (
     ClassVerdict,
     ForbiddenWitness,
-    NeighborhoodShape,
-    classify_neighborhood,
     find_claw,
     find_k5_minus_p3,
     is_in_class,
@@ -34,28 +33,19 @@ __all__ = [
     "build_graph",
     "degree_profile",
     "from_edge_mask",
-    "induced_subgraph",
     "ForbiddenWitness",
     "ClassVerdict",
-    "NeighborhoodShape",
     "find_claw",
     "find_k5_minus_p3",
     "is_in_class",
-    "classify_neighborhood",
     "verify_neighborhood_all_cliques",
-    "CliqueResult",
-    "max_clique",
     "omega",
-    "max_clique_in_neighborhood",
-    "max_clique_through",
     "Coloring",
     "verify_proper",
     "dsatur_greedy",
-    "k_colorable",
     "exact_chromatic",
     "KempeComponent",
     "two_color_components",
-    "swap_component",
     "find_branching_component",
     "RepairTrace",
     "omega_color_strict",
@@ -64,7 +54,6 @@ __all__ = [
     "blown_up_odd_cycle",
     "line_graph",
     "random_in_class",
-    "enumerate_labeled",
     "ClassReport",
     "classify_trichotomy",
     "find_induced_wheel6",

@@ -1,53 +1,15 @@
-"""Exact maximum-clique queries, global and neighborhood-rooted.
+"""The clique number of a whole graph.
 
-All results are deterministic: among equal-size maximum cliques the
-lexicographically least (as an ascending vertex tuple) is returned, so the
-neighborhood classifier and the golden outputs are reproducible.
+The sweeps and the report read omega off the colourer's state; the sweep
+calls this only when the colourer failed on a graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _kernels as K
-from .bitops import bits_tuple
-from .errors import VertexOutOfRangeError
 from .graph import Graph
-
-
-@dataclass(frozen=True)
-class CliqueResult:
-    vertices: tuple[int, ...]
-    size: int
-
-
-def max_clique(g: Graph) -> CliqueResult:
-    """Lexicographically least maximum clique of the whole graph."""
-    mask = K.lex_min_max_clique(g.adj, g.n, g.full_mask())
-    vs = bits_tuple(mask)
-    return CliqueResult(vs, len(vs))
 
 
 def omega(g: Graph) -> int:
     """Maximum clique size; 0 for the empty graph."""
     return K.clique_number(g.adj, g.n, g.full_mask())
-
-
-def max_clique_in_neighborhood(g: Graph, u: int) -> CliqueResult:
-    """Least maximum clique of <N(u)>, in the graph's own vertex ids."""
-    if not (0 <= u < g.n):
-        raise VertexOutOfRangeError(f"vertex {u} outside 0..{g.n - 1}")
-    mask = K.lex_min_max_clique(g.adj, g.n, g.adj[u])
-    vs = bits_tuple(mask)
-    return CliqueResult(vs, len(vs))
-
-
-def max_clique_through(g: Graph, u: int) -> CliqueResult:
-    """Least maximum clique among those containing u.
-
-    Equals {u} plus a maximum clique of <N(u)>, so its size is
-    1 + max_clique_in_neighborhood(g, u).size.
-    """
-    inner = max_clique_in_neighborhood(g, u)
-    vs = tuple(sorted(inner.vertices + (u,)))
-    return CliqueResult(vs, len(vs))

@@ -79,19 +79,6 @@ def dsatur_greedy(g: Graph) -> Coloring:
     return Coloring(tuple(raw)).canonical()
 
 
-def k_colorable(g: Graph, k: int) -> Coloring | None:
-    """A proper coloring with at most k colors iff one exists; exact."""
-    if k < 0:
-        return None
-    # n colors always suffice, so larger palettes decide identically
-    full = g.full_mask()
-    clique = K.lex_min_max_clique(g.adj, g.n, full)
-    raw = K.k_color(g.adj, g.n, full, min(k, g.n), clique)
-    if raw is None:
-        return None
-    return Coloring(tuple(raw)).canonical()
-
-
 def exact_chromatic(
     g: Graph, upper: Coloring | None = None, lower: int | None = None
 ) -> tuple[int, Coloring]:

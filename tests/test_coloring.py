@@ -7,13 +7,20 @@ from clawchroma.coloring import (
     Coloring,
     dsatur_greedy,
     exact_chromatic,
-    k_colorable,
     verify_proper,
 )
 from clawchroma.errors import PartialColoringError, ScaleExceededError
-from clawchroma.generators import SplitMix64, enumerate_labeled, random_graph
+from clawchroma.generators import SplitMix64, random_graph
 from clawchroma.graph import Graph, build_graph
-from graphzoo import complete, cycle, empty, naive_chromatic, petersen
+from graphzoo import (
+    complete,
+    cycle,
+    empty,
+    enumerate_labeled,
+    k_colorable,
+    naive_chromatic,
+    petersen,
+)
 
 from clawchroma import blown_up_odd_cycle, omega, wheel
 

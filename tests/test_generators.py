@@ -10,18 +10,16 @@ from clawchroma.errors import ParamRangeError, ScaleExceededError
 from clawchroma.generators import (
     SplitMix64,
     blown_up_odd_cycle,
-    enumerate_labeled,
     line_graph,
     random_claw_free_graph,
     random_graph,
     random_in_class,
     random_in_class_graph,
-    seeded_line_graphs,
     wheel,
 )
 from clawchroma.graph import degree_profile
 from clawchroma.recognition import find_claw, is_in_class
-from graphzoo import claw, complete, cycle, empty
+from graphzoo import claw, complete, cycle, empty, enumerate_labeled, seeded_line_graphs
 
 from clawchroma import exact_chromatic, omega
 
@@ -131,7 +129,7 @@ def test_random_graph_determinism():
 
 
 def test_random_in_class_examples():
-    g = random_in_class(10, 0.3, seed=1, max_tries=10000)
+    g = random_in_class(10, 0.3, seed=1)
     assert g is not None and is_in_class(g)
 
     # p = 0 draws the edgeless graph, which is in class on the first try
@@ -311,31 +309,29 @@ def test_random_claw_free_graph_param_range():
 
 
 def test_random_in_class_matches_plain_draw_loop():
-    def plain(n, p, seed, max_tries):
+    def plain(n, p, seed):
         stream = SplitMix64(seed)
-        for _ in range(max_tries):
+        for _ in range(generators.RANDOM_IN_CLASS_TRIES):
             g = random_graph(n, p, stream)
             if is_in_class(g):
                 return g
         return None
 
     cases = [
-        (5, 0.0, 3, 10000),
-        (7, 1.0, 4, 10000),
-        (10, 0.3, 1, 10000),
-        (9, 0.5, 42, 10000),
-        (12, 0.85, 7, 10000),
-        (16, 0.5, 11, 3),
+        (5, 0.0, 3),
+        (7, 1.0, 4),
+        (10, 0.3, 1),
+        (9, 0.5, 42),
+        (12, 0.85, 7),
+        (16, 0.5, 11),  # no in-class draw within the budget
     ]
-    for n, p, seed, max_tries in cases:
-        assert random_in_class(n, p, seed, max_tries) == plain(n, p, seed, max_tries)
+    for n, p, seed in cases:
+        assert random_in_class(n, p, seed) == plain(n, p, seed)
 
 
 def test_random_in_class_param_range():
     with pytest.raises(ParamRangeError):
         random_in_class(5, 1.5, seed=0)
-    with pytest.raises(ParamRangeError):
-        random_in_class(5, 0.5, seed=0, max_tries=0)
 
 
 def test_enumerate_labeled_counts():

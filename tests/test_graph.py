@@ -11,9 +11,8 @@ from clawchroma.graph import (
     degree_profile,
     edge_mask_of,
     from_edge_mask,
-    induced_subgraph,
 )
-from graphzoo import complete, cycle
+from graphzoo import complete, cycle, induced_subgraph
 
 from clawchroma import wheel
 

@@ -1,17 +1,16 @@
 import pytest
 
-from clawchroma.coloring import Coloring, dsatur_greedy, verify_proper
-from clawchroma.errors import SameColorPairError, StaleComponentError
+from clawchroma.coloring import Coloring, dsatur_greedy
+from clawchroma.errors import SameColorPairError
 from clawchroma.kempe import (
     CYCLE,
     OTHER,
     PATH,
     find_branching_component,
-    swap_component,
     two_color_components,
 )
 from clawchroma.generators import SplitMix64, random_graph
-from graphzoo import claw, cycle, path, proper_colorings
+from graphzoo import claw, cycle, path
 
 from clawchroma import exact_chromatic, wheel
 
@@ -62,54 +61,6 @@ def test_components_partition_two_classes():
 def test_same_color_pair_rejected():
     with pytest.raises(SameColorPairError):
         two_color_components(path(2), Coloring((1, 2)), 1, 1)
-
-
-def test_swap_path_example():
-    g = path(4)
-    c = Coloring((1, 2, 1, 2))
-    comp = two_color_components(g, c, 1, 2)[0]
-    swapped = swap_component(c, comp)
-    assert swapped.assignment == (2, 1, 2, 1)
-    assert verify_proper(g, swapped) is None
-    assert swap_component(swapped, comp).assignment == c.assignment
-
-
-def test_swap_stale_component():
-    g = path(4)
-    c = Coloring((1, 2, 1, 2))
-    comp = two_color_components(g, c, 1, 2)[0]
-    recolored = Coloring((1, 2, 3, 2))
-    with pytest.raises(StaleComponentError):
-        swap_component(recolored, comp)
-
-
-def test_swap_all_w6_colorings_stay_proper():
-    # exhaustive: every proper 4-coloring of the 6-vertex wheel, every pair,
-    # every component; swapping must preserve properness and be an involution
-    g = wheel(5)
-    count = 0
-    for assign in proper_colorings(g, 4):
-        c = Coloring(assign)
-        present = sorted(set(assign))
-        for i, alpha in enumerate(present):
-            for beta in present[i + 1 :]:
-                for comp in two_color_components(g, c, alpha, beta):
-                    swapped = swap_component(c, comp)
-                    assert verify_proper(g, swapped) is None
-                    assert swap_component(swapped, comp) == c
-                    count += 1
-    assert count > 0
-
-
-def test_swap_preserves_colors_outside_component():
-    g = wheel(5)
-    _, c = exact_chromatic(g)
-    for comp in two_color_components(g, c, 1, 2):
-        swapped = swap_component(c, comp)
-        inside = set(comp.vertices)
-        for v in range(g.n):
-            if v not in inside:
-                assert swapped.assignment[v] == c.assignment[v]
 
 
 def test_branching_search_examples():

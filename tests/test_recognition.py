@@ -8,35 +8,25 @@ from clawchroma.errors import VertexOutOfRangeError
 from clawchroma._kernels import pure
 from clawchroma.generators import (
     SplitMix64,
-    enumerate_labeled,
     random_claw_free_graph,
     random_graph,
     random_in_class_graph,
 )
 from clawchroma.graph import build_graph
 from clawchroma.recognition import (
-    CYCLE_C5,
-    ISOLATED_REST,
-    PATH_P4,
-    UNIQUE_MISS,
-    VIOLATION,
     ClassVerdict,
-    _is_c5,
-    _is_isolated_rest,
-    _is_p4,
-    _unique_miss_map,
-    classify_neighborhood,
     find_claw,
     find_k5_minus_p3,
     is_in_class,
     verify_neighborhood_all_cliques,
 )
 from graphzoo import (
+    all_cliques_by_enumeration,
     claw,
     complete,
     cycle,
     empty,
-    gem,
+    enumerate_labeled,
     naive_has_claw,
     naive_has_w,
     petersen,
@@ -304,50 +294,17 @@ def test_witness_soundness_over_enumeration():
             _witness_is_induced_w(g, w)
 
 
-def test_classify_neighborhood_examples():
-    assert classify_neighborhood(wheel(5), 0).outcome == CYCLE_C5
-    assert classify_neighborhood(gem(), 0).outcome == PATH_P4
-
-    shape = classify_neighborhood(complete(5), 0)
-    assert shape.outcome == ISOLATED_REST
-    assert shape.clique == (1, 2, 3, 4) and shape.rest == ()
-
-    shape = classify_neighborhood(cycle(4), 0)
-    assert shape.outcome == UNIQUE_MISS
-    assert shape.clique == (1,) and shape.rest == (3,)
-    assert shape.miss_map == ((3, 1),)
-
-
-def test_classify_out_of_range():
-    with pytest.raises(VertexOutOfRangeError):
-        classify_neighborhood(cycle(4), 4)
-
-
 def test_no_violation_for_in_class_small():
     for g in enumerate_labeled(5, lambda h: bool(is_in_class(h))):
         for u in range(g.n):
-            assert classify_neighborhood(g, u).outcome != VIOLATION
             assert verify_neighborhood_all_cliques(g, u)
 
 
 def test_all_cliques_verifier_examples():
     assert verify_neighborhood_all_cliques(wheel(5), 0)
     assert verify_neighborhood_all_cliques(complete(5), 0)
-
-
-def _all_cliques_by_enumeration(g, u):
-    """Reference reading: list every maximum clique of <N(u)> and test each."""
-    adj = g.adj
-    nb = adj[u]
-    if _is_c5(adj, nb) or _is_p4(adj, nb):
-        return True
-    for clique in pure.max_cliques(adj, g.n, nb):
-        rest = nb & ~clique
-        if rest and _unique_miss_map(adj, clique, rest) is not None:
-            continue
-        if not _is_isolated_rest(adj, clique, rest):
-            return False
-    return True
+    with pytest.raises(VertexOutOfRangeError):
+        verify_neighborhood_all_cliques(cycle(4), 4)
 
 
 def test_all_cliques_verifier_matches_enumeration_up_to_n6():
@@ -357,7 +314,7 @@ def test_all_cliques_verifier_matches_enumeration_up_to_n6():
         for g in enumerate_labeled(n):
             for u in range(n):
                 got = verify_neighborhood_all_cliques(g, u)
-                assert got == _all_cliques_by_enumeration(g, u), (n, g.adj, u)
+                assert got == all_cliques_by_enumeration(g, u), (n, g.adj, u)
                 pairs += 1
                 false += not got
     assert (pairs, false) == (202_013, 30_645)

@@ -16,7 +16,7 @@ from clawchroma.bitops import iter_bits
 from clawchroma.cli import _dump_counterexamples, main
 from clawchroma.cliques import omega
 from clawchroma.colorer import InsertionState
-from clawchroma.coloring import Coloring, exact_chromatic, k_colorable, verify_proper
+from clawchroma.coloring import Coloring, exact_chromatic, verify_proper
 from clawchroma.errors import ParamRangeError, ScaleExceededError
 from clawchroma.generators import line_graph
 from clawchroma.graph import Graph, build_graph, degree_profile, edge_mask_of, from_edge_mask
@@ -30,7 +30,7 @@ from clawchroma.stress import (
     check_in_class_graph,
     run_stress,
 )
-from graphzoo import claw, cycle, k4_minus_edge, petersen
+from graphzoo import claw, cycle, k4_minus_edge, k_colorable, petersen
 
 from clawchroma import wheel
 
