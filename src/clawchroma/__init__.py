@@ -10,10 +10,15 @@ graphs.
 from ._kernels import backend_name
 from .cliques import omega
 from .colorer import RepairTrace, class_color, omega_color_strict
-from .coloring import Coloring, dsatur_greedy, exact_chromatic, verify_proper
+from .coloring import (
+    Coloring,
+    dsatur_greedy,
+    exact_chromatic,
+    find_branching_component,
+    verify_proper,
+)
 from .generators import blown_up_odd_cycle, line_graph, random_in_class, wheel
 from .graph import Graph, build_graph, degree_profile, from_edge_mask
-from .kempe import KempeComponent, find_branching_component, two_color_components
 from .recognition import (
     ClassVerdict,
     ForbiddenWitness,
@@ -44,8 +49,6 @@ __all__ = [
     "verify_proper",
     "dsatur_greedy",
     "exact_chromatic",
-    "KempeComponent",
-    "two_color_components",
     "find_branching_component",
     "RepairTrace",
     "omega_color_strict",

@@ -1,10 +1,13 @@
 """Pure-Python kernels over bitmask adjacency.
 
 These are the hot primitives behind recognition, clique search and exact
-coloring, for graphs of any size; the package reaches them through
-_kernels. One branch and bound, _clique_search, answers all four clique
-questions: the clique number (clique_number), whether a k-clique exists
-(has_clique), the lexicographically least maximum clique
+coloring, for graphs of any size. Each kernel has one binding, this
+module's: callers look it up at call time (``K.<name>``) and kernels call
+each other through the module's globals, so replacing a name here, as
+perfbench's tracer and the tests do, reaches every caller; backend_name
+names the implementation. One branch and bound, _clique_search, answers all
+four clique questions: the clique number (clique_number), whether a k-clique
+exists (has_clique), the lexicographically least maximum clique
 (lex_min_max_clique) and the list of maximum cliques (max_cliques). One
 search colors: k_color, and dsatur is its first descent. Both searches are
 single loops over an explicit stack, so no clique or graph size reaches the
@@ -26,7 +29,9 @@ and 0 means uncolored.
 
 from __future__ import annotations
 
-from ..bitops import universal_vertices
+from .bitops import universal_vertices
+
+backend_name = "pure"
 
 
 def find_claw(adj, n: int):

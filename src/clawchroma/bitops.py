@@ -18,10 +18,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def bits_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
-
-
 def universal_vertices(adj, sub: int) -> int:
     """The vertices of sub adjacent to every other vertex of sub.
 

@@ -1,4 +1,5 @@
-"""Proper-coloring values, the DSATUR baseline, and the exact oracle.
+"""Coloring values, the properness and Kempe-component checks, the DSATUR
+baseline and the exact oracle.
 
 exact_chromatic is the ground truth the verification sweeps compare
 everything against: it brackets the search between the clique number and the
@@ -70,6 +71,29 @@ def verify_proper(g: Graph, coloring: Coloring) -> tuple[int, int] | None:
         clash = nu & masks[a[u]] & (-1 << (u + 1))
         if clash:
             return (u, (clash & -clash).bit_length() - 1)
+    return None
+
+
+def find_branching_component(g: Graph, coloring: Coloring) -> int | None:
+    """Least vertex of degree >= 3 in some two-class subgraph, else None.
+
+    In a claw-free graph every component of the subgraph induced by two
+    color classes of a proper coloring is a path or a cycle, so None is
+    expected there. A vertex v of color a has degree |N(v) & C_a| +
+    |N(v) & C_b| in the (a, b) subgraph, for each other present color b;
+    same-colored neighbors of an improper coloring count in every pair
+    containing a.
+    """
+    classes = coloring.class_masks
+    a = coloring.assignment
+    for v, nv in enumerate(g.adj):
+        if nv.bit_count() < 3:
+            continue
+        own_mask = classes[a[v]]
+        own = (nv & own_mask).bit_count()
+        for mask in classes.values():
+            if mask != own_mask and own + (nv & mask).bit_count() >= 3:
+                return v
     return None
 
 

@@ -32,10 +32,6 @@ class PartialColoringError(ClawChromaError):
     """A coloring does not assign a color to every vertex."""
 
 
-class SameColorPairError(ClawChromaError):
-    """A two-color operation was asked for with alpha == beta."""
-
-
 class NotInClassError(ClawChromaError):
     """The graph contains a forbidden induced subgraph.
 

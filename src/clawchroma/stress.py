@@ -77,11 +77,11 @@ from .cliques import omega as omega_of
 # unused here, imported for the benchmark tracer, which wraps them at stress:
 # color_in_class, exact_chromatic, random_graph, is_in_class, find_induced_wheel6
 from .colorer import InsertionState, color_in_class, insert_vertices, target_colors  # noqa: F401
-from .coloring import ORACLE_MAX_VERTICES, Coloring, dsatur_greedy, exact_chromatic, verify_proper  # noqa: F401
+from .coloring import ORACLE_MAX_VERTICES, Coloring, dsatur_greedy, exact_chromatic  # noqa: F401
+from .coloring import find_branching_component, verify_proper
 from .errors import ParamRangeError, ScaleExceededError
 from .generators import SplitMix64, random_graph, random_in_class_graph  # noqa: F401
 from .graph import Graph, degree_profile, edge_mask_of
-from .kempe import find_branching_component
 from .recognition import is_in_class, verify_neighborhood_all_cliques  # noqa: F401
 from .report import CHI_EQUALS_OMEGA, CHI_WITHIN_ONE, DEGREE_BOUND, WHEEL_BRANCH
 from .report import OMEGA_CASE, find_induced_wheel6, prove_chi, trichotomy  # noqa: F401

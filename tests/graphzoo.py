@@ -26,6 +26,11 @@ from clawchroma.graph import Graph, build_graph, from_edge_mask
 from clawchroma.recognition import _is_c5, _is_p4
 
 
+def bits_tuple(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    return tuple(iter_bits(mask))
+
+
 def complete(n: int) -> Graph:
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 

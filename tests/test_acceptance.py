@@ -14,10 +14,15 @@ import pytest
 
 from clawchroma._kernels import scan_in_class
 from clawchroma.cli import main
-from clawchroma.coloring import dsatur_greedy, exact_chromatic, verify_proper
+from clawchroma.coloring import (
+    Coloring,
+    dsatur_greedy,
+    exact_chromatic,
+    find_branching_component,
+    verify_proper,
+)
 from clawchroma.dimacs import write_dimacs
 from clawchroma.graph import degree_profile, from_edge_mask
-from clawchroma.kempe import find_branching_component
 from clawchroma.recognition import is_in_class, verify_neighborhood_all_cliques
 from clawchroma.report import classify_trichotomy
 from clawchroma.stress import run_stress
@@ -136,10 +141,8 @@ def test_criterion8_component_shapes_on_line_graphs():
             assert find_branching_component(g, coloring) is None
         graphs += 1
     assert graphs == 1000
-    from clawchroma.coloring import Coloring
-
     control = find_branching_component(claw(), Coloring((1, 2, 2, 2)))
-    assert control is not None and control.branch_vertex == 0
+    assert control == 0
     _announce(8, "1000 seeded line graphs: every two-class component is a "
                  "path or cycle; star control violates")
 

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from clawchroma._kernels import pure
-from clawchroma.bitops import bits_tuple
+from clawchroma import _kernels as K
 from clawchroma.cliques import omega
 from clawchroma.generators import SplitMix64, random_graph
 from clawchroma.graph import build_graph
 from graphzoo import (
+    bits_tuple,
     complete,
     cycle,
     empty,
@@ -74,10 +74,10 @@ def test_pure_clique_kernels_match_brute_force():
         full = g.full_mask()
         for sub in (full, stream.next_u64() & full, stream.next_u64() & full):
             w, cliques = _brute_max_cliques(g.adj, sub)
-            assert pure.clique_number(g.adj, n, sub) == w
-            assert pure.max_cliques(g.adj, n, sub) == cliques
+            assert K.clique_number(g.adj, n, sub) == w
+            assert K.max_cliques(g.adj, n, sub) == cliques
             for k in range(w + 2):
-                assert pure.has_clique(g.adj, n, sub, k) == (k <= w)
+                assert K.has_clique(g.adj, n, sub, k) == (k <= w)
 
 
 def test_has_clique_matches_clique_number_on_every_subgraph_up_to_n5():
@@ -85,12 +85,12 @@ def test_has_clique_matches_clique_number_on_every_subgraph_up_to_n5():
     for n in range(6):
         for g in enumerate_labeled(n):
             for sub in range(1 << n):
-                w = pure.clique_number(g.adj, n, sub)
+                w = K.clique_number(g.adj, n, sub)
                 for k in range(n + 2):
-                    assert pure.has_clique(g.adj, n, sub, k) == (w >= k)
-                cliques = pure.max_cliques(g.adj, n, sub)
+                    assert K.has_clique(g.adj, n, sub, k) == (w >= k)
+                cliques = K.max_cliques(g.adj, n, sub)
                 assert (w, cliques) == _brute_max_cliques(g.adj, sub)
-                assert pure.lex_min_max_clique(g.adj, n, sub) == cliques[0]
+                assert K.lex_min_max_clique(g.adj, n, sub) == cliques[0]
                 checked += 1
     assert checked == 1 + 2 + 2 * 4 + 8 * 8 + 64 * 16 + 1024 * 32
 
@@ -101,11 +101,11 @@ def test_clique_kernels_match_brute_force_at_n6():
     for g in enumerate_labeled(n):
         full = g.full_mask()
         w, cliques = _brute_max_cliques(g.adj, full)
-        assert pure.clique_number(g.adj, n, full) == w
-        assert pure.lex_min_max_clique(g.adj, n, full) == cliques[0]
-        assert pure.max_cliques(g.adj, n, full) == cliques
+        assert K.clique_number(g.adj, n, full) == w
+        assert K.lex_min_max_clique(g.adj, n, full) == cliques[0]
+        assert K.max_cliques(g.adj, n, full) == cliques
         for k in range(n + 2):
-            assert pure.has_clique(g.adj, n, full, k) == (k <= w)
+            assert K.has_clique(g.adj, n, full, k) == (k <= w)
 
 
 @pytest.fixture(scope="module")
@@ -129,11 +129,11 @@ def test_clique_kernels_on_a_1000_clique(k1000_plus_k24):
     adj, n, full = k1000_plus_k24.adj, k1000_plus_k24.n, k1000_plus_k24.full_mask()
     k1000 = (1 << 1000) - 1
     for fn, args, expected in (
-        (pure.clique_number, (adj, n, full), 1000),
-        (pure.has_clique, (adj, n, full, 1000), True),
-        (pure.has_clique, (adj, n, full, 1001), False),
-        (pure.lex_min_max_clique, (adj, n, full), k1000),
-        (pure.max_cliques, (adj, n, full), [k1000]),
+        (K.clique_number, (adj, n, full), 1000),
+        (K.has_clique, (adj, n, full, 1000), True),
+        (K.has_clique, (adj, n, full, 1001), False),
+        (K.lex_min_max_clique, (adj, n, full), k1000),
+        (K.max_cliques, (adj, n, full), [k1000]),
     ):
         result, elapsed = _timed(fn, *args)
         assert result == expected, fn.__name__
@@ -154,8 +154,8 @@ def test_clique_kernels_at_scale():
     adj = [full & ~(1 << v | 1 << (v ^ 1)) for v in range(n - 1)]
     adj.append(full & ~(1 << (n - 1)))
     start = time.perf_counter()
-    lex = pure.lex_min_max_clique(adj, n, adj[n - 1])
-    w = pure.clique_number(adj, n, full)
+    lex = K.lex_min_max_clique(adj, n, adj[n - 1])
+    w = K.clique_number(adj, n, full)
     elapsed = time.perf_counter() - start
     assert lex == sum(1 << v for v in range(0, n - 1, 2))
     assert w == 128
@@ -169,7 +169,7 @@ def test_lex_min_max_clique_at_1023():
     adj = [full & ~(1 << v | 1 << (v ^ 1)) for v in range(n - 1)]
     adj.append(full & ~(1 << (n - 1)))
     start = time.perf_counter()
-    lex = pure.lex_min_max_clique(adj, n, adj[n - 1])
+    lex = K.lex_min_max_clique(adj, n, adj[n - 1])
     elapsed = time.perf_counter() - start
     assert lex == sum(1 << v for v in range(0, n - 1, 2))
     assert elapsed < 1.5
@@ -190,9 +190,9 @@ def test_pure_clique_kernels_with_universal_vertices():
             for u in bits_tuple(sub & ~(1 << v)):
                 adj[u] |= 1 << v
         w, cliques = _brute_max_cliques(adj, sub)
-        assert pure.clique_number(adj, n, sub) == w
-        assert pure.max_cliques(adj, n, sub) == cliques
-        assert pure.lex_min_max_clique(adj, n, sub) == cliques[0]
+        assert K.clique_number(adj, n, sub) == w
+        assert K.max_cliques(adj, n, sub) == cliques
+        assert K.lex_min_max_clique(adj, n, sub) == cliques[0]
         assert all(c & planted == planted for c in cliques)
 
 
@@ -203,13 +203,13 @@ def test_pure_kernels_leave_no_cyclic_garbage():
     try:
         for g in graphs:
             adj, n, full = g.adj, g.n, g.full_mask()
-            w = pure.clique_number(adj, n, full)
-            pure.has_clique(adj, n, full, w + 1)
-            clique = pure.lex_min_max_clique(adj, n, full)
+            w = K.clique_number(adj, n, full)
+            K.has_clique(adj, n, full, w + 1)
+            clique = K.lex_min_max_clique(adj, n, full)
             for v in range(n):
-                pure.max_cliques(adj, n, full & ~(1 << v))
-            pure.k_color(adj, n, full, w, clique)
-            pure.k_color(adj, n, full, w + 1, clique)
+                K.max_cliques(adj, n, full & ~(1 << v))
+            K.k_color(adj, n, full, w, clique)
+            K.k_color(adj, n, full, w + 1, clique)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -218,7 +218,7 @@ def test_pure_kernels_leave_no_cyclic_garbage():
 def test_no_kernel_recurses():
     # every search is a loop over an explicit stack, so no input size can
     # reach the recursion limit
-    tree = ast.parse(Path(pure.__file__).read_text())
+    tree = ast.parse(Path(K.__file__).read_text())
     recursive = [
         f.name
         for f in ast.walk(tree)

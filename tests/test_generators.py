@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from clawchroma import generators
-from clawchroma.bitops import bits_tuple
 from clawchroma.errors import ParamRangeError, ScaleExceededError
 from clawchroma.generators import (
     SplitMix64,
@@ -19,7 +18,15 @@ from clawchroma.generators import (
 )
 from clawchroma.graph import degree_profile
 from clawchroma.recognition import find_claw, is_in_class
-from graphzoo import claw, complete, cycle, empty, enumerate_labeled, seeded_line_graphs
+from graphzoo import (
+    bits_tuple,
+    claw,
+    complete,
+    cycle,
+    empty,
+    enumerate_labeled,
+    seeded_line_graphs,
+)
 
 from clawchroma import exact_chromatic, omega
 

@@ -1,66 +1,10 @@
-import pytest
+from itertools import combinations
 
-from clawchroma.coloring import Coloring, dsatur_greedy
-from clawchroma.errors import SameColorPairError
-from clawchroma.kempe import (
-    CYCLE,
-    OTHER,
-    PATH,
-    find_branching_component,
-    two_color_components,
-)
+from clawchroma.coloring import Coloring, dsatur_greedy, find_branching_component
 from clawchroma.generators import SplitMix64, random_graph
-from graphzoo import claw, cycle, path
+from graphzoo import claw, cycle
 
-from clawchroma import exact_chromatic, wheel
-
-
-def test_path_component():
-    g = path(4)
-    c = Coloring((1, 2, 1, 2))
-    comps = two_color_components(g, c, 1, 2)
-    assert len(comps) == 1
-    assert comps[0].shape == PATH
-    assert comps[0].vertices == (0, 1, 2, 3)
-
-
-def test_cycle_component():
-    g = cycle(6)
-    c = Coloring((1, 2, 1, 2, 1, 2))
-    comps = two_color_components(g, c, 1, 2)
-    assert len(comps) == 1 and comps[0].shape == CYCLE
-
-
-def test_star_component_is_other():
-    g = claw()
-    c = Coloring((1, 2, 2, 2))
-    comps = two_color_components(g, c, 1, 2)
-    assert len(comps) == 1
-    assert comps[0].shape == OTHER and comps[0].branch_vertex == 0
-
-
-def test_singleton_and_edge_are_paths():
-    g = path(2)
-    c = Coloring((1, 2))
-    comps = two_color_components(g, c, 1, 3)
-    assert [(k.vertices, k.shape) for k in comps] == [((0,), PATH)]
-    comps = two_color_components(g, c, 1, 2)
-    assert [(k.vertices, k.shape) for k in comps] == [((0, 1), PATH)]
-
-
-def test_components_partition_two_classes():
-    g = wheel(5)
-    _, c = exact_chromatic(g)
-    seen = set()
-    for comp in two_color_components(g, c, 1, 2):
-        assert not seen & set(comp.vertices)
-        seen |= set(comp.vertices)
-    assert seen == {v for v in range(g.n) if c.assignment[v] in (1, 2)}
-
-
-def test_same_color_pair_rejected():
-    with pytest.raises(SameColorPairError):
-        two_color_components(path(2), Coloring((1, 2)), 1, 1)
+from clawchroma import exact_chromatic
 
 
 def test_branching_search_examples():
@@ -68,17 +12,19 @@ def test_branching_search_examples():
     _, c = exact_chromatic(g)
     assert find_branching_component(g, c) is None
 
-    bad = find_branching_component(claw(), Coloring((1, 2, 2, 2)))
-    assert bad is not None and bad.shape == OTHER
+    assert find_branching_component(claw(), Coloring((1, 2, 2, 2))) == 0
 
 
 def _reference_branching(g, c):
-    present = sorted(set(c.assignment))
-    for i, alpha in enumerate(present):
-        for beta in present[i + 1 :]:
-            for comp in two_color_components(g, c, alpha, beta):
-                if comp.shape == OTHER:
-                    return comp
+    """Least vertex of degree >= 3 in the subgraph of some pair of present
+    colors, counted edge by edge."""
+    a = c.assignment
+    for v in range(g.n):
+        for pair in combinations(sorted(set(a)), 2):
+            if a[v] in pair:
+                degree = sum(g.adj[v] >> u & 1 for u in range(g.n) if a[u] in pair)
+                if degree >= 3:
+                    return v
     return None
 
 

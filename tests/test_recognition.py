@@ -5,7 +5,6 @@ import pytest
 
 from clawchroma import _kernels as K
 from clawchroma.errors import VertexOutOfRangeError
-from clawchroma._kernels import pure
 from clawchroma.generators import (
     SplitMix64,
     random_claw_free_graph,
@@ -125,7 +124,7 @@ def test_pure_k5_minus_p3_is_least_witness():
         n = 5 + stream.next_below(6)
         g = random_graph(n, 0.55 + 0.45 * stream.next_unit(), stream)
         expected = _brute_least_w(g.adj, n)
-        assert pure.find_k5_minus_p3(g.adj, n) == expected
+        assert K.find_k5_minus_p3(g.adj, n) == expected
         hits += expected is not None
         misses += expected is None and find_claw(g) is None
     assert hits > 50 and misses > 50
@@ -136,10 +135,10 @@ def _claw_free_decision_agrees_on_all_labeled(n):
     claw-free labeled graph with n vertices; (claw-free count, yes count)."""
     kept = yes = 0
     for g in enumerate_labeled(n):
-        if pure.find_claw(g.adj, n) is not None:
+        if K.find_claw(g.adj, n) is not None:
             continue
-        got = pure.claw_free_has_k5_minus_p3(g.adj, n)
-        assert got == (pure.find_k5_minus_p3(g.adj, n) is not None), g
+        got = K.claw_free_has_k5_minus_p3(g.adj, n)
+        assert got == (K.find_k5_minus_p3(g.adj, n) is not None), g
         kept += 1
         yes += got
     return kept, yes
@@ -169,8 +168,8 @@ def test_claw_free_k5_minus_p3_decision_on_sweep_draws():
         g = random_claw_free_graph(n, 0.5 * u if i % 2 else 0.75 + 0.25 * u, stream)
         if g is None:
             continue
-        got = pure.claw_free_has_k5_minus_p3(g.adj, n)
-        assert got == (pure.find_k5_minus_p3(g.adj, n) is not None), (i, n)
+        got = K.claw_free_has_k5_minus_p3(g.adj, n)
+        assert got == (K.find_k5_minus_p3(g.adj, n) is not None), (i, n)
         verdicts[got] += 1
     assert verdicts[True] > 50 and verdicts[False] > 50
 
@@ -190,17 +189,17 @@ def test_claw_free_k5_minus_p3_decision_near_complete():
         minus_p3[2] ^= 2
         cases = ((kn, False), (minus_edge, False), (minus_p3, True))
         for adj, expected in cases:
-            assert pure.claw_free_has_k5_minus_p3(adj, n) is expected, n
+            assert K.claw_free_has_k5_minus_p3(adj, n) is expected, n
             if n <= 64:
-                assert (pure.find_k5_minus_p3(adj, n) is not None) is expected, n
+                assert (K.find_k5_minus_p3(adj, n) is not None) is expected, n
     assert time.perf_counter() - start < 1.0
 
 
 def test_claw_free_k5_minus_p3_decision_needs_claw_free():
     # K2 joined to 3K1: the rule reads the claw at 0 as a K5-P3
     g = build_graph(5, [(0, 1)] + [(u, v) for u in (0, 1) for v in (2, 3, 4)])
-    assert pure.claw_free_has_k5_minus_p3(g.adj, 5) is True
-    assert pure.find_k5_minus_p3(g.adj, 5) is None
+    assert K.claw_free_has_k5_minus_p3(g.adj, 5) is True
+    assert K.find_k5_minus_p3(g.adj, 5) is None
     assert find_claw(g) is not None
 
 
@@ -211,13 +210,13 @@ def test_claw_through_matches_find_claw_up_to_n5():
     for n in range(6):
         vbit = 1 << n
         for g in enumerate_labeled(n):
-            if pure.find_claw(g.adj, n) is not None:
+            if K.find_claw(g.adj, n) is not None:
                 continue
             for s in range(vbit):
                 child = [a | vbit if s >> u & 1 else a for u, a in enumerate(g.adj)]
                 child.append(s)
                 got = K.claw_through(g.adj, s)
-                assert got == (pure.find_claw(child, n + 1) is not None), (g.adj, s)
+                assert got == (K.find_claw(child, n + 1) is not None), (g.adj, s)
                 checked += 1
                 hits += got
     assert checked == 1 + 2 + 2 * 4 + 8 * 8 + 60 * 16 + 769 * 32
@@ -231,7 +230,7 @@ def _k5_minus_p3_through_agrees(adj, n, s):
     child = [a | 1 << n if s >> u & 1 else a for u, a in enumerate(adj)]
     child.append(s)
     got = K.k5_minus_p3_through(adj, s)
-    assert got == (pure.find_k5_minus_p3(child, n + 1) is not None), (adj, s)
+    assert got == (K.find_k5_minus_p3(child, n + 1) is not None), (adj, s)
     return got
 
 
@@ -241,9 +240,9 @@ def _k5_minus_p3_through_agrees_on_children(n):
     all masks; (children checked, children with a K5-P3)."""
     checked = hits = 0
     for g in enumerate_labeled(n):
-        if pure.find_claw(g.adj, n) is not None:
+        if K.find_claw(g.adj, n) is not None:
             continue
-        if pure.find_k5_minus_p3(g.adj, n) is not None:
+        if K.find_k5_minus_p3(g.adj, n) is not None:
             continue
         for s in range(1 << n):
             if not K.claw_through(g.adj, s):

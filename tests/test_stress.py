@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from clawchroma import _kernels as K
-from clawchroma._kernels import pure
 from clawchroma import colorer, report, stress
 from clawchroma.bitops import iter_bits
 from clawchroma.cli import _dump_counterexamples, main
@@ -25,7 +24,9 @@ from clawchroma.stress import (
     CHI_EQUALS_OMEGA,
     CHI_WITHIN_ONE,
     COMPONENT_SHAPE,
+    DEGREE_BOUND,
     NEIGHBORHOOD_SHAPE,
+    WHEEL_BRANCH,
     StressSummary,
     check_in_class_graph,
     run_stress,
@@ -114,15 +115,25 @@ def test_sweep_decides_k5_minus_p3_through_the_new_vertex(monkeypatch):
     """The sweep decides K5-P3 by the local rule through each child's new
     vertex, once per claw-free mask, and never on a whole child."""
     calls = Counter()
-    for module in (K, pure):
-        for name in ("claw_free_has_k5_minus_p3", "k5_minus_p3_through"):
-            def counted(*args, _fn=getattr(module, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
+    for name in ("claw_free_has_k5_minus_p3", "k5_minus_p3_through"):
+        def counted(*args, _fn=getattr(K, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(K, name, counted)
     assert run_stress("exhaustive", max_n=6, workers=0).in_class_count == 13217
     assert calls == {"k5_minus_p3_through": 15422}
+
+
+def test_claw_rule_planted_at_the_kernel_reaches_the_sweep(monkeypatch):
+    """A claw_through that never finds a claw, replaced at the kernel's one
+    binding, lets claws into the sweep's children: more graphs are taken in
+    class, and the checks that claws break count them."""
+    monkeypatch.setattr(K, "claw_through", lambda adj, nb: False)
+    s = run_stress("exhaustive", max_n=5, workers=0)
+    assert s.in_class_count != 810
+    for category in (NEIGHBORHOOD_SHAPE, COMPONENT_SHAPE, DEGREE_BOUND, WHEEL_BRANCH):
+        assert s.violations[category] > 0, category
 
 
 def test_sweep_checks_each_coloring_once(monkeypatch):
