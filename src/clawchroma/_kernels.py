@@ -13,14 +13,14 @@ search colors: k_color, and dsatur is its first descent. Both searches are
 single loops over an explicit stack, so no clique or graph size reaches the
 recursion limit, and no kernel builds a closure, so a call leaves no
 reference cycles for the garbage collector. One rule, claw_through, finds
-the claws through a new vertex, for both sweeps that grow graphs a vertex
-at a time: the exhaustive sweep's children (in_class_extensions) and the
-sparse side of the random draw. One more, k5_minus_p3_through, decides the
-K5-minus-P3s through the new vertex of a claw-free child, for the
-exhaustive sweep. A whole claw-free graph is decided by
-claw_free_has_k5_minus_p3 instead, for the random draw and recognition: on
-a dense graph the rule through a vertex v costs O(|N(v)|^2), and the
-whole-graph rule is near-linear there.
+the claws through a new vertex joined to one neighborhood, for the sparse
+side of the random draw. The exhaustive sweep's children
+(in_class_extensions) decide all 2^k neighborhoods of the new vertex of a
+k-vertex parent at once, as truth tables over the subset lattice whose bit
+s is the verdict on neighborhood s: claw_table is claw_through's rule as
+such a table, and the K5-minus-P3 rules through the new vertex are ORed in.
+A whole claw-free graph is decided by claw_free_has_k5_minus_p3 instead,
+for the random draw and recognition, near-linear on dense graphs.
 
 Conventions: adj is an indexable of per-vertex neighbor bitmasks, sub is a
 bitmask restricting the operation to an induced subgraph, colors are 1-based
@@ -28,6 +28,9 @@ and 0 means uncolored.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from operator import or_
 
 from .bitops import universal_vertices
 
@@ -404,14 +407,81 @@ def claw_through(adj, nb: int) -> bool:
     return False
 
 
-def k5_minus_p3_through(adj, nb: int) -> bool:
-    """True iff a new vertex v joined to nb lies in a K5-minus-P3.
+@cache
+def _lattice(k: int):
+    """Truth tables over the subsets s of {0..k-1}, as (2^k)-bit ints whose
+    bit s is the value at s: full (all true), t[u] ("u in s") and, per
+    vertex mask m, sup[m] ("m within s"), hit[m] ("s meets m"), in2[m] ("two
+    of m in s") and out2[m] ("two of m outside s"); and vm[s], per s, the
+    tuple that holds the bit of vertex k at each u in s and 0 elsewhere.
+    Each per-mask table holds 4^k bits, 2 KB at k = 7, so one set per k is
+    kept for the life of the process."""
+    size = 1 << k
+    full = (1 << size) - 1
+    t = tuple(sum(1 << s for s in range(size) if s >> u & 1) for u in range(k))
+    sup = [full] * size
+    hit = [0] * size
+    in2 = [0] * size
+    out2 = [0] * size
+    for m in range(1, size):
+        low = m & -m
+        r = m ^ low
+        tu = t[low.bit_length() - 1]
+        sup[m] = sup[r] & tu
+        hit[m] = hit[r] | tu
+        in2[m] = in2[r] | hit[r] & tu
+        out2[m] = out2[r] | (full ^ sup[r]) & ~tu
+    vbit = 1 << k
+    vm = tuple(tuple(vbit if s >> u & 1 else 0 for u in range(k)) for s in range(size))
+    return full, t, tuple(sup), tuple(hit), tuple(in2), tuple(out2), vm
 
-    Precondition: adj has no K5-minus-P3, and adj plus v is claw-free
-    (claw_through is False). Then every K5-minus-P3 of the grown graph goes
-    through v, and this decides whether the grown graph has one. Roles as
-    in find_k5_minus_p3: de is the edge joined to a, b and c, ab is an
-    edge, and c misses a and b. With S = nb, v takes one of three roles
+
+def claw_table(adj, k: int) -> int:
+    """The truth table of claw_through(adj, s) over every s below 2^k.
+
+    adj is a graph on vertices 0..k-1; bit s is set iff a new vertex joined
+    to s lies in a claw. By claw_through's rule it is a leaf of a claw
+    centered at u in s iff u has non-adjacent neighbors x < y outside s, and
+    the center of one iff s holds an independent triple u < b < c.
+    """
+    full, t, sup, hit = _lattice(k)[:4]
+    bad = 0
+    for u in range(k):
+        nu = adj[u]
+        inside = full  # s misses no non-adjacent pair x < y of N(u)
+        m = nu
+        while m:
+            bx = m & -m
+            x = bx.bit_length() - 1
+            m ^= bx
+            y = m & ~adj[x]
+            if y:
+                inside &= t[x] | sup[y]
+        center = 0
+        m = ~nu & ((1 << k) - 1) & (-2 << u)  # b above u, and c above b
+        while m:
+            bb = m & -m
+            b = bb.bit_length() - 1
+            m ^= bb
+            c = m & ~adj[b]
+            if c:
+                center |= t[b] & hit[c]
+        bad |= t[u] & (center | (full ^ inside))
+    return bad
+
+
+def in_class_extensions(adj, n: int) -> list[tuple[int, ...]]:
+    """Adjacencies of the in-class graphs that add a vertex v = n-1 to adj.
+
+    adj is an in-class graph on vertices 0..k-1, k = n-1, so every claw or
+    K5-minus-P3 of adj plus v joined to S goes through v, and the grown
+    graph is in the class iff none does. All 2^k neighborhoods S are
+    decided at once, by truth tables over the subset lattice (_lattice):
+    each forbidden pattern through v is an AND of "u in S" and "u not in S"
+    terms, ORed into the table bad. claw_table gives the claws. The rules
+    for the K5-minus-P3s hold when v is in no claw, and any other S is in
+    bad already. Roles as in find_k5_minus_p3 (de is the edge joined to a,
+    b and c, ab is an edge, c misses a and b); v takes one of three roles
     (d and e, and a and b, are symmetric):
 
       v = c  some edge de inside S has two common neighbors outside S;
@@ -421,53 +491,43 @@ def k5_minus_p3_through(adj, nb: int) -> bool:
 
     Each is also sufficient. The two vertices of the first two rules are
     the a and b, and they are adjacent: otherwise d (first) or e (second)
-    is the center of a claw on a, b and v or c.
+    is the center of a claw on a, b and v or c. The children are the S
+    outside bad, built in ascending order of S, their last entry.
     """
-    me = nb
-    while me:
-        be = me & -me
-        e = be.bit_length() - 1
-        me ^= be
+    k = n - 1
+    full, t, _, hit, in2, out2, vm = _lattice(k)
+    bad = claw_table(adj, k)
+    for e in range(k):
         ae = adj[e]
-        inner = nb & ae
-        mc = inner
-        while mc:
-            bc = mc & -mc
+        te = t[e]
+        m = ae
+        while m:
+            bc = m & -m
             c = bc.bit_length() - 1
-            mc ^= bc
+            m ^= bc
             ac = adj[c]
-            rest = inner & ~ac & ~bc
-            if rest & (rest - 1):  # v = d, with e and c
-                return True
-            if bc < be:
+            both = te & t[c]
+            bad |= both & in2[ae & ~ac & ~bc]  # v = d, with e and c
+            if c < e:
                 continue  # the edge ec as de: each edge once
             common = ae & ac
-            out = common & ~nb
-            if out & (out - 1):  # v = c
-                return True
-            if out and common & nb & ~adj[out.bit_length() - 1]:  # v = a
-                return True
-    return False
-
-
-def in_class_extensions(adj, n: int) -> list[tuple[int, ...]]:
-    """Adjacencies of the in-class graphs that add a vertex n-1 to adj.
-
-    adj is an in-class graph on vertices 0..n-2. The class is hereditary,
-    so adj plus a vertex v = n-1 joined to S is in it iff no claw and no
-    K5-minus-P3 goes through v: claw_through finds the claws, and on a
-    claw-free child k5_minus_p3_through decides the K5-minus-P3s. Only a
-    child that passes both is built. The children come in ascending order
-    of S, their last entry.
-    """
-    vbit = 1 << (n - 1)
+            if not common:
+                continue
+            rule = out2[common]  # v = c
+            mx = common
+            while mx:  # v = a, with c = x outside S and b in S
+                bx = mx & -mx
+                x = bx.bit_length() - 1
+                mx ^= bx
+                rule |= hit[common & ~adj[x] & ~bx] & ~t[x]
+            bad |= both & rule
+    good = full & ~bad
     out = []
-    for s in range(vbit):
-        if claw_through(adj, s) or k5_minus_p3_through(adj, s):
-            continue
-        child = [a | vbit if s >> u & 1 else a for u, a in enumerate(adj)]
-        child.append(s)
-        out.append(tuple(child))
+    while good:
+        b = good & -good
+        s = b.bit_length() - 1
+        good ^= b
+        out.append((*map(or_, adj, vm[s]), s))
     return out
 
 

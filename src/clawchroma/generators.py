@@ -21,8 +21,9 @@ Each claw has one newest vertex k, its center or one of its leaves, so
 looking only for the claws through k finds the first claw. Two rules look
 for them, chosen by the draw's edge probability p:
 
-  p < 1/2   from N = N(k), by K.claw_through, before k is added: the
-            rule the exhaustive sweep's extensions use too.
+  p < 1/2   from N = N(k), by K.claw_through, before k is added (the
+            exhaustive sweep's extensions hold the same rule as a truth
+            table over every N, K.claw_table).
   p >= 1/2  from the complement side, C = {0..k-1} - N, keeping a list of
             the prefix's independent triples. k is a leaf iff some
             non-adjacent pair a < b in C has a common neighbor in N, which

@@ -4,11 +4,13 @@ The exhaustive sweep grows the labeled in-class graphs level by level. The
 class is hereditary, so every in-class graph on n vertices is an in-class
 graph on vertices 0..n-2 plus vertex n-1, and it is in the class iff no claw
 and no K5-minus-P3 goes through that vertex; in_class_extensions lists the
-children that pass, as adjacencies, deciding both by local rules through
-the new vertex. Every labeled graph on n vertices is still decided, by its
-parent's verdict or by the new vertex's check, so graphs_checked still adds
-2^(n(n-1)/2) per n, and the in-class graphs are exactly those that
-scan_in_class, the scan over all edge masks, keeps.
+children that pass, as adjacencies, deciding the local rules through the
+new vertex for all of its neighborhoods at once, as truth tables. The
+progress lines give each level's time and the part of it spent listing
+children (summed over workers). Every labeled graph on n vertices is still
+decided, by its parent's verdict or by the new vertex's check, so
+graphs_checked still adds 2^(n(n-1)/2) per n, and the in-class graphs are
+exactly those that scan_in_class, the scan over all edge masks, keeps.
 
 Each child G, with v = n-1 and S = N(v), resumes its parent P = G - v
 at v, and exactly: every count and counterexample is what checking G from
@@ -118,6 +120,8 @@ class StressSummary:
     vertices_colored_strict: int = 0
     exact_fallbacks: int = 0
     wall_time: float = 0.0
+    # seconds spent listing children (in_class_extensions); not serialized
+    extensions_time: float = 0.0
     # first counterexample per category, as (n, edge_mask); not serialized
     counterexamples: dict[str, tuple[int, int]] = field(default_factory=dict)
 
@@ -158,6 +162,7 @@ class StressSummary:
             self.violations[cat] += count
         self.vertices_colored_strict += part.vertices_colored_strict
         self.exact_fallbacks += part.exact_fallbacks
+        self.extensions_time += part.extensions_time
         for cat, cex in part.counterexamples.items():
             self.counterexamples.setdefault(cat, cex)
 
@@ -284,7 +289,10 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
     part = StressSummary("exhaustive")
     children = []
     for parent, parent_state, verified in parents:
-        for adj in K.in_class_extensions(parent.adj, n):
+        t0 = time.perf_counter()
+        extensions = K.in_class_extensions(parent.adj, n)
+        part.extensions_time += time.perf_counter() - t0
+        for adj in extensions:
             g = Graph(n, adj, parent.edge_count + adj[-1].bit_count())
             state = insert_vertices(g, parent_state)
             record = part.record(g, state, verified)
@@ -377,6 +385,7 @@ def run_stress(
         for n in range(1, max_n + 1):
             t_level = time.perf_counter()
             in_class_before = summary.in_class_count
+            extensions_before = summary.extensions_time
             keep = n < max_n
             chunks = [(n, parents, keep) for parents in _slices(level, workers)]
             summary.graphs_checked += 1 << (n * (n - 1) // 2)
@@ -389,8 +398,10 @@ def run_stress(
             if progress:
                 done = summary.in_class_count - in_class_before
                 elapsed = time.perf_counter() - t_level
+                extensions = summary.extensions_time - extensions_before
                 print(
-                    f"progress: n={n} done, {done} in class, {elapsed:.2f} s",
+                    f"progress: n={n} done, {done} in class, {elapsed:.2f} s"
+                    f" (extensions {extensions:.2f} s)",
                     file=sys.stderr,
                 )
     elif mode == "random":

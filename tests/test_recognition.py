@@ -223,64 +223,72 @@ def test_claw_through_matches_find_claw_up_to_n5():
     assert 0 < hits < checked
 
 
-def _k5_minus_p3_through_agrees(adj, n, s):
-    """k5_minus_p3_through for the vertex n joined to s, on an in-class
-    graph adj with n vertices, asserted equal to the witness search on the
-    grown graph, which must be claw-free."""
-    child = [a | 1 << n if s >> u & 1 else a for u, a in enumerate(adj)]
-    child.append(s)
-    got = K.k5_minus_p3_through(adj, s)
-    assert got == (K.find_k5_minus_p3(child, n + 1) is not None), (adj, s)
-    return got
+def _extensions_agree(adj, n):
+    """in_class_extensions of a graph adj on n vertices, asserted to list
+    exactly the masks s whose grown graph (vertex n joined to s) has no
+    claw and no K5-P3, each as that graph's adjacency, in ascending s;
+    returns the number of children."""
+    vbit = 1 << n
+    expected = []
+    for s in range(vbit):
+        child = (*[a | vbit if s >> u & 1 else a for u, a in enumerate(adj)], s)
+        if K.find_claw(child, n + 1) is None:
+            if K.find_k5_minus_p3(child, n + 1) is None:
+                expected.append(child)
+    assert K.in_class_extensions(adj, n + 1) == expected, adj
+    return len(expected)
 
 
-def _k5_minus_p3_through_agrees_on_children(n):
-    """Compare k5_minus_p3_through with the witness search on every
-    claw-free child of every in-class labeled graph on n vertices, over
-    all masks; (children checked, children with a K5-P3)."""
-    checked = hits = 0
-    for g in enumerate_labeled(n):
-        if K.find_claw(g.adj, n) is not None:
-            continue
-        if K.find_k5_minus_p3(g.adj, n) is not None:
-            continue
-        for s in range(1 << n):
-            if not K.claw_through(g.adj, s):
-                checked += 1
-                hits += _k5_minus_p3_through_agrees(g.adj, n, s)
-    return checked, hits
+def _in_class_children(n):
+    """The children listed for every in-class labeled graph on n vertices,
+    each checked against the grown graphs' witness searches."""
+    return sum(
+        _extensions_agree(g.adj, n)
+        for g in enumerate_labeled(n)
+        if K.find_claw(g.adj, n) is None and K.find_k5_minus_p3(g.adj, n) is None
+    )
 
 
-def test_k5_minus_p3_through_matches_find_k5_minus_p3_up_to_n5():
-    # the parents of the exhaustive sweep's graphs up to n = 6: one
-    # claw-free mask per check that in_class_extensions makes
-    counts = [_k5_minus_p3_through_agrees_on_children(n) for n in range(6)]
-    assert counts == [(1, 0), (2, 0), (8, 0), (60, 0), (769, 30), (14582, 2175)]
+def test_in_class_extensions_match_witness_search_up_to_n5():
+    # the parents of the exhaustive sweep's graphs up to n = 6; the
+    # children are the in-class labeled graphs with one more vertex
+    assert [_in_class_children(n) for n in range(6)] == [1, 2, 8, 60, 739, 12407]
 
 
 @pytest.mark.slow
-def test_k5_minus_p3_through_matches_find_k5_minus_p3_n6():
-    checked, hits = _k5_minus_p3_through_agrees_on_children(6)
-    assert checked - hits == 238085  # the in-class labeled graphs with n = 7
-    assert (checked, hits) == (338617, 100532)
+def test_in_class_extensions_match_witness_search_n6():
+    assert _in_class_children(6) == 238085  # the in-class labeled graphs with n = 7
 
 
-def test_k5_minus_p3_through_on_seeded_children():
-    # seeded in-class draws with n 5..23, at sparse and at dense edge
-    # probabilities, each grown by a vertex joined to 16 random masks
+def test_in_class_extensions_on_seeded_parents():
+    # seeded in-class draws with n 7..10, at sparse and at dense edge
+    # probabilities, every mask of each
     stream = SplitMix64(47)
-    verdicts = {True: 0, False: 0}
-    for i in range(2000):
-        n = 5 + stream.next_below(19)
+    parents = children = 0
+    for i in range(96):
+        n = 7 + i % 4
         u = stream.next_unit()
         g = random_in_class_graph(n, 0.5 * u if i % 2 else 0.75 + 0.25 * u, stream)
-        if g is None:
-            continue
-        for _ in range(16):
-            s = stream.next_u64() & ((1 << n) - 1)
-            if not K.claw_through(g.adj, s):
-                verdicts[_k5_minus_p3_through_agrees(g.adj, n, s)] += 1
-    assert verdicts == {True: 2433, False: 1276}
+        if g is not None:
+            parents += 1
+            children += _extensions_agree(g.adj, n)
+    assert (parents, children) == (41, 1177)
+
+
+def test_claw_table_matches_claw_through():
+    # the extensions' claw table and the random draw's claw_through are two
+    # codings of one rule: equal on every mask of every graph on n <= 5
+    # vertices, claws and all, and of seeded draws with n 6..9
+    graphs = [(g.adj, n) for n in range(6) for g in enumerate_labeled(n)]
+    stream = SplitMix64(53)
+    for i in range(64):
+        n = 6 + i % 4
+        graphs.append((random_graph(n, stream.next_unit(), stream).adj, n))
+    for adj, n in graphs:
+        table = K.claw_table(adj, n)
+        assert [table >> s & 1 for s in range(1 << n)] == [
+            K.claw_through(adj, s) for s in range(1 << n)
+        ], adj
 
 
 def test_witness_soundness_over_enumeration():

@@ -112,28 +112,42 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
 
 
 def test_sweep_decides_k5_minus_p3_through_the_new_vertex(monkeypatch):
-    """The sweep decides K5-P3 by the local rule through each child's new
-    vertex, once per claw-free mask, and never on a whole child."""
+    """The sweep decides claws and K5-P3s by the truth tables through each
+    child's new vertex, one in_class_extensions call per parent, and never
+    by a per-mask rule or on a whole child."""
     calls = Counter()
-    for name in ("claw_free_has_k5_minus_p3", "k5_minus_p3_through"):
+    for name in (
+        "in_class_extensions",
+        "claw_through",
+        "claw_free_has_k5_minus_p3",
+        "find_claw",
+        "find_k5_minus_p3",
+    ):
         def counted(*args, _fn=getattr(K, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(K, name, counted)
     assert run_stress("exhaustive", max_n=6, workers=0).in_class_count == 13217
-    assert calls == {"k5_minus_p3_through": 15422}
+    # the parents: the empty graph and the 810 in-class graphs with n <= 5
+    assert calls == {"in_class_extensions": 811}
 
 
 def test_claw_rule_planted_at_the_kernel_reaches_the_sweep(monkeypatch):
-    """A claw_through that never finds a claw, replaced at the kernel's one
+    """A claw table that never finds a claw, replaced at the kernel's one
     binding, lets claws into the sweep's children: more graphs are taken in
     class, and the checks that claws break count them."""
-    monkeypatch.setattr(K, "claw_through", lambda adj, nb: False)
+    monkeypatch.setattr(K, "claw_table", lambda adj, k: 0)
     s = run_stress("exhaustive", max_n=5, workers=0)
-    assert s.in_class_count != 810
-    for category in (NEIGHBORHOOD_SHAPE, COMPONENT_SHAPE, DEGREE_BOUND, WHEEL_BRANCH):
-        assert s.violations[category] > 0, category
+    assert s.in_class_count == 1059
+    assert {c: s.violations[c] for c in (
+        NEIGHBORHOOD_SHAPE, COMPONENT_SHAPE, DEGREE_BOUND, WHEEL_BRANCH
+    )} == {
+        NEIGHBORHOOD_SHAPE: 249,
+        COMPONENT_SHAPE: 229,
+        DEGREE_BOUND: 159,
+        WHEEL_BRANCH: 154,
+    }
 
 
 def test_sweep_checks_each_coloring_once(monkeypatch):
@@ -417,7 +431,11 @@ def test_exhaustive_progress_reports_each_level(capsys):
     out, err = capsys.readouterr()
     assert out == quiet
     levels = [
-        re.fullmatch(r"progress: n=(\d+) done, (\d+) in class, \d+\.\d\d s", line)
+        re.fullmatch(
+            r"progress: n=(\d+) done, (\d+) in class, \d+\.\d\d s"
+            r" \(extensions \d+\.\d\d s\)",
+            line,
+        )
         for line in err.splitlines()[:4]
     ]
     assert [m and (int(m[1]), int(m[2])) for m in levels] == [
