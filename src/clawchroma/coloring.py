@@ -13,8 +13,6 @@ downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _kernels as K
 from .errors import PartialColoringError, ScaleExceededError
 from .graph import Graph
@@ -22,23 +20,30 @@ from .graph import Graph
 ORACLE_MAX_VERTICES = 64
 
 
-@dataclass(frozen=True)
 class Coloring:
-    """Total vertex -> color assignment; colors are 1-based."""
+    """Total vertex -> color assignment; colors are 1-based. A plain class:
+    the sweeps build one per graph, and a frozen dataclass's __init__ costs
+    more. Equal, hashable and printed as a frozen dataclass would be."""
 
-    assignment: tuple[int, ...]
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment: tuple[int, ...]):
+        self.assignment = assignment
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.assignment == other.assignment
+
+    def __hash__(self):
+        return hash((self.assignment,))
+
+    def __repr__(self):
+        return f"Coloring(assignment={self.assignment!r})"
 
     @property
     def colors_used(self) -> int:
         return len(set(self.assignment))
-
-    @property
-    def class_masks(self) -> dict[int, int]:
-        """Color -> bitmask of the vertices carrying it."""
-        masks: dict[int, int] = {}
-        for v, c in enumerate(self.assignment):
-            masks[c] = masks.get(c, 0) | 1 << v
-        return masks
 
     def canonical(self) -> "Coloring":
         """Renumber colors by first occurrence in vertex order."""
@@ -49,6 +54,48 @@ class Coloring:
                 relabel[c] = len(relabel) + 1
             out.append(relabel[c])
         return Coloring(tuple(out))
+
+
+def class_masks(colors) -> dict[int, int]:
+    """Color -> bitmask of the vertices carrying it, for colors[v] the
+    color of vertex v."""
+    masks: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        masks[c] = masks.get(c, 0) | 1 << v
+    return masks
+
+
+def check_classes(adj, colors, masks, check: int) -> tuple[bool, int | None]:
+    """Properness and the two-class degree test at the vertices of check.
+
+    colors[u] is u's color and masks is class_masks(colors). Returns (True
+    iff no vertex of check has a neighbor of its own color, the least vertex
+    of check of degree >= 3 in some two-class subgraph, else None). A vertex
+    u of color a has degree |N(u) & C_a| + |N(u) & C_b| in the (a, b)
+    subgraph, for each other present color b; same-colored neighbors of an
+    improper coloring count in every pair containing a. Each answer at u
+    reads only N(u) and the colors on N[u], besides which colors are
+    present. The scan stops once both answers are known.
+    """
+    proper = True
+    branch = None
+    while check:
+        b = check & -check
+        check ^= b
+        u = b.bit_length() - 1
+        nu = adj[u]
+        own_mask = masks[colors[u]]
+        own = (nu & own_mask).bit_count()
+        if own:
+            proper = False
+        if branch is None and nu.bit_count() >= 3:
+            for mask in masks.values():
+                if mask != own_mask and own + (nu & mask).bit_count() >= 3:
+                    branch = u
+                    break
+        if not proper and branch is not None:
+            break
+    return proper, branch
 
 
 def _check_total(g: Graph, coloring: Coloring) -> None:
@@ -66,7 +113,7 @@ def verify_proper(g: Graph, coloring: Coloring) -> tuple[int, int] | None:
     """None when proper, else the least monochromatic edge (u, v)."""
     _check_total(g, coloring)
     a = coloring.assignment
-    masks = coloring.class_masks
+    masks = class_masks(a)
     for u, nu in enumerate(g.adj):
         clash = nu & masks[a[u]] & (-1 << (u + 1))
         if clash:
@@ -79,22 +126,11 @@ def find_branching_component(g: Graph, coloring: Coloring) -> int | None:
 
     In a claw-free graph every component of the subgraph induced by two
     color classes of a proper coloring is a path or a cycle, so None is
-    expected there. A vertex v of color a has degree |N(v) & C_a| +
-    |N(v) & C_b| in the (a, b) subgraph, for each other present color b;
-    same-colored neighbors of an improper coloring count in every pair
-    containing a.
+    expected there. Degrees count as check_classes counts them, over every
+    vertex.
     """
-    classes = coloring.class_masks
     a = coloring.assignment
-    for v, nv in enumerate(g.adj):
-        if nv.bit_count() < 3:
-            continue
-        own_mask = classes[a[v]]
-        own = (nv & own_mask).bit_count()
-        for mask in classes.values():
-            if mask != own_mask and own + (nv & mask).bit_count() >= 3:
-                return v
-    return None
+    return check_classes(g.adj, a, class_masks(a), g.full_mask())[1]
 
 
 def dsatur_greedy(g: Graph) -> Coloring:

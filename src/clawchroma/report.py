@@ -109,10 +109,14 @@ def _chi_exceeds(g: Graph, w: int) -> bool:
         rest = s & ~u
         if not rest:
             continue
-        # |U| + ceil(|R| / alpha(R)) > w iff R has no independent set of
-        # ceil(|R| / (w - |U|)) vertices; w - |U| >= 1 because U plus any
-        # vertex of R is a clique
-        need = -(-rest.bit_count() // (w - u.bit_count()))
+        # U plus any vertex of R is a clique, so |U| < w unless w is below
+        # the clique number, and then |U| + ceil(|R| / alpha(R)) > w
+        # already; else that holds iff R has no independent set of
+        # ceil(|R| / (w - |U|)) vertices
+        free = w - u.bit_count()
+        if free <= 0:
+            return True
+        need = -(-rest.bit_count() // free)
         if not K.has_clique(co_adj, n, rest, need):
             return True
     return False
@@ -157,11 +161,18 @@ def prove_chi(
 
 def trichotomy(
     g: Graph, w: int, delta: int, chi: int
-) -> tuple[str | None, tuple[int, ...] | None, list[ClaimViolationError]]:
+) -> tuple[str | None, tuple[int, ...] | None, tuple[ClaimViolationError, ...]]:
     """(branch, induced 6-wheel or None, failed facts in check order) of an
     in-class graph; the branch is None when delta exceeds 2*omega - 1."""
     if g.n == 0:
-        return OMEGA_CASE, None, []
+        return OMEGA_CASE, None, ()
+    # the omega and middle branches when every fact holds, decided before
+    # any failure is built
+    if w <= chi <= w + 1:
+        if delta <= 2 * w - 3 and chi == w:
+            return OMEGA_CASE, None, ()
+        if delta == 2 * w - 2:
+            return MIDDLE_CASE, None, ()
     failures: list[ClaimViolationError] = []
     branch = w6 = None
 
@@ -187,7 +198,7 @@ def trichotomy(
         fail(DEGREE_BOUND, f"delta = {delta} exceeds 2*omega - 1 = {2 * w - 1}")
     if not w <= chi <= w + 1:
         fail(CHI_WITHIN_ONE, f"chi = {chi} outside omega..omega + 1 = {w}..{w + 1}")
-    return branch, w6, failures
+    return branch, w6, tuple(failures)
 
 
 def classify_trichotomy(g: Graph) -> ClassReport:

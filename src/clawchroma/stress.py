@@ -20,22 +20,30 @@ only when insertion failed, which leaves them stale). A parent that passed
 every check hands its children a record (Verified): the colorer's colors
 with their class masks, chi and chi's witness.
 
-check_in_class_graph checks one mask of vertices, by one rule: N[v] alone
-when G's parent passed every check, G's insertion did not fail and the
-colorer's colors on P's vertices are P's (the lists are compared, as a
-repair at v may recolor P); every vertex otherwise, which includes every
-graph of the random sweep. Each fact checked at a vertex u reads only N(u)
-and the colors on N[u]: the four-shape test on <N(u)>, properness at u, and
-u's degree in each two-class subgraph. Only v and S gain neighbors, and no
-other vertex's color changes, so for u outside N[v] each fact is P's,
-already verified. The color count is checked once per graph, against the
-colorer's target for G's branch. chi(G) >= chi(P), as G contains P, so
-prove_chi takes max(omega, chi(P)) as its lower bound and tries P's witness
-extended at v before a certificate or the oracle. Graphs are visited in
-extension order, so the first counterexample per category is the first in
-that order. The random sweep keeps the seeded draws that are in the class
-and runs the colorer's insertions on each, so both sweeps hand
-check_in_class_graph the same facts.
+check_in_class_graph checks each fact over a mask of vertices, N[v] or
+every vertex, by what the fact reads. Each fact checked at a vertex u reads
+only N(u) and, for a coloring, the colors on N[u]: the four-shape test on
+<N(u)>, and properness at u and u's degree in each two-class subgraph
+(coloring.check_classes, one pass per coloring). Only v and S gain
+neighbors, so for u outside N[v] every <N(u)> is P's. The shape mask is
+N[v] when P passed every check (it has a record), every vertex otherwise;
+shapes read no colors, so a repair that recolors P leaves it N[v]. A
+coloring's mask is N[v] when, besides, its colors on P's vertices are those
+of a coloring of P that was checked in full: then for u outside N[v] no
+color on N[u] changes and a color new in G is v's alone, so each fact at u
+is P's, already verified. For the colorer's coloring that is the parent's
+colorer coloring, when G's insertion did not fail (the lists are compared,
+as a repair at v may recolor P); for chi's witness it is P's witness, which
+P's record holds (an extension at v by a Kempe swap recolors P). Every
+other mask is every vertex, which includes every graph of the random sweep.
+A coloring's color count is checked once per graph, against the colorer's
+target for G's branch, or against chi for the witness. chi(G) >= chi(P),
+as G contains P, so prove_chi takes max(omega, chi(P)) as its lower bound
+and tries P's witness extended at v before a certificate or the oracle.
+Graphs are visited in extension order, so the first counterexample per
+category is the first in that order. The random sweep keeps the seeded
+draws that are in the class and runs the colorer's insertions on each, so
+both sweeps hand check_in_class_graph the same facts.
 
 In-class graphs then get the full battery: the chromatic number against
 the clique number, the trichotomy's branch facts as report.trichotomy states
@@ -48,8 +56,8 @@ coloring and, in the exhaustive sweep, the parent's chi and witness, so no
 DSATUR runs unless the colorer fails, and the oracle searches only where no
 coloring closes the bracket and no certificate exists. chi rests on
 prove_chi's witness, which must be proper with exactly chi colors and
-branch nowhere; it is checked here unless it is the colorer's own coloring,
-which the pass over the mask checked.
+branch nowhere; it gets its own pass unless it is the colorer's own
+coloring, which the colorer's pass checked.
 Each failed claim increments one violation counter; all counters must be
 zero.
 
@@ -74,13 +82,13 @@ import time
 from dataclasses import dataclass, field
 
 from . import _kernels as K
-from .bitops import iter_bits
 from .cliques import omega as omega_of
 # unused here, imported for the benchmark tracer, which wraps them at stress:
-# color_in_class, exact_chromatic, random_graph, is_in_class, find_induced_wheel6
+# color_in_class, exact_chromatic, find_branching_component, find_induced_wheel6,
+# is_in_class, random_graph, verify_proper
 from .colorer import InsertionState, color_in_class, insert_vertices, target_colors  # noqa: F401
-from .coloring import ORACLE_MAX_VERTICES, Coloring, dsatur_greedy, exact_chromatic  # noqa: F401
-from .coloring import find_branching_component, verify_proper
+from .coloring import ORACLE_MAX_VERTICES, Coloring, class_masks, check_classes, dsatur_greedy
+from .coloring import exact_chromatic, find_branching_component, verify_proper  # noqa: F401
 from .errors import ParamRangeError, ScaleExceededError
 from .generators import SplitMix64, random_graph, random_in_class_graph  # noqa: F401
 from .graph import Graph, degree_profile, edge_mask_of
@@ -186,15 +194,36 @@ class StressSummary:
         return out
 
 
-@dataclass(slots=True)
 class Verified:
     """What a graph that passed every check hands its children: the
-    colorer's colors, their class masks by color, chi and chi's witness."""
+    colorer's colors, their class masks by color, chi and chi's witness. A
+    plain class, as InsertionState is; equal and printed as a dataclass
+    would be, and unhashable."""
 
-    colors: list[int]
-    masks: dict[int, int]
-    chi: int
-    witness: Coloring
+    __slots__ = ("colors", "masks", "chi", "witness")
+
+    def __init__(
+        self, colors: list[int], masks: dict[int, int], chi: int, witness: Coloring
+    ):
+        self.colors = colors
+        self.masks = masks
+        self.chi = chi
+        self.witness = witness
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.colors, self.masks, self.chi, self.witness) == (
+            other.colors, other.masks, other.chi, other.witness
+        )
+
+    def __repr__(self):
+        return (
+            f"Verified(colors={self.colors!r}, masks={self.masks!r},"
+            f" chi={self.chi!r}, witness={self.witness!r})"
+        )
 
 
 def check_in_class_graph(
@@ -205,11 +234,10 @@ def check_in_class_graph(
     state is the colorer's state after all of g (insert_vertices). Omega and
     the maximum degree are read off it, unless insertion failed and left
     them stale; then they are computed here. parent is the record of g minus
-    its last vertex v, when that graph passed every check. The facts at each
-    vertex are checked over N[v] alone when parent is given, insertion did
-    not fail and the colorer's colors on g - v are parent's, else over every
-    vertex (see the module docstring). The colorer's coloring is prove_chi's
-    upper bound; DSATUR's is instead when insertion failed or the coloring is
+    its last vertex v, when that graph passed every check. Each fact is
+    checked over a mask of vertices, N[v] or every vertex, by its own rule
+    (see the module docstring). The colorer's coloring is prove_chi's upper
+    bound; DSATUR's is instead when insertion failed or the coloring is
     improper. Every check ignores color names, so the coloring is left
     uncanonical.
     Returns (violated categories, vertices colored under the degree bound,
@@ -217,47 +245,55 @@ def check_in_class_graph(
     check, g's record for its children).
     """
     adj, colors, v = g.adj, state.colors, g.n - 1
-    if state.failure is None:
-        w, delta = state.omega, state.delta
-    else:
+    failed = state.failure is not None
+    if failed:
         w = omega_of(g)
         delta = degree_profile(g)[1]
-    coloring = Coloring(tuple(colors))
-    if state.failure is None and parent is not None and colors[:v] == parent.colors:
-        check = adj[v] | 1 << v
-        masks = parent.masks.copy()
-        masks[colors[v]] = masks.get(colors[v], 0) | 1 << v
     else:
-        check = g.full_mask()
-        masks = coloring.class_masks
-    proper = state.failure is None
+        w, delta = state.omega, state.delta
+    full = g.full_mask()
+    # N[v], where the facts of a graph with a record can differ from P's
+    local = full if parent is None else adj[v] | 1 << v
     viol = set()
-    branches = False
-    for u in iter_bits(check):
-        if not verify_neighborhood_all_cliques(g, u):
+    m = local
+    while m:
+        b = m & -m
+        m ^= b
+        if not verify_neighborhood_all_cliques(g, b.bit_length() - 1):
             viol.add(NEIGHBORHOOD_SHAPE)
+    coloring = masks = None
+    if not failed:
+        if parent is not None and colors[:v] == parent.colors:
+            check = local
+            masks = parent.masks.copy()
+            masks[colors[v]] = masks.get(colors[v], 0) | 1 << v
+        else:
+            check = full
+            masks = class_masks(colors)
+        proper, at = check_classes(adj, colors, masks, check)
         if proper:
-            nu = adj[u]
-            if nu & masks[colors[u]]:
-                proper = False
-            elif not branches and nu.bit_count() >= 3:
-                # u's degree in the pair of its color and each other color
-                branches = any((nu & m).bit_count() >= 3 for m in masks.values())
-    if not proper:
-        coloring = None
-    elif branches:
-        viol.add(COMPONENT_SHAPE)
+            coloring = Coloring(tuple(colors))
+            if at is not None:
+                viol.add(COMPONENT_SHAPE)
     upper = dsatur_greedy(g) if coloring is None else coloring
     chi, witness = prove_chi(
         g, w, upper, None if parent is None else (parent.chi, parent.witness)
     )
     branch, _, failures = trichotomy(g, w, delta, chi)
-    viol.update(e.category for e in failures)
+    if failures:
+        viol.update(e.category for e in failures)
     # chi rests on the witness; the colorer's own coloring is checked above
     if witness is not coloring:
-        if witness.colors_used != chi or verify_proper(g, witness) is not None:
+        a = witness.assignment
+        wmasks = class_masks(a)
+        if parent is not None and a[:v] == parent.witness.assignment:
+            check = local
+        else:
+            check = full
+        proper, at = check_classes(adj, a, wmasks, check)
+        if len(wmasks) != chi or not proper:
             viol.add(CHI_WITHIN_ONE)
-        if find_branching_component(g, witness) is not None:
+        if at is not None:
             viol.add(COMPONENT_SHAPE)
     strict_vertices = strict_fallbacks = 0
     bound_holds = branch == OMEGA_CASE

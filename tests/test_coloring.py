@@ -258,3 +258,10 @@ def test_canonical_relabel():
 def test_exact_chromatic_deterministic():
     g = petersen()
     assert exact_chromatic(g) == exact_chromatic(g)
+
+
+def test_coloring_is_a_value():
+    a = Coloring((1, 2, 1))
+    assert a == Coloring((1, 2, 1)) and hash(a) == hash(Coloring((1, 2, 1)))
+    assert a != Coloring((1, 2, 2)) and a != (1, 2, 1)
+    assert repr(a) == "Coloring(assignment=(1, 2, 1))"

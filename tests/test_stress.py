@@ -28,6 +28,7 @@ from clawchroma.stress import (
     NEIGHBORHOOD_SHAPE,
     WHEEL_BRANCH,
     StressSummary,
+    Verified,
     check_in_class_graph,
     run_stress,
 )
@@ -150,14 +151,40 @@ def test_claw_rule_planted_at_the_kernel_reaches_the_sweep(monkeypatch):
     }
 
 
+def test_clique_rule_planted_at_the_kernel_is_counted(monkeypatch):
+    """has_clique asking for one vertex more than it is given, at the
+    kernel's one binding, makes the colorer's prefix omega too low and the
+    join-count certificate's query too strict. A certificate whose w is
+    below |U| is a proof of chi > w, so the sweep counts the graphs, with no
+    ZeroDivisionError."""
+    has_clique = K.has_clique
+    monkeypatch.setattr(
+        K, "has_clique", lambda adj, n, sub, k: has_clique(adj, n, sub, k + 1)
+    )
+    s = run_stress("exhaustive", max_n=5, workers=0)
+    assert s.in_class_count == 810
+    assert {c: s.violations[c] for c in (
+        DEGREE_BOUND, WHEEL_BRANCH, CHI_WITHIN_ONE, CHI_EQUALS_OMEGA
+    )} == {
+        DEGREE_BOUND: 736,
+        WHEEL_BRANCH: 416,
+        CHI_WITHIN_ONE: 27,
+        CHI_EQUALS_OMEGA: 15,
+    }
+    assert s.violations[COMPONENT_SHAPE] == s.violations[NEIGHBORHOOD_SHAPE] == 0
+
+
 def test_sweep_checks_each_coloring_once(monkeypatch):
-    """Each graph's shapes and colorer coloring are checked in one pass over
-    its check mask: N[v] when its parent passed and its prefix colors are
-    the parent's, every vertex otherwise (here the n = 1 graph and 10
-    children whose insertion made a Kempe swap). No coloring is checked by
-    the colorer's own verify_proper. The sweep checks chi's witness whenever
-    it is not the colorer's coloring: 50 parent witnesses extended at v and
-    the oracle's 3."""
+    """Each graph's four shapes are checked over N[v] when its parent
+    passed, over every vertex otherwise (here the n = 1 graph alone). Its
+    colorer coloring is checked in one check_classes pass over N[v] when,
+    besides, its prefix colors are the parent's, else over every vertex (the
+    n = 1 graph and 10 children whose insertion made a Kempe swap). chi's
+    witness gets a second pass whenever it is not the colorer's coloring,
+    over N[v] when its colors on P are the parent witness's: the 9 parent
+    witnesses extended at v by a direct step and the oracle's 3; over every
+    vertex for the 41 extended by a Kempe swap, which recolors P. No
+    coloring is checked by verify_proper."""
     checks = Counter()
     for module in (colorer, stress):
         def counted(g, c, _fn=module.verify_proper, _name=module.__name__):
@@ -168,24 +195,43 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
     graphs = []
 
     def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
-        graphs.append((g, parent is not None, set()))
+        graphs.append((g, parent is not None, set(), []))
         return _fn(g, state, parent)
 
     def shape(g, u, _fn=stress.verify_neighborhood_all_cliques):
         graphs[-1][2].add(u)
         return _fn(g, u)
 
+    def classes(adj, colors, masks, check, _fn=stress.check_classes):
+        graphs[-1][3].append(check)
+        return _fn(adj, colors, masks, check)
+
     monkeypatch.setattr(stress, "check_in_class_graph", checked)
     monkeypatch.setattr(stress, "verify_neighborhood_all_cliques", shape)
+    monkeypatch.setattr(stress, "check_classes", classes)
     run_stress("exhaustive", max_n=5, workers=0)
-    for g, resumed, vertices in graphs:
+    for g, resumed, vertices, passes in graphs:
         v = g.n - 1
-        if resumed and vertices == {v, *iter_bits(g.adj[v])}:
-            checks["N[v]"] += 1
+        local = g.adj[v] | 1 << v
+        if resumed:
+            assert vertices == set(iter_bits(local))
         else:
             assert vertices == set(range(g.n))
-            checks["every vertex"] += 1
-    assert checks == {"N[v]": 799, "every vertex": 11, "clawchroma.stress": 53}
+        checks["shapes", "N[v]" if resumed else "every vertex"] += 1
+        for name, mask in zip(("coloring", "witness"), passes):
+            if resumed and mask == local:
+                checks[name, "N[v]"] += 1
+            else:
+                assert mask == g.full_mask()
+                checks[name, "every vertex"] += 1
+    assert checks == {
+        ("shapes", "N[v]"): 809,
+        ("shapes", "every vertex"): 1,
+        ("coloring", "N[v]"): 799,
+        ("coloring", "every vertex"): 11,
+        ("witness", "N[v]"): 12,
+        ("witness", "every vertex"): 41,
+    }
 
 
 def test_parallel_merge_is_deterministic(monkeypatch):
@@ -395,6 +441,28 @@ def test_faulty_extension_step_is_counted(monkeypatch):
     assert swept.violations[CHI_WITHIN_ONE] > 0
 
 
+def test_faulty_extension_outside_n_v_is_counted(monkeypatch):
+    """A faulty step that extends a parent's chi witness at v and also gives
+    a vertex w of P, with no neighbor in N[v], the color of a neighbor of w
+    makes a clash that no fact at N[v] reads and keeps the color count. The
+    witness's colors on P are no longer the parent witness's, so the sweep
+    checks it over every vertex and counts the graph; a pass over N[v]
+    alone counts none at n <= 5."""
+
+    def faulty_step(adj, colors, u, nb, prefix, target, _fn=colorer.color_step):
+        mech = _fn(adj, colors, u, nb, prefix, target)
+        if mech == "direct":
+            for w in iter_bits(prefix & ~nb):
+                if adj[w] and not adj[w] & (nb | 1 << u) and colors.count(colors[w]) > 1:
+                    colors[w] = colors[adj[w].bit_length() - 1]
+                    break
+        return mech
+
+    monkeypatch.setattr(report, "color_step", faulty_step)
+    swept = run_stress("exhaustive", max_n=5, workers=0)
+    assert swept.violations[CHI_WITHIN_ONE] > 0
+
+
 def test_sweep_carries_omega_and_max_degree(monkeypatch):
     seen = []
 
@@ -486,6 +554,18 @@ def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value
     assert _checked(g)[0] == set()
     monkeypatch.setattr(module, target, lambda _g, *_: value)
     assert _checked(g)[0] == {CHI_WITHIN_ONE}
+
+
+def test_verified_is_an_unhashable_value():
+    record = Verified([1, 2], {1: 1, 2: 2}, 2, Coloring((1, 2)))
+    assert record == Verified([1, 2], {1: 1, 2: 2}, 2, Coloring((1, 2)))
+    assert record != Verified([1, 2], {1: 1, 2: 2}, 3, Coloring((1, 2)))
+    assert repr(record) == (
+        "Verified(colors=[1, 2], masks={1: 1, 2: 2}, chi=2,"
+        " witness=Coloring(assignment=(1, 2)))"
+    )
+    with pytest.raises(TypeError):
+        hash(record)
 
 
 def _colorer_raises(g):

@@ -18,9 +18,11 @@ TRACER_ONLY = {
     ("clawchroma.report", "omega_of"),
     ("clawchroma.stress", "color_in_class"),
     ("clawchroma.stress", "exact_chromatic"),
+    ("clawchroma.stress", "find_branching_component"),
     ("clawchroma.stress", "find_induced_wheel6"),
     ("clawchroma.stress", "is_in_class"),
     ("clawchroma.stress", "random_graph"),
+    ("clawchroma.stress", "verify_proper"),
 }
 
 
