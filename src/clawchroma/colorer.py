@@ -234,7 +234,7 @@ def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTr
     if verify_proper(g, out) is not None:
         raise ClaimViolationError("colorer_proper", g, "output coloring improper")
     target = target_colors(state.omega, state.delta)
-    if g.n and out.colors_used > target:
+    if out.colors_used > target:
         raise ClaimViolationError(
             "colorer_bound", g, f"used {out.colors_used} colors, target is {target}"
         )
@@ -245,9 +245,8 @@ def color_in_class(g: Graph) -> tuple[Coloring, RepairTrace]:
     """Insertion coloring of a graph already known to be in the class.
 
     Uses omega colors when max degree <= 2*omega - 3, at most omega + 1
-    otherwise, or raises ClaimViolationError. The public entry points
-    omega_color_strict / class_color run the precondition checks; sweeps
-    that performed recognition themselves call this directly.
+    otherwise, or raises ClaimViolationError. class_color runs the
+    precondition checks first.
     """
     return finish_coloring(g, insert_vertices(g))
 

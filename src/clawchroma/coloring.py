@@ -155,8 +155,6 @@ def exact_chromatic(
         raise ScaleExceededError(
             f"exact chromatic oracle capped at {ORACLE_MAX_VERTICES} vertices"
         )
-    if g.n == 0:
-        return 0, Coloring(())
     adj, n, full = g.adj, g.n, g.full_mask()
     lo = K.clique_number(adj, n, full) if lower is None else lower
     if upper is None:

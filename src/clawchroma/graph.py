@@ -42,9 +42,6 @@ class Graph:
         """Neighbors of v in ascending order."""
         return tuple(iter_bits(self.adj[v]))
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):

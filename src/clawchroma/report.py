@@ -163,42 +163,45 @@ def trichotomy(
     g: Graph, w: int, delta: int, chi: int
 ) -> tuple[str | None, tuple[int, ...] | None, tuple[ClaimViolationError, ...]]:
     """(branch, induced 6-wheel or None, failed facts in check order) of an
-    in-class graph; the branch is None when delta exceeds 2*omega - 1."""
+    in-class graph; the branch is None when delta exceeds 2*omega - 1. Each
+    fact is tested once, and an error is built only for a fact that fails."""
     if g.n == 0:
         return OMEGA_CASE, None, ()
-    # the omega and middle branches when every fact holds, decided before
-    # any failure is built
-    if w <= chi <= w + 1:
-        if delta <= 2 * w - 3 and chi == w:
-            return OMEGA_CASE, None, ()
-        if delta == 2 * w - 2:
-            return MIDDLE_CASE, None, ()
-    failures: list[ClaimViolationError] = []
-    branch = w6 = None
-
-    def fail(category: str, message: str) -> None:
-        failures.append(ClaimViolationError(category, g, message))
-
-    if delta == 2 * w - 1:
-        branch = WHEEL_CASE
-        if (delta, w) != (5, 3):
-            fail(DEGREE_BOUND, f"delta == 2*omega - 1 with (delta, omega) = ({delta}, {w})")
-        if chi != w + 1:
-            fail(WHEEL_BRANCH, f"wheel case with chi = {chi}, omega = {w}")
-        w6 = find_induced_wheel6(g)
-        if w6 is None:
-            fail(WHEEL_BRANCH, "wheel case without an induced 6-vertex wheel")
-    elif delta == 2 * w - 2:
-        branch = MIDDLE_CASE
-    elif delta <= 2 * w - 3:
+    w6 = None
+    failures: tuple[ClaimViolationError, ...] = ()
+    if delta <= 2 * w - 3:
         branch = OMEGA_CASE
         if chi != w:
-            fail(CHI_EQUALS_OMEGA, f"bounded-degree case with chi = {chi}, omega = {w}")
+            failures = (ClaimViolationError(
+                CHI_EQUALS_OMEGA, g, f"bounded-degree case with chi = {chi}, omega = {w}"
+            ),)
+    elif delta == 2 * w - 2:
+        branch = MIDDLE_CASE
+    elif delta == 2 * w - 1:
+        branch = WHEEL_CASE
+        if (delta, w) != (5, 3):
+            failures += (ClaimViolationError(
+                DEGREE_BOUND, g, f"delta == 2*omega - 1 with (delta, omega) = ({delta}, {w})"
+            ),)
+        if chi != w + 1:
+            failures += (ClaimViolationError(
+                WHEEL_BRANCH, g, f"wheel case with chi = {chi}, omega = {w}"
+            ),)
+        w6 = find_induced_wheel6(g)
+        if w6 is None:
+            failures += (ClaimViolationError(
+                WHEEL_BRANCH, g, "wheel case without an induced 6-vertex wheel"
+            ),)
     else:
-        fail(DEGREE_BOUND, f"delta = {delta} exceeds 2*omega - 1 = {2 * w - 1}")
+        branch = None
+        failures = (ClaimViolationError(
+            DEGREE_BOUND, g, f"delta = {delta} exceeds 2*omega - 1 = {2 * w - 1}"
+        ),)
     if not w <= chi <= w + 1:
-        fail(CHI_WITHIN_ONE, f"chi = {chi} outside omega..omega + 1 = {w}..{w + 1}")
-    return branch, w6, tuple(failures)
+        failures += (ClaimViolationError(
+            CHI_WITHIN_ONE, g, f"chi = {chi} outside omega..omega + 1 = {w}..{w + 1}"
+        ),)
+    return branch, w6, failures
 
 
 def classify_trichotomy(g: Graph) -> ClassReport:

@@ -17,29 +17,30 @@ at v, and exactly: every count and counterexample is what checking G from
 scratch gives. The colorer's state at v depends only on the prefix, so G's
 insertion continues P's; omega and delta of G are read off it (recomputed
 only when insertion failed, which leaves them stale). A parent that passed
-every check hands its children a record (Verified): the colorer's colors
-with their class masks, chi and chi's witness.
+every check hands its children a record, the tuple (colors, masks, chi,
+witness): the colorer's colors with their class masks by color, chi and
+chi's witness.
 
-check_in_class_graph checks each fact over a mask of vertices, N[v] or
-every vertex, by what the fact reads. Each fact checked at a vertex u reads
-only N(u) and, for a coloring, the colors on N[u]: the four-shape test on
-<N(u)>, and properness at u and u's degree in each two-class subgraph
-(coloring.check_classes, one pass per coloring). Only v and S gain
-neighbors, so for u outside N[v] every <N(u)> is P's. The shape mask is
-N[v] when P passed every check (it has a record), every vertex otherwise;
-shapes read no colors, so a repair that recolors P leaves it N[v]. A
-coloring's mask is N[v] when, besides, its colors on P's vertices are those
-of a coloring of P that was checked in full: then for u outside N[v] no
-color on N[u] changes and a color new in G is v's alone, so each fact at u
-is P's, already verified. For the colorer's coloring that is the parent's
-colorer coloring, when G's insertion did not fail (the lists are compared,
-as a repair at v may recolor P); for chi's witness it is P's witness, which
-P's record holds (an extension at v by a Kempe swap recolors P). Every
-other mask is every vertex, which includes every graph of the random sweep.
-A coloring's color count is checked once per graph, against the colorer's
-target for G's branch, or against chi for the witness. chi(G) >= chi(P),
-as G contains P, so prove_chi takes max(omega, chi(P)) as its lower bound
-and tries P's witness extended at v before a certificate or the oracle.
+check_in_class_graph checks the four shapes and the colorer's coloring
+over a mask of vertices, N[v] or every vertex, by what each fact reads.
+Each fact checked at a vertex u reads only N(u) and, for a coloring, the
+colors on N[u]: the four-shape test on <N(u)>, and properness at u and u's
+degree in each two-class subgraph (coloring.check_classes, one pass per
+coloring). Only v and S gain neighbors, so for u outside N[v] every <N(u)>
+is P's. The shape mask is N[v] when P passed every check (it has a record),
+every vertex otherwise; shapes read no colors, so a repair that recolors P
+leaves it N[v]. The colorer's mask is N[v] when, besides, its colors on P's
+vertices are the parent's colorer colors, checked in full (the lists are
+compared, as a repair at v may recolor P): then for u outside N[v] no color
+on N[u] changes and a color new in G is v's alone, so each fact at u is
+P's, already verified. Every other colorer mask is every vertex, which
+includes every graph of the random sweep. chi's witness, when it is not
+the colorer's coloring, is checked over every vertex. The colorer's color
+count is held to G's branch as report.trichotomy returns it: omega colors
+under the degree bound, omega + 1 otherwise; the witness's must be chi.
+chi(G) >= chi(P), as G contains P, so prove_chi takes max(omega, chi(P))
+as its lower bound and tries P's witness extended at v before a
+certificate or the oracle.
 Graphs are visited in extension order, so the first counterexample per
 category is the first in that order. The random sweep keeps the seeded
 draws that are in the class and runs the colorer's insertions on each, so
@@ -48,16 +49,16 @@ both sweeps hand check_in_class_graph the same facts.
 In-class graphs then get the full battery: the chromatic number against
 the clique number, the trichotomy's branch facts as report.trichotomy states
 them, the four-shape neighborhood classification for every vertex and every
-maximum clique, one constructive coloring checked against both colorer
-contracts (omega + 1 colors at most, omega under the degree bound), and the
+maximum clique, one constructive coloring held to the color count of its
+graph's branch, and the
 path-or-cycle shape of every two-class component of every produced coloring.
 report.prove_chi decides chi from the clique number, the colorer's
 coloring and, in the exhaustive sweep, the parent's chi and witness, so no
 DSATUR runs unless the colorer fails, and the oracle searches only where no
 coloring closes the bracket and no certificate exists. chi rests on
 prove_chi's witness, which must be proper with exactly chi colors and
-branch nowhere; it gets its own pass unless it is the colorer's own
-coloring, which the colorer's pass checked.
+branch nowhere; it gets its own pass, over every vertex, unless it is the
+colorer's own coloring, which the colorer's pass checked.
 Each failed claim increments one violation counter; all counters must be
 zero.
 
@@ -86,7 +87,7 @@ from .cliques import omega as omega_of
 # unused here, imported for the benchmark tracer, which wraps them at stress:
 # color_in_class, exact_chromatic, find_branching_component, find_induced_wheel6,
 # is_in_class, random_graph, verify_proper
-from .colorer import InsertionState, color_in_class, insert_vertices, target_colors  # noqa: F401
+from .colorer import InsertionState, color_in_class, insert_vertices  # noqa: F401
 from .coloring import ORACLE_MAX_VERTICES, Coloring, class_masks, check_classes, dsatur_greedy
 from .coloring import exact_chromatic, find_branching_component, verify_proper  # noqa: F401
 from .errors import ParamRangeError, ScaleExceededError
@@ -147,8 +148,8 @@ class StressSummary:
         self,
         g: Graph,
         state: InsertionState,
-        parent: Verified | None = None,
-    ) -> Verified | None:
+        parent: tuple | None = None,
+    ) -> tuple | None:
         """Count one in-class graph and the claims it fails; returns the
         record check_in_class_graph gives its children."""
         self.in_class_count += 1
@@ -194,52 +195,21 @@ class StressSummary:
         return out
 
 
-class Verified:
-    """What a graph that passed every check hands its children: the
-    colorer's colors, their class masks by color, chi and chi's witness. A
-    plain class, as InsertionState is; equal and printed as a dataclass
-    would be, and unhashable."""
-
-    __slots__ = ("colors", "masks", "chi", "witness")
-
-    def __init__(
-        self, colors: list[int], masks: dict[int, int], chi: int, witness: Coloring
-    ):
-        self.colors = colors
-        self.masks = masks
-        self.chi = chi
-        self.witness = witness
-
-    __hash__ = None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.colors, self.masks, self.chi, self.witness) == (
-            other.colors, other.masks, other.chi, other.witness
-        )
-
-    def __repr__(self):
-        return (
-            f"Verified(colors={self.colors!r}, masks={self.masks!r},"
-            f" chi={self.chi!r}, witness={self.witness!r})"
-        )
-
-
 def check_in_class_graph(
-    g: Graph, state: InsertionState, parent: Verified | None = None
-) -> tuple[set[str], int, int, Verified | None]:
+    g: Graph, state: InsertionState, parent: tuple | None = None
+) -> tuple[set[str], int, int, tuple | None]:
     """All per-graph claims for an in-class graph.
 
     state is the colorer's state after all of g (insert_vertices). Omega and
     the maximum degree are read off it, unless insertion failed and left
     them stale; then they are computed here. parent is the record of g minus
-    its last vertex v, when that graph passed every check. Each fact is
-    checked over a mask of vertices, N[v] or every vertex, by its own rule
-    (see the module docstring). The colorer's coloring is prove_chi's upper
-    bound; DSATUR's is instead when insertion failed or the coloring is
-    improper. Every check ignores color names, so the coloring is left
-    uncanonical.
+    its last vertex v, when that graph passed every check: the tuple
+    (colorer colors, their class masks by color, chi, chi's witness). The
+    shapes and the colorer's coloring are checked over N[v] or every vertex,
+    by their own rules, and chi's witness over every vertex (see the module
+    docstring). The colorer's coloring is prove_chi's upper bound; DSATUR's
+    is instead when insertion failed or the coloring is improper. Every
+    check ignores color names, so the coloring is left uncanonical.
     Returns (violated categories, vertices colored under the degree bound,
     exact fallbacks the colorer used on them, and, when g passed every
     check, g's record for its children).
@@ -252,8 +222,12 @@ def check_in_class_graph(
     else:
         w, delta = state.omega, state.delta
     full = g.full_mask()
-    # N[v], where the facts of a graph with a record can differ from P's
-    local = full if parent is None else adj[v] | 1 << v
+    if parent is None:
+        local = full
+    else:
+        parent_colors, parent_masks, parent_chi, parent_witness = parent
+        # N[v], where the facts of a graph with a record can differ from P's
+        local = adj[v] | 1 << v
     viol = set()
     m = local
     while m:
@@ -263,9 +237,9 @@ def check_in_class_graph(
             viol.add(NEIGHBORHOOD_SHAPE)
     coloring = masks = None
     if not failed:
-        if parent is not None and colors[:v] == parent.colors:
+        if parent is not None and colors[:v] == parent_colors:
             check = local
-            masks = parent.masks.copy()
+            masks = parent_masks.copy()
             masks[colors[v]] = masks.get(colors[v], 0) | 1 << v
         else:
             check = full
@@ -277,7 +251,7 @@ def check_in_class_graph(
                 viol.add(COMPONENT_SHAPE)
     upper = dsatur_greedy(g) if coloring is None else coloring
     chi, witness = prove_chi(
-        g, w, upper, None if parent is None else (parent.chi, parent.witness)
+        g, w, upper, None if parent is None else (parent_chi, parent_witness)
     )
     branch, _, failures = trichotomy(g, w, delta, chi)
     if failures:
@@ -286,31 +260,27 @@ def check_in_class_graph(
     if witness is not coloring:
         a = witness.assignment
         wmasks = class_masks(a)
-        if parent is not None and a[:v] == parent.witness.assignment:
-            check = local
-        else:
-            check = full
-        proper, at = check_classes(adj, a, wmasks, check)
+        proper, at = check_classes(adj, a, wmasks, full)
         if len(wmasks) != chi or not proper:
             viol.add(CHI_WITHIN_ONE)
         if at is not None:
             viol.add(COMPONENT_SHAPE)
     strict_vertices = strict_fallbacks = 0
+    # the colorer is held to the branch: omega colors under the degree
+    # bound, omega + 1 otherwise
     bound_holds = branch == OMEGA_CASE
     if coloring is None:
         viol.add(CHI_WITHIN_ONE)
         if bound_holds:
             viol.add(CHI_EQUALS_OMEGA)
-    elif len(masks) > target_colors(w, delta):
-        # the colorer's contract for the branch: omega colors, else omega + 1
+    elif len(masks) > (w if bound_holds else w + 1):
         viol.add(CHI_EQUALS_OMEGA if bound_holds else CHI_WITHIN_ONE)
     elif bound_holds:
         strict_vertices = g.n
         strict_fallbacks = state.counts[2]
     if viol:
         return viol, strict_vertices, strict_fallbacks, None
-    record = Verified(colors, masks, chi, witness)
-    return viol, strict_vertices, strict_fallbacks, record
+    return viol, strict_vertices, strict_fallbacks, (colors, masks, chi, witness)
 
 
 def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]:

@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 
@@ -7,12 +8,14 @@ from clawchroma.coloring import (
     Coloring,
     dsatur_greedy,
     exact_chromatic,
+    find_branching_component,
     verify_proper,
 )
 from clawchroma.errors import PartialColoringError, ScaleExceededError
 from clawchroma.generators import SplitMix64, random_graph
 from clawchroma.graph import Graph, build_graph
 from graphzoo import (
+    claw,
     complete,
     cycle,
     empty,
@@ -190,7 +193,7 @@ def test_exact_chromatic_examples():
     assert exact_chromatic(wheel(5))[0] == 4
     assert exact_chromatic(blown_up_odd_cycle(2, 2))[0] == 4
     assert exact_chromatic(complete(4))[0] == 4
-    assert exact_chromatic(empty(0))[0] == 0
+    assert exact_chromatic(empty(0)) == (0, Coloring(()))
     assert exact_chromatic(empty(4))[0] == 1
 
 
@@ -265,3 +268,46 @@ def test_coloring_is_a_value():
     assert a == Coloring((1, 2, 1)) and hash(a) == hash(Coloring((1, 2, 1)))
     assert a != Coloring((1, 2, 2)) and a != (1, 2, 1)
     assert repr(a) == "Coloring(assignment=(1, 2, 1))"
+
+
+def test_branching_search_examples():
+    g = cycle(5)
+    _, c = exact_chromatic(g)
+    assert find_branching_component(g, c) is None
+
+    assert find_branching_component(claw(), Coloring((1, 2, 2, 2))) == 0
+
+
+def _reference_branching(g, c):
+    """Least vertex of degree >= 3 in the subgraph of some pair of present
+    colors, counted edge by edge."""
+    a = c.assignment
+    for v in range(g.n):
+        for pair in combinations(sorted(set(a)), 2):
+            if a[v] in pair:
+                degree = sum(g.adj[v] >> u & 1 for u in range(g.n) if a[u] in pair)
+                if degree >= 3:
+                    return v
+    return None
+
+
+def test_branching_matches_component_enumeration():
+    # proper (DSATUR), random and often improper, and single-color
+    # assignments; n = 0 draws cover the empty graph
+    stream = SplitMix64(41)
+    hits = total = 0
+    for _ in range(600):
+        n = stream.next_below(10)
+        g = random_graph(n, stream.next_unit(), stream)
+        assignments = (
+            dsatur_greedy(g).assignment,
+            tuple(1 + stream.next_below(4) for _ in range(n)),
+            (1,) * n,
+        )
+        for assign in assignments:
+            c = Coloring(assign)
+            ref = _reference_branching(g, c)
+            assert find_branching_component(g, c) == ref
+            hits += ref is not None
+            total += 1
+    assert 0 < hits < total
