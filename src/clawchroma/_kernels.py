@@ -19,6 +19,9 @@ side of the random draw. The exhaustive sweep's children
 k-vertex parent at once, as truth tables over the subset lattice whose bit
 s is the verdict on neighborhood s: claw_table is claw_through's rule as
 such a table, and the K5-minus-P3 rules through the new vertex are ORed in.
+The sweep's per-graph check reads a third such table, shape_table, whose
+bit s is the four-shape verdict at every vertex of N[v] when v is joined
+to s (rules and proof in its docstring).
 A whole claw-free graph is decided by claw_free_has_k5_minus_p3 instead,
 for the random draw and recognition, near-linear on dense graphs.
 
@@ -467,6 +470,136 @@ def claw_table(adj, k: int) -> int:
             if c:
                 center |= t[b] & hit[c]
         bad |= t[u] & (center | (full ^ inside))
+    return bad
+
+
+def shape_table(adj, k: int) -> int:
+    """The four-shape verdict at N[v] of a new vertex v joined to s, as a
+    truth table over every s below 2^k.
+
+    adj is a graph P on vertices 0..k-1; bit s is set iff, in P plus v
+    joined to s, some u in s + {v} has an <N(u)> that is none of the four
+    shapes of recognition.verify_neighborhood_all_cliques: a clique minus a
+    matching, two cliques with no edges between them, a C5 or a P4. The
+    rules, with co(x) the non-neighbors of x in P, and their proofs:
+
+      u = v   <N(v)> = <s>. It is a clique minus a matching iff no x in s
+              has two non-neighbors in s. It is two cliques iff it has no
+              induced P3 and no independent triple, that is, iff no
+              non-adjacent x, y in s have a third vertex of s joined to
+              both (a P3 with ends x, y) or to neither. A P4 or a C5 is
+              neither, so the s that induce one are taken out of the
+              verdict: P's induced P4s, and each P4 plus a vertex joined to
+              its ends alone.
+      u in s  <N(u)> is <A> plus v joined to T = s & A, A = N_P(u), so it
+              reads s only through T:
+              - a clique minus a matching iff no x in A misses two others
+                in A, every x in A that misses one is in s (x misses v iff
+                x is not in s) and |A - s| <= 1 (v misses A - T);
+              - two cliques iff <A>, an induced subgraph of it, is two
+                cliques C1, C2 (C2 maybe empty) and v's side T + {v} is a
+                whole side plus v: T is C1 or C2, and T = {} needs C2 = {},
+                since v alone is a third side otherwise;
+              - a C5 iff <A> is the P4 left by deleting v and T its ends;
+              - a P4 iff deleting v leaves a P3 and T is one end of it (v
+                an end), or an edge plus a vertex z and T is z and one end
+                of the edge (v inside).
+
+    Every term is an AND of "x in s" and "x not in s" over the lattice
+    (_lattice), and the pair terms at v take one hit[...] each, as in
+    claw_table, so a call is O(k^2) table operations plus one step per
+    induced P4 and C5 of P.
+    """
+    full, t, sup, hit, in2, out2 = _lattice(k)[:6]
+    kmask = (1 << k) - 1
+    co = [kmask & ~adj[x] & ~(1 << x) for x in range(k)]
+    # at v: s is no clique minus a matching (cm) and no two cliques (two),
+    # unless it induces a P4 or a C5 (shaped)
+    cm = two = shaped = 0
+    for x in range(k):
+        ax, cx, tx = adj[x], co[x], t[x]
+        cm |= tx & in2[cx]
+        pairs = 0
+        m = cx & (-2 << x)
+        while m:
+            by = m & -m
+            y = by.bit_length() - 1
+            m ^= by
+            pairs |= t[y] & hit[ax & adj[y] | cx & co[y]]
+        two |= tx & pairs
+        # the induced P4s a-x-y-d with x < y, and a C5 per e joined to a, d
+        m = ax & (-2 << x)
+        while m:
+            by = m & -m
+            y = by.bit_length() - 1
+            m ^= by
+            xy = 1 << x | by
+            ma = ax & co[y]
+            while ma:
+                ba = ma & -ma
+                a = ba.bit_length() - 1
+                ma ^= ba
+                md = adj[y] & cx & co[a]
+                while md:
+                    bd = md & -md
+                    md ^= bd
+                    p4 = xy | ba | bd
+                    shaped |= 1 << p4
+                    me = adj[a] & adj[bd.bit_length() - 1] & cx & co[y]
+                    while me:
+                        be = me & -me
+                        me ^= be
+                        shaped |= 1 << (p4 | be)
+    bad = cm & two & ~shaped
+    # at u in s: ok is the table of the s whose T = s & A passes a shape
+    for u in range(k):
+        a = adj[u]
+        if not a:
+            continue  # <N(u)> is v alone
+        size = a.bit_count()
+        one = ends = lone = mids = 0
+        matching = True
+        m = a
+        while m:
+            bx = m & -m
+            m ^= bx
+            x = bx.bit_length() - 1
+            miss = a & co[x]
+            if miss & (miss - 1):
+                matching = False
+            elif miss:
+                one |= bx
+            if size in (3, 4):  # degrees in <A>, for the P4 and C5 cases
+                d = size - 1 - miss.bit_count()
+                if d == 1:
+                    ends |= bx
+                elif d == 2:
+                    mids |= bx
+                elif not d:
+                    lone |= bx
+        ok = sup[one] & (full ^ out2[a]) if matching else 0
+        first = a & -a
+        c1 = (adj[first.bit_length() - 1] | first) & a
+        c2 = a ^ c1
+        m = a
+        while m:
+            bx = m & -m
+            m ^= bx
+            if (adj[bx.bit_length() - 1] | bx) & a != (c2 if bx & c2 else c1):
+                break
+        else:
+            if c2:
+                ok |= sup[c1] & (full ^ hit[c2]) | sup[c2] & (full ^ hit[c1])
+            else:
+                ok |= sup[a] | (full ^ hit[a])
+        if ends.bit_count() == 2:
+            if size == 4 and mids.bit_count() == 2:  # a P4: T its ends
+                ok |= sup[ends] & (full ^ hit[a ^ ends])
+            elif size == 3:  # a P3 or an edge plus a vertex
+                e = ends & -ends
+                for x in (e | lone, (ends ^ e) | lone):
+                    ok |= sup[x] & (full ^ hit[a ^ x])
+        bad |= t[u] & (full ^ ok)
     return bad
 
 

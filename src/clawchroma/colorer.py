@@ -225,18 +225,21 @@ def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTr
     """Check the state after all of g and return its coloring.
 
     Raises ClaimViolationError when insertion failed, or when the coloring is
-    improper or uses more colors than the target: omega colors when
-    max degree <= 2*omega - 3, omega + 1 otherwise.
+    improper or uses more colors than the paper's bound: omega colors when
+    max degree <= 2*omega - 3, omega + 1 otherwise. The bound is tested
+    here, not read off target_colors, the rule the colorer colors by, so a
+    fault in that rule is raised.
     """
     if state.failure is not None:
         raise ClaimViolationError("prefix_colorable", g, state.failure)
     out = Coloring(tuple(state.colors)).canonical()
     if verify_proper(g, out) is not None:
         raise ClaimViolationError("colorer_proper", g, "output coloring improper")
-    target = target_colors(state.omega, state.delta)
-    if out.colors_used > target:
+    w = state.omega
+    bound = w if state.delta <= 2 * w - 3 else w + 1
+    if out.colors_used > bound:
         raise ClaimViolationError(
-            "colorer_bound", g, f"used {out.colors_used} colors, target is {target}"
+            "colorer_bound", g, f"used {out.colors_used} colors, bound is {bound}"
         )
     return out, RepairTrace(tuple(state.steps), *state.counts)
 
@@ -268,7 +271,7 @@ def omega_color_strict(g: Graph) -> tuple[Coloring, RepairTrace]:
     """
     _check_preconditions(g)
     state = insert_vertices(g)
-    if state.failure is None and target_colors(state.omega, state.delta) > state.omega:
+    if state.failure is None and state.delta > 2 * state.omega - 3:
         raise BoundViolatedError(state.delta, state.omega)
     return finish_coloring(g, state)
 

@@ -27,17 +27,22 @@ Each fact checked at a vertex u reads only N(u) and, for a coloring, the
 colors on N[u]: the four-shape test on <N(u)>, and properness at u and u's
 degree in each two-class subgraph (coloring.check_classes, one pass per
 coloring). Only v and S gain neighbors, so for u outside N[v] every <N(u)>
-is P's. The shape mask is N[v] when P passed every check (it has a record),
-every vertex otherwise; shapes read no colors, so a repair that recolors P
-leaves it N[v]. The colorer's mask is N[v] when, besides, its colors on P's
-vertices are the parent's colorer colors, checked in full (the lists are
-compared, as a repair at v may recolor P): then for u outside N[v] no color
-on N[u] changes and a color new in G is v's alone, so each fact at u is
-P's, already verified. Every other colorer mask is every vertex, which
-includes every graph of the random sweep. chi's witness, when it is not
-the colorer's coloring, is checked over every vertex. The colorer's color
-count is held to G's branch as report.trichotomy returns it: omega colors
-under the degree bound, omega + 1 otherwise; the witness's must be chi.
+is P's. When P passed every check (it has a record), the shapes are
+checked at N[v] alone, and read off a table: _extension_chunk computes
+K.shape_table of P once, the verdict at N[v] for every S at once, and the
+child's is its bit S. Every other graph (a child of a failed parent, the
+n = 1 graph, every graph of the random sweep) has its shapes checked by
+verify_neighborhood_all_cliques at every vertex. Shapes read no colors, so
+a repair that recolors P leaves them local. The colorer's mask is N[v]
+when P has a record and, besides, the colorer's colors on P's vertices are
+the parent's colorer colors, checked in full (the lists are compared, as a
+repair at v may recolor P): then for u outside N[v] no color on N[u]
+changes and a color new in G is v's alone, so each fact at u is P's,
+already verified. Every other colorer mask is every vertex, which includes
+every graph of the random sweep. chi's witness, when it is not the
+colorer's coloring, is checked over every vertex. The colorer's color count
+is held to G's branch as report.trichotomy returns it: omega colors under
+the degree bound, omega + 1 otherwise; the witness's must be chi.
 chi(G) >= chi(P), as G contains P, so prove_chi takes max(omega, chi(P))
 as its lower bound and tries P's witness extended at v before a
 certificate or the oracle.
@@ -202,14 +207,15 @@ def check_in_class_graph(
 
     state is the colorer's state after all of g (insert_vertices). Omega and
     the maximum degree are read off it, unless insertion failed and left
-    them stale; then they are computed here. parent is the record of g minus
-    its last vertex v, when that graph passed every check: the tuple
-    (colorer colors, their class masks by color, chi, chi's witness). The
-    shapes and the colorer's coloring are checked over N[v] or every vertex,
-    by their own rules, and chi's witness over every vertex (see the module
-    docstring). The colorer's coloring is prove_chi's upper bound; DSATUR's
-    is instead when insertion failed or the coloring is improper. Every
-    check ignores color names, so the coloring is left uncanonical.
+    them stale; then they are computed here. parent, when g minus its last
+    vertex v passed every check, is the pair of that graph's record, the
+    tuple (colorer colors, their class masks by color, chi, chi's witness),
+    and its K.shape_table, whose bit N(v) is g's four-shape verdict at N[v].
+    The shapes and the colorer's coloring are checked over N[v] or every
+    vertex, by their own rules, and chi's witness over every vertex (see the
+    module docstring). The colorer's coloring is prove_chi's upper bound;
+    DSATUR's is instead when insertion failed or the coloring is improper.
+    Every check ignores color names, so the coloring is left uncanonical.
     Returns (violated categories, vertices colored under the degree bound,
     exact fallbacks the colorer used on them, and, when g passed every
     check, g's record for its children).
@@ -222,18 +228,19 @@ def check_in_class_graph(
     else:
         w, delta = state.omega, state.delta
     full = g.full_mask()
+    viol = set()
     if parent is None:
-        local = full
+        local = m = full
+        while m:
+            b = m & -m
+            m ^= b
+            if not verify_neighborhood_all_cliques(g, b.bit_length() - 1):
+                viol.add(NEIGHBORHOOD_SHAPE)
     else:
-        parent_colors, parent_masks, parent_chi, parent_witness = parent
+        (parent_colors, parent_masks, parent_chi, parent_witness), shapes = parent
         # N[v], where the facts of a graph with a record can differ from P's
         local = adj[v] | 1 << v
-    viol = set()
-    m = local
-    while m:
-        b = m & -m
-        m ^= b
-        if not verify_neighborhood_all_cliques(g, b.bit_length() - 1):
+        if shapes >> adj[v] & 1:
             viol.add(NEIGHBORHOOD_SHAPE)
     coloring = masks = None
     if not failed:
@@ -287,7 +294,8 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
     """Check every in-class child on n vertices of a slice of level n - 1.
 
     Each parent comes with its colorer state and its record, or None when it
-    failed a check, which each child resumes at vertex n - 1. Returns the
+    failed a check, which each child resumes at vertex n - 1; a parent with
+    a record also hands its children its shape table. Returns the
     chunk's summary and, when keep is set, the children with theirs, in
     order.
     """
@@ -298,10 +306,13 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
         t0 = time.perf_counter()
         extensions = K.in_class_extensions(parent.adj, n)
         part.extensions_time += time.perf_counter() - t0
+        resumed = None
+        if verified is not None:
+            resumed = verified, K.shape_table(parent.adj, n - 1)
         for adj in extensions:
             g = Graph(n, adj, parent.edge_count + adj[-1].bit_count())
             state = insert_vertices(g, parent_state)
-            record = part.record(g, state, verified)
+            record = part.record(g, state, resumed)
             if keep:
                 children.append((g, state, record))
     return part, children

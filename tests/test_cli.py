@@ -200,6 +200,18 @@ def test_stress_random_zero_samples_exits_clean(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--exhaustive", "8"], "error: exhaustive sweeps capped at n = 7"),
+        (["--random", "1", "65", "10", "1"], "error: vertex range 1..65 outside 1..64"),
+    ],
+)
+def test_stress_past_its_cap_is_input_error(capsys, argv, message):
+    code, out, err = _run(capsys, ["stress", *argv])
+    assert (code, out, err.splitlines()) == (2, "", [message])
+
+
+@pytest.mark.parametrize(
     "edge, message",
     [
         ("e 0 1", "line 2: edge (0, 1) outside 1..3"),

@@ -1,5 +1,6 @@
 import pytest
 
+from clawchroma import colorer
 from clawchroma.colorer import (
     InsertionState,
     class_color,
@@ -141,6 +142,21 @@ def test_finish_coloring_contract(state, category):
     with pytest.raises(ClaimViolationError) as exc:
         finish_coloring(k4_minus_edge(), state)
     assert exc.value.category == category
+
+
+@pytest.mark.parametrize("color", [class_color, omega_color_strict])
+def test_a_fault_in_the_target_rule_is_raised(monkeypatch, color):
+    """The colorer's output is held to the paper's bound, not to the target
+    rule it colors by: with the palette one color too large, the n = 5
+    graph of edge mask 966 (omega = max degree = 3, under the degree bound)
+    gets 4 colors, which both public colorers raise as colorer_bound, and
+    omega_color_strict raises no BoundViolatedError, since the bound holds."""
+    g = from_edge_mask(5, 966)
+    assert (omega(g), degree_profile(g)[1]) == (3, 3)
+    monkeypatch.setattr(colorer, "target_colors", lambda w, delta: w + 1)
+    with pytest.raises(ClaimViolationError) as exc:
+        color(g)
+    assert exc.value.category == "colorer_bound"
 
 
 def test_deterministic_output():

@@ -1,11 +1,14 @@
 """Planted faults, one row each: a row replaces one binding of the program
-and pins the exact counts of one exhaustive sweep. Every sweep category is
-raised by some row, so each category is shown to count a real fault."""
+and pins the exact counts of one sweep, exhaustive or random. Every sweep
+category is raised by some row, so each category is shown to count a real
+fault."""
 
 import pytest
 
 from clawchroma import _kernels as K
 from clawchroma import colorer, report, stress
+from clawchroma.bitops import iter_bits
+from clawchroma.recognition import _is_c5, _is_p4
 from clawchroma.stress import (
     CATEGORIES,
     CHI_EQUALS_OMEGA,
@@ -18,14 +21,37 @@ from clawchroma.stress import (
 )
 
 _has_clique = K.has_clique
+_shape_table = K.shape_table
 
-# (module, name, replacement, max_n, in-class graphs, nonzero violation counts)
+
+def _shape_table_dropping(case):
+    """K.shape_table with one case of its rules dropped: bit s is also set
+    wherever case(child, s) holds, child being the grown graph's adjacency
+    (vertex k joined to s)."""
+
+    def table(adj, k):
+        vbit = 1 << k
+        dropped = 0
+        for s in range(vbit):
+            child = [a | vbit if s >> u & 1 else a for u, a in enumerate(adj)] + [s]
+            if case(child, s):
+                dropped |= 1 << s
+        return _shape_table(adj, k) | dropped
+
+    return table
+
+
+EXHAUSTIVE_5 = dict(mode="exhaustive", max_n=5)
+EXHAUSTIVE_6 = dict(mode="exhaustive", max_n=6)
+RANDOM_2000 = dict(mode="random", n_lo=5, n_hi=22, samples=2000, seed=1)
+
+# (module, name, replacement, sweep, in-class graphs, nonzero violation counts)
 ROWS = [
     # a claw table that never finds a claw, at the kernel's one binding, lets
     # claws into the sweep's children: more graphs are taken in class, and
     # the checks that claws break count them
     pytest.param(
-        K, "claw_table", lambda adj, k: 0, 5, 1059,
+        K, "claw_table", lambda adj, k: 0, EXHAUSTIVE_5, 1059,
         {NEIGHBORHOOD_SHAPE: 249, COMPONENT_SHAPE: 229, DEGREE_BOUND: 159,
          WHEEL_BRANCH: 154},
         id="claw_table-finds-no-claw",
@@ -36,7 +62,7 @@ ROWS = [
     # so the graphs are counted, with no ZeroDivisionError
     pytest.param(
         K, "has_clique", lambda adj, n, sub, k: _has_clique(adj, n, sub, k + 1),
-        5, 810,
+        EXHAUSTIVE_5, 810,
         {DEGREE_BOUND: 736, WHEEL_BRANCH: 416, CHI_WITHIN_ONE: 27,
          CHI_EQUALS_OMEGA: 15},
         id="has_clique-one-too-many",
@@ -44,37 +70,70 @@ ROWS = [
     # the colorer's palette one color too large under the degree bound: the
     # sweep holds the colorer to the branch, not to the colorer's own target
     pytest.param(
-        colorer, "target_colors", lambda w, delta: w + 1, 5, 810,
+        colorer, "target_colors", lambda w, delta: w + 1, EXHAUSTIVE_5, 810,
         {CHI_EQUALS_OMEGA: 10},
         id="target_colors-omega-plus-one",
     ),
     # the palette one color too small outside the degree bound: insertion
     # finds no coloring where chi = omega + 1
     pytest.param(
-        colorer, "target_colors", lambda w, delta: w, 5, 810,
+        colorer, "target_colors", lambda w, delta: w, EXHAUSTIVE_5, 810,
         {CHI_WITHIN_ONE: 12},
         id="target_colors-omega",
     ),
     # the 72 labeled W5s at n = 6 lose their wheel
     pytest.param(
-        report, "find_induced_wheel6", lambda g: None, 6, 13217,
+        report, "find_induced_wheel6", lambda g: None, EXHAUSTIVE_6, 13217,
         {WHEEL_BRANCH: 72},
         id="find_induced_wheel6-none",
     ),
+    # the per-vertex check now runs only where no parent hands a record:
+    # the n = 1 graph fails, so no graph has a record and each is counted
     pytest.param(
-        stress, "verify_neighborhood_all_cliques", lambda g, u: False, 5, 810,
+        stress, "verify_neighborhood_all_cliques", lambda g, u: False,
+        EXHAUSTIVE_5, 810,
         {NEIGHBORHOOD_SHAPE: 810},
         id="verify_neighborhood_all_cliques-false",
+    ),
+    # the shape table without its P4 and C5 exceptions at v: the 12 labeled
+    # gems, a P4 joined to v, fail at v
+    pytest.param(
+        K, "shape_table",
+        _shape_table_dropping(lambda child, s: _is_p4(child, s) or _is_c5(child, s)),
+        EXHAUSTIVE_5, 810,
+        {NEIGHBORHOOD_SHAPE: 12},
+        id="shape_table-no-p4-or-c5-at-v",
+    ),
+    # the shape table without its P4 case at a u in s with |N_P(u)| = 3
+    pytest.param(
+        K, "shape_table",
+        _shape_table_dropping(
+            lambda child, s: any(
+                child[u].bit_count() == 4 and _is_p4(child, child[u])
+                for u in iter_bits(s)
+            )
+        ),
+        EXHAUSTIVE_5, 810,
+        {NEIGHBORHOOD_SHAPE: 48},
+        id="shape_table-no-p4-at-u",
+    ),
+    # the random draw's claw rule finds no claw: claws get into the drawn
+    # graphs, and the checks that claws break count them
+    pytest.param(
+        K, "claw_through", lambda adj, nb: False, RANDOM_2000, 787,
+        {DEGREE_BOUND: 194, WHEEL_BRANCH: 142, COMPONENT_SHAPE: 316,
+         NEIGHBORHOOD_SHAPE: 335},
+        id="claw_through-finds-no-claw",
     ),
 ]
 
 
-@pytest.mark.parametrize("module, name, fault, max_n, in_class, counts", ROWS)
+@pytest.mark.parametrize("module, name, fault, sweep, in_class, counts", ROWS)
 def test_planted_fault_is_counted(
-    monkeypatch, module, name, fault, max_n, in_class, counts
+    monkeypatch, module, name, fault, sweep, in_class, counts
 ):
     monkeypatch.setattr(module, name, fault)
-    s = run_stress("exhaustive", max_n=max_n, workers=0)
+    s = run_stress(**sweep, workers=0)
     assert s.in_class_count == in_class
     assert s.violations == {c: counts.get(c, 0) for c in CATEGORIES}
 

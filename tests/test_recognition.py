@@ -11,7 +11,8 @@ from clawchroma.generators import (
     random_graph,
     random_in_class_graph,
 )
-from clawchroma.graph import build_graph
+from clawchroma.bitops import iter_bits
+from clawchroma.graph import Graph, build_graph
 from clawchroma.recognition import (
     ClassVerdict,
     find_claw,
@@ -239,14 +240,19 @@ def _extensions_agree(adj, n):
     return len(expected)
 
 
+def _in_class_parents(n):
+    """The adjacencies of the in-class labeled graphs on n vertices."""
+    return [
+        g.adj
+        for g in enumerate_labeled(n)
+        if K.find_claw(g.adj, n) is None and K.find_k5_minus_p3(g.adj, n) is None
+    ]
+
+
 def _in_class_children(n):
     """The children listed for every in-class labeled graph on n vertices,
     each checked against the grown graphs' witness searches."""
-    return sum(
-        _extensions_agree(g.adj, n)
-        for g in enumerate_labeled(n)
-        if K.find_claw(g.adj, n) is None and K.find_k5_minus_p3(g.adj, n) is None
-    )
+    return sum(_extensions_agree(adj, n) for adj in _in_class_parents(n))
 
 
 def test_in_class_extensions_match_witness_search_up_to_n5():
@@ -289,6 +295,43 @@ def test_claw_table_matches_claw_through():
         assert [table >> s & 1 for s in range(1 << n)] == [
             K.claw_through(adj, s) for s in range(1 << n)
         ], adj
+
+
+def _shape_table_agrees(adj, n):
+    """K.shape_table of a graph adj on n vertices, asserted to equal, at
+    every mask s, verify_neighborhood_all_cliques at each vertex of N[v]
+    of the grown graph (vertex n joined to s)."""
+    vbit = 1 << n
+    expected = 0
+    for s in range(vbit):
+        g = Graph(n + 1, [a | vbit if s >> u & 1 else a for u, a in enumerate(adj)] + [s])
+        if not all(verify_neighborhood_all_cliques(g, u) for u in iter_bits(s | vbit)):
+            expected |= 1 << s
+    assert K.shape_table(adj, n) == expected, adj
+
+
+def test_shape_table_matches_the_per_vertex_check_on_seeded_parents():
+    # seeded draws with n 0..7 at every edge probability, claws and all
+    stream = SplitMix64(59)
+    for _ in range(3000):
+        n = stream.next_below(8)
+        _shape_table_agrees(random_graph(n, stream.next_unit(), stream).adj, n)
+
+
+def test_shape_table_matches_the_per_vertex_check_up_to_n5():
+    # every parent of the exhaustive sweep up to n = 6, at every mask
+    parents = [(adj, n) for n in range(6) for adj in _in_class_parents(n)]
+    assert len(parents) == 1 + 1 + 2 + 8 + 60 + 739
+    for adj, n in parents:
+        _shape_table_agrees(adj, n)
+
+
+@pytest.mark.slow
+def test_shape_table_matches_the_per_vertex_check_n6():
+    parents = _in_class_parents(6)
+    assert len(parents) == 12407  # every parent of the n = 7 level
+    for adj in parents:
+        _shape_table_agrees(adj, 6)
 
 
 def test_witness_soundness_over_enumeration():

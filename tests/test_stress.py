@@ -134,14 +134,16 @@ def test_sweep_decides_k5_minus_p3_through_the_new_vertex(monkeypatch):
 
 
 def test_sweep_checks_each_coloring_once(monkeypatch):
-    """Each graph's four shapes are checked over N[v] when its parent
-    passed, over every vertex otherwise (here the n = 1 graph alone). Its
-    colorer coloring is checked in one check_classes pass over N[v] when,
-    besides, its prefix colors are the parent's, else over every vertex (the
-    n = 1 graph and 10 children whose insertion made a Kempe swap). chi's
-    witness gets a second pass, over every vertex, whenever it is not the
-    colorer's coloring: the 50 parent witnesses extended at v and the
-    oracle's 3. No coloring is checked by verify_proper."""
+    """Each graph's four shapes are read off its parent's shape table, one
+    K.shape_table call per parent with a record, with no
+    verify_neighborhood_all_cliques call, when its parent passed; they are
+    checked by that call at every vertex otherwise (here the n = 1 graph
+    alone). Its colorer coloring is checked in one check_classes pass over
+    N[v] when, besides, its prefix colors are the parent's, else over every
+    vertex (the n = 1 graph and 10 children whose insertion made a Kempe
+    swap). chi's witness gets a second pass, over every vertex, whenever it
+    is not the colorer's coloring: the 50 parent witnesses extended at v and
+    the oracle's 3. No coloring is checked by verify_proper."""
     checks = Counter()
     for module in (colorer, stress):
         def counted(g, c, _fn=module.verify_proper, _name=module.__name__):
@@ -163,18 +165,20 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
         graphs[-1][3].append(check)
         return _fn(adj, colors, masks, check)
 
+    def table(adj, k, _fn=K.shape_table):
+        checks["shape_table"] += 1
+        return _fn(adj, k)
+
     monkeypatch.setattr(stress, "check_in_class_graph", checked)
     monkeypatch.setattr(stress, "verify_neighborhood_all_cliques", shape)
     monkeypatch.setattr(stress, "check_classes", classes)
+    monkeypatch.setattr(K, "shape_table", table)
     run_stress("exhaustive", max_n=5, workers=0)
     for g, resumed, vertices, passes in graphs:
         v = g.n - 1
         local = g.adj[v] | 1 << v
-        if resumed:
-            assert vertices == set(iter_bits(local))
-        else:
-            assert vertices == set(range(g.n))
-        checks["shapes", "N[v]" if resumed else "every vertex"] += 1
+        assert vertices == (set() if resumed else set(range(g.n)))
+        checks["shapes", "table" if resumed else "every vertex"] += 1
         for name, mask in zip(("coloring", "witness"), passes):
             # chi's witness is checked over every vertex, even where N[v] is
             # every vertex
@@ -184,7 +188,9 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
                 assert mask == g.full_mask()
                 checks[name, "every vertex"] += 1
     assert checks == {
-        ("shapes", "N[v]"): 809,
+        # the in-class graphs with n <= 4, each a parent with a record
+        "shape_table": 1 + 2 + 8 + 60,
+        ("shapes", "table"): 809,
         ("shapes", "every vertex"): 1,
         ("coloring", "N[v]"): 799,
         ("coloring", "every vertex"): 11,
@@ -437,14 +443,23 @@ def test_sweep_carries_omega_and_max_degree(monkeypatch):
 
 def test_sweep_carries_failed_neighborhood_shapes(monkeypatch):
     """A four-shape verdict that depends on <N(u)> alone is carried exactly:
-    the sweep counts what checking every vertex of every graph does."""
+    the sweep counts what checking every vertex of every graph does. The
+    verdict is planted at both of its codings: the per-vertex check, and
+    the shape table, whose bit s reads vertex 0 of degree 3 once v is
+    joined to s."""
 
     def fails_at_0_of_degree_3(g, u):
         return not (u == 0 and g.adj[0].bit_count() == 3)
 
+    def table_fails_at_0_of_degree_3(adj, k):
+        if not k or adj[0].bit_count() != 2:
+            return 0
+        return sum(1 << s for s in range(1, 1 << k, 2))
+
     monkeypatch.setattr(
         stress, "verify_neighborhood_all_cliques", fails_at_0_of_degree_3
     )
+    monkeypatch.setattr(K, "shape_table", table_fails_at_0_of_degree_3)
     swept = run_stress("exhaustive", max_n=6, workers=0)
     assert swept.payload() == _scanned(6).payload()
     assert swept.violations[NEIGHBORHOOD_SHAPE] > 0
