@@ -138,15 +138,17 @@ def prove_chi(
     w: int,
     upper: Coloring,
     parent: tuple[int, Coloring] | None = None,
+    colors_used: int | None = None,
 ) -> tuple[int, Coloring]:
     """(chi, witness coloring) of an in-class graph with clique number w, by
     the three steps above from upper, a proper coloring. parent, when given,
     is (chi, witness coloring) of g minus its last vertex: it raises the
     lower bound and its extension at that vertex is tried before step 2.
-    upper is the witness unless another coloring with fewer colors is. No
-    witness is checked here: chi rests on the witness, so a caller that
-    trusts chi checks it, unless it is upper."""
-    k = upper.colors_used
+    colors_used, when given, is upper's color count, which a caller that
+    has counted it hands over. upper is the witness unless another coloring
+    with fewer colors is. No witness is checked here: chi rests on the
+    witness, so a caller that trusts chi checks it, unless it is upper."""
+    k = upper.colors_used if colors_used is None else colors_used
     lower = w if parent is None else max(w, parent[0])
     if k == lower:
         return k, upper

@@ -6,46 +6,76 @@ graph on vertices 0..n-2 plus vertex n-1, and it is in the class iff no claw
 and no K5-minus-P3 goes through that vertex; in_class_extensions lists the
 children that pass, as adjacencies, deciding the local rules through the
 new vertex for all of its neighborhoods at once, as truth tables. The
-progress lines give each level's time and the part of it spent listing
-children (summed over workers). Every labeled graph on n vertices is still
-decided, by its parent's verdict or by the new vertex's check, so
-graphs_checked still adds 2^(n(n-1)/2) per n, and the in-class graphs are
-exactly those that scan_in_class, the scan over all edge masks, keeps.
+progress lines give each level's time, the part of it spent listing
+children and the part spent building per-parent tables (the shape table and
+the coloring context below), each summed over workers. Every labeled graph
+on n vertices is still decided, by its parent's verdict or by the new
+vertex's check, so graphs_checked still adds 2^(n(n-1)/2) per n, and the
+in-class graphs are exactly those that scan_in_class, the scan over all
+edge masks, keeps.
 
 Each child G, with v = n-1 and S = N(v), resumes its parent P = G - v
 at v, and exactly: every count and counterexample is what checking G from
 scratch gives. The colorer's state at v depends only on the prefix, so G's
 insertion continues P's; omega and delta of G are read off it (recomputed
 only when insertion failed, which leaves them stale). A parent that passed
-every check hands its children a record, the tuple (colors, masks, chi,
-witness): the colorer's colors with their class masks by color, chi and
-chi's witness.
+every check hands its children a record, the tuple (colors, chi, witness):
+the colorer's colors, chi and chi's witness. _extension_chunk builds two
+tables once per such parent and hands them to each child with the record:
+K.shape_table of P, and P's coloring context (coloring_context): the class
+masks of P's colorer colors and, for each color c, the mask of P's
+vertices with two neighbors colored c.
 
-check_in_class_graph checks the four shapes and the colorer's coloring
-over a mask of vertices, N[v] or every vertex, by what each fact reads.
-Each fact checked at a vertex u reads only N(u) and, for a coloring, the
-colors on N[u]: the four-shape test on <N(u)>, and properness at u and u's
-degree in each two-class subgraph (coloring.check_classes, one pass per
-coloring). Only v and S gain neighbors, so for u outside N[v] every <N(u)>
-is P's. When P passed every check (it has a record), the shapes are
-checked at N[v] alone, and read off a table: _extension_chunk computes
-K.shape_table of P once, the verdict at N[v] for every S at once, and the
-child's is its bit S. Every other graph (a child of a failed parent, the
-n = 1 graph, every graph of the random sweep) has its shapes checked by
+check_in_class_graph checks the four shapes and the colorer's coloring at
+N[v] or at every vertex, by what each fact reads. Each fact checked at a
+vertex u reads only N(u) and, for a coloring, the colors on N[u]: the
+four-shape test on <N(u)>, and properness at u and u's degree in each
+two-class subgraph (coloring.check_classes). Only v and S gain neighbors,
+so for u outside N[v] every <N(u)> is P's. When P passed every check (it
+has a record), the shapes are checked at N[v] alone, and read off the
+shape table, the verdict at N[v] for every S at once: the child's is its
+bit S. Every other graph (a child of a failed parent, the n = 1 graph,
+every graph of the random sweep) has its shapes checked by
 verify_neighborhood_all_cliques at every vertex. Shapes read no colors, so
-a repair that recolors P leaves them local. The colorer's mask is N[v]
+a repair that recolors P leaves them local.
+
+The colorer's coloring is checked by the N[v] rule (check_at_new_vertex)
 when P has a record and, besides, the colorer's colors on P's vertices are
-the parent's colorer colors, checked in full (the lists are compared, as a
-repair at v may recolor P): then for u outside N[v] no color on N[u]
-changes and a color new in G is v's alone, so each fact at u is P's,
-already verified. Every other colorer mask is every vertex, which includes
-every graph of the random sweep. chi's witness, when it is not the
-colorer's coloring, is checked over every vertex. The colorer's color count
-is held to G's branch as report.trichotomy returns it: omega colors under
-the degree bound, omega + 1 otherwise; the witness's must be chi.
-chi(G) >= chi(P), as G contains P, so prove_chi takes max(omega, chi(P))
-as its lower bound and tries P's witness extended at v before a
-certificate or the oracle.
+P's, checked in full (the lists are compared, as a repair at v may recolor
+P). With c = color(v) and C_c P's class c (empty when c is new):
+
+  proper iff S misses C_c;
+  v has degree >= 3 in a two-class subgraph iff some class holds three
+    vertices of S;
+  a u in S has degree >= 3 in a two-class subgraph iff u is in c's
+    two-neighbor mask, that is, u has two neighbors in C_c.
+
+Proof. P passed every check, so its coloring is proper and every vertex of
+P has degree <= 2 in every two-class subgraph. For u outside N[v] neither
+N(u) nor a color on N[u] changes, and a color new in G is v's alone, so
+each fact at u is P's. A u in S has the color of P, which N_P(u) misses,
+so u clashes iff v has u's color, iff u is in S & C_c; v clashes iff the
+same set is not empty. When the coloring is proper, v's degree in the
+subgraph of its class and class b is |S & C_b|, which is >= 3 for some b
+iff some class holds three vertices of S (C_c holds none). A u in S of
+color a != c gains one neighbor, v, in the (a, c) subgraph and none in the
+others, where P's degree <= 2 stands; so its degree there is
+|N_P(u) & C_c| + 1, which is >= 3 iff u has two neighbors in C_c. The color
+count is P's, plus one when c is new. QED.
+
+Every other colorer coloring gets one check_classes pass over every
+vertex, which includes every graph of the random sweep. chi's witness, when
+it is not the colorer's coloring, is checked over every vertex. On an
+in-class graph a proper coloring never has a vertex of degree >= 3 in a
+two-class subgraph: its neighbors there lie in one class, as the other is
+its own, so three of them are pairwise non-adjacent and form a claw with
+it. So component_shape counts only graphs with a claw or improper
+colorings: in the sweeps, a planted fault. The colorer's color count is
+held to G's branch as report.trichotomy returns it: omega colors under the
+degree bound, omega + 1 otherwise; the witness's must be chi. The count is
+handed to prove_chi, which rebuilds it otherwise. chi(G) >= chi(P), as G
+contains P, so prove_chi takes max(omega, chi(P)) as its lower bound and
+tries P's witness extended at v before a certificate or the oracle.
 Graphs are visited in extension order, so the first counterexample per
 category is the first in that order. The random sweep keeps the seeded
 draws that are in the class and runs the colorer's insertions on each, so
@@ -134,8 +164,10 @@ class StressSummary:
     vertices_colored_strict: int = 0
     exact_fallbacks: int = 0
     wall_time: float = 0.0
-    # seconds spent listing children (in_class_extensions); not serialized
+    # seconds spent listing children (in_class_extensions) and building
+    # per-parent tables (shape table, coloring context); not serialized
     extensions_time: float = 0.0
+    tables_time: float = 0.0
     # first counterexample per category, as (n, edge_mask); not serialized
     counterexamples: dict[str, tuple[int, int]] = field(default_factory=dict)
 
@@ -177,6 +209,7 @@ class StressSummary:
         self.vertices_colored_strict += part.vertices_colored_strict
         self.exact_fallbacks += part.exact_fallbacks
         self.extensions_time += part.extensions_time
+        self.tables_time += part.tables_time
         for cat, cex in part.counterexamples.items():
             self.counterexamples.setdefault(cat, cex)
 
@@ -200,6 +233,42 @@ class StressSummary:
         return out
 
 
+def coloring_context(adj, colors) -> tuple[dict[int, int], dict[int, int]]:
+    """The coloring context of a parent P with a record, colors its colorer
+    colors: (color -> class mask, color c -> mask of P's vertices with two
+    neighbors colored c). A vertex has two neighbors in a class iff it is a
+    common neighbor of two of its vertices."""
+    masks = class_masks(colors)
+    two = {}
+    for c, mask in masks.items():
+        seen = twice = 0
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            a = adj[b.bit_length() - 1]
+            twice |= seen & a
+            seen |= a
+        two[c] = twice
+    return masks, two
+
+
+def check_at_new_vertex(context, s: int, c: int) -> tuple[bool, bool, int]:
+    """The coloring facts of a child G = P + v, S = N(v) given as s, whose
+    colorer colors are its parent's on P and c at v, from P's coloring
+    context: (proper, some vertex has degree >= 3 in a two-class subgraph,
+    color count). The second answer is exact where the coloring is proper
+    (see the module docstring)."""
+    masks, two = context
+    own = masks.get(c, 0)
+    branches = s & two.get(c, 0) != 0
+    if not branches and s.bit_count() > 2:
+        for mask in masks.values():
+            if (s & mask).bit_count() > 2:
+                branches = True
+                break
+    return not s & own, branches, len(masks) + (not own)
+
+
 def check_in_class_graph(
     g: Graph, state: InsertionState, parent: tuple | None = None
 ) -> tuple[set[str], int, int, tuple | None]:
@@ -207,15 +276,24 @@ def check_in_class_graph(
 
     state is the colorer's state after all of g (insert_vertices). Omega and
     the maximum degree are read off it, unless insertion failed and left
-    them stale; then they are computed here. parent, when g minus its last
-    vertex v passed every check, is the pair of that graph's record, the
-    tuple (colorer colors, their class masks by color, chi, chi's witness),
-    and its K.shape_table, whose bit N(v) is g's four-shape verdict at N[v].
-    The shapes and the colorer's coloring are checked over N[v] or every
-    vertex, by their own rules, and chi's witness over every vertex (see the
-    module docstring). The colorer's coloring is prove_chi's upper bound;
-    DSATUR's is instead when insertion failed or the coloring is improper.
-    Every check ignores color names, so the coloring is left uncanonical.
+    them stale; then they are computed here. parent, when P = g - v, v the
+    last vertex, passed every check, is the triple of P's record, the tuple
+    (colorer colors, chi, chi's witness), P's K.shape_table, whose bit N(v)
+    is g's four-shape verdict at N[v], and P's coloring_context. The shapes
+    are checked at N[v] or every vertex. The colorer's coloring is checked
+    by the N[v] rule when its colors on P are P's, else by check_classes
+    over every vertex. The rule (check_at_new_vertex), with S = N(v) and
+    c = color(v): proper iff S misses P's class c; v branches (has degree
+    >= 3 in a two-class subgraph) iff some class holds three vertices of S;
+    a u in S branches iff u has two neighbors colored c. It holds because P
+    passed every check and only v and S gain neighbors (proof in the module
+    docstring). chi's witness is checked over every vertex. On an in-class
+    graph a proper coloring never branches (three same-colored neighbors
+    would form a claw), so component_shape counts only claws or improper
+    colorings. The colorer's coloring is prove_chi's upper bound, handed
+    with its color count; DSATUR's is instead when insertion failed or the
+    coloring is improper. Every check ignores color names, so the coloring
+    is left uncanonical.
     Returns (violated categories, vertices colored under the degree bound,
     exact fallbacks the colorer used on them, and, when g passed every
     check, g's record for its children).
@@ -230,36 +308,34 @@ def check_in_class_graph(
     full = g.full_mask()
     viol = set()
     if parent is None:
-        local = m = full
+        prior = None
+        m = full
         while m:
             b = m & -m
             m ^= b
             if not verify_neighborhood_all_cliques(g, b.bit_length() - 1):
                 viol.add(NEIGHBORHOOD_SHAPE)
     else:
-        (parent_colors, parent_masks, parent_chi, parent_witness), shapes = parent
-        # N[v], where the facts of a graph with a record can differ from P's
-        local = adj[v] | 1 << v
+        record, shapes, context = parent
+        parent_colors, prior = record[0], record[1:]
         if shapes >> adj[v] & 1:
             viol.add(NEIGHBORHOOD_SHAPE)
-    coloring = masks = None
+    coloring = k = None
     if not failed:
         if parent is not None and colors[:v] == parent_colors:
-            check = local
-            masks = parent_masks.copy()
-            masks[colors[v]] = masks.get(colors[v], 0) | 1 << v
+            proper, branches, k = check_at_new_vertex(context, adj[v], colors[v])
         else:
-            check = full
             masks = class_masks(colors)
-        proper, at = check_classes(adj, colors, masks, check)
+            proper, at = check_classes(adj, colors, masks, full)
+            branches, k = at is not None, len(masks)
         if proper:
             coloring = Coloring(tuple(colors))
-            if at is not None:
+            if branches:
                 viol.add(COMPONENT_SHAPE)
-    upper = dsatur_greedy(g) if coloring is None else coloring
-    chi, witness = prove_chi(
-        g, w, upper, None if parent is None else (parent_chi, parent_witness)
-    )
+    if coloring is None:
+        chi, witness = prove_chi(g, w, dsatur_greedy(g), prior)
+    else:
+        chi, witness = prove_chi(g, w, coloring, prior, colors_used=k)
     branch, _, failures = trichotomy(g, w, delta, chi)
     if failures:
         viol.update(e.category for e in failures)
@@ -280,14 +356,14 @@ def check_in_class_graph(
         viol.add(CHI_WITHIN_ONE)
         if bound_holds:
             viol.add(CHI_EQUALS_OMEGA)
-    elif len(masks) > (w if bound_holds else w + 1):
+    elif k > (w if bound_holds else w + 1):
         viol.add(CHI_EQUALS_OMEGA if bound_holds else CHI_WITHIN_ONE)
     elif bound_holds:
         strict_vertices = g.n
         strict_fallbacks = state.counts[2]
     if viol:
         return viol, strict_vertices, strict_fallbacks, None
-    return viol, strict_vertices, strict_fallbacks, (colors, masks, chi, witness)
+    return viol, strict_vertices, strict_fallbacks, (colors, chi, witness)
 
 
 def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]:
@@ -295,9 +371,9 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
 
     Each parent comes with its colorer state and its record, or None when it
     failed a check, which each child resumes at vertex n - 1; a parent with
-    a record also hands its children its shape table. Returns the
-    chunk's summary and, when keep is set, the children with theirs, in
-    order.
+    a record also hands its children its shape table and its coloring
+    context, built once here. Returns the chunk's summary and, when keep is
+    set, the children with theirs, in order.
     """
     n, parents, keep = args
     part = StressSummary("exhaustive")
@@ -305,10 +381,16 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
     for parent, parent_state, verified in parents:
         t0 = time.perf_counter()
         extensions = K.in_class_extensions(parent.adj, n)
-        part.extensions_time += time.perf_counter() - t0
+        t1 = time.perf_counter()
+        part.extensions_time += t1 - t0
         resumed = None
         if verified is not None:
-            resumed = verified, K.shape_table(parent.adj, n - 1)
+            resumed = (
+                verified,
+                K.shape_table(parent.adj, n - 1),
+                coloring_context(parent.adj, verified[0]),
+            )
+            part.tables_time += time.perf_counter() - t1
         for adj in extensions:
             g = Graph(n, adj, parent.edge_count + adj[-1].bit_count())
             state = insert_vertices(g, parent_state)
@@ -403,6 +485,7 @@ def run_stress(
             t_level = time.perf_counter()
             in_class_before = summary.in_class_count
             extensions_before = summary.extensions_time
+            tables_before = summary.tables_time
             keep = n < max_n
             chunks = [(n, parents, keep) for parents in _slices(level, workers)]
             summary.graphs_checked += 1 << (n * (n - 1) // 2)
@@ -416,9 +499,10 @@ def run_stress(
                 done = summary.in_class_count - in_class_before
                 elapsed = time.perf_counter() - t_level
                 extensions = summary.extensions_time - extensions_before
+                tables = summary.tables_time - tables_before
                 print(
                     f"progress: n={n} done, {done} in class, {elapsed:.2f} s"
-                    f" (extensions {extensions:.2f} s)",
+                    f" (extensions {extensions:.2f} s, tables {tables:.2f} s)",
                     file=sys.stderr,
                 )
     elif mode == "random":

@@ -41,6 +41,22 @@ def _shape_table_dropping(case):
     return table
 
 
+_try_kempe_swap = colorer._try_kempe_swap
+
+
+def _kempe_swap_keeping_highest(adj, colors, u, *args):
+    """colorer._try_kempe_swap, except that the highest vertex of a swapped
+    component of two or more vertices keeps its color. The prefix is the
+    vertices below u, and a swap recolors exactly its component's."""
+    before = colors[:u]
+    if not _try_kempe_swap(adj, colors, u, *args):
+        return False
+    swapped = [x for x in range(u) if colors[x] != before[x]]
+    if len(swapped) > 1:
+        colors[swapped[-1]] = before[swapped[-1]]
+    return True
+
+
 EXHAUSTIVE_5 = dict(mode="exhaustive", max_n=5)
 EXHAUSTIVE_6 = dict(mode="exhaustive", max_n=6)
 RANDOM_2000 = dict(mode="random", n_lo=5, n_hi=22, samples=2000, seed=1)
@@ -86,6 +102,14 @@ ROWS = [
         report, "find_induced_wheel6", lambda g: None, EXHAUSTIVE_6, 13217,
         {WHEEL_BRANCH: 72},
         id="find_induced_wheel6-none",
+    ),
+    # a Kempe swap that leaves its component's highest vertex unswapped
+    # makes improper colorings: the colorer's, and a parent's chi witness
+    # extended at v by the same swap
+    pytest.param(
+        colorer, "_try_kempe_swap", _kempe_swap_keeping_highest, EXHAUSTIVE_5, 810,
+        {CHI_EQUALS_OMEGA: 6, CHI_WITHIN_ONE: 36, COMPONENT_SHAPE: 8},
+        id="kempe_swap-keeps-highest-vertex",
     ),
     # the per-vertex check now runs only where no parent hands a record:
     # the n = 1 graph fails, so no graph has a record and each is counted

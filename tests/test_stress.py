@@ -15,7 +15,7 @@ from clawchroma.bitops import iter_bits
 from clawchroma.cli import _dump_counterexamples, main
 from clawchroma.cliques import omega
 from clawchroma.colorer import InsertionState
-from clawchroma.coloring import Coloring, exact_chromatic, verify_proper
+from clawchroma.coloring import Coloring, check_classes, class_masks, exact_chromatic, verify_proper
 from clawchroma.errors import ParamRangeError, ScaleExceededError
 from clawchroma.generators import line_graph
 from clawchroma.graph import Graph, build_graph, degree_profile, edge_mask_of, from_edge_mask
@@ -138,11 +138,12 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
     K.shape_table call per parent with a record, with no
     verify_neighborhood_all_cliques call, when its parent passed; they are
     checked by that call at every vertex otherwise (here the n = 1 graph
-    alone). Its colorer coloring is checked in one check_classes pass over
-    N[v] when, besides, its prefix colors are the parent's, else over every
-    vertex (the n = 1 graph and 10 children whose insertion made a Kempe
-    swap). chi's witness gets a second pass, over every vertex, whenever it
-    is not the colorer's coloring: the 50 parent witnesses extended at v and
+    alone). Its colorer coloring is checked by the N[v] rule, from its
+    parent's coloring context, with no check_classes pass, when besides its
+    prefix colors are the parent's; else in one check_classes pass over
+    every vertex (the n = 1 graph and 10 children whose insertion made a
+    Kempe swap). chi's witness gets a pass over every vertex whenever it is
+    not the colorer's coloring: the 50 parent witnesses extended at v and
     the oracle's 3. No coloring is checked by verify_proper."""
     checks = Counter()
     for module in (colorer, stress):
@@ -154,48 +155,150 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
     graphs = []
 
     def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
-        graphs.append((g, parent is not None, set(), []))
+        ruled = parent is not None and state.colors[: g.n - 1] == parent[0][0]
+        graphs.append((g, parent is not None, ruled, set(), []))
         return _fn(g, state, parent)
 
     def shape(g, u, _fn=stress.verify_neighborhood_all_cliques):
-        graphs[-1][2].add(u)
+        graphs[-1][3].add(u)
         return _fn(g, u)
 
     def classes(adj, colors, masks, check, _fn=stress.check_classes):
-        graphs[-1][3].append(check)
+        graphs[-1][4].append(check)
         return _fn(adj, colors, masks, check)
 
     def table(adj, k, _fn=K.shape_table):
         checks["shape_table"] += 1
         return _fn(adj, k)
 
+    def context(adj, colors, _fn=stress.coloring_context):
+        checks["coloring_context"] += 1
+        return _fn(adj, colors)
+
     monkeypatch.setattr(stress, "check_in_class_graph", checked)
     monkeypatch.setattr(stress, "verify_neighborhood_all_cliques", shape)
     monkeypatch.setattr(stress, "check_classes", classes)
+    monkeypatch.setattr(stress, "coloring_context", context)
     monkeypatch.setattr(K, "shape_table", table)
     run_stress("exhaustive", max_n=5, workers=0)
-    for g, resumed, vertices, passes in graphs:
-        v = g.n - 1
-        local = g.adj[v] | 1 << v
+    for g, resumed, ruled, vertices, passes in graphs:
         assert vertices == (set() if resumed else set(range(g.n)))
         checks["shapes", "table" if resumed else "every vertex"] += 1
-        for name, mask in zip(("coloring", "witness"), passes):
-            # chi's witness is checked over every vertex, even where N[v] is
-            # every vertex
-            if name == "coloring" and resumed and mask == local:
-                checks[name, "N[v]"] += 1
-            else:
-                assert mask == g.full_mask()
-                checks[name, "every vertex"] += 1
+        if ruled:
+            checks["coloring", "N[v] rule"] += 1
+        else:
+            passes = passes[1:]
+            checks["coloring", "every vertex"] += 1
+        # chi's witness is checked over every vertex
+        for mask in passes:
+            assert mask == g.full_mask()
+            checks["witness", "every vertex"] += 1
     assert checks == {
         # the in-class graphs with n <= 4, each a parent with a record
         "shape_table": 1 + 2 + 8 + 60,
+        "coloring_context": 1 + 2 + 8 + 60,
         ("shapes", "table"): 809,
         ("shapes", "every vertex"): 1,
-        ("coloring", "N[v]"): 799,
+        ("coloring", "N[v] rule"): 799,
         ("coloring", "every vertex"): 11,
         ("witness", "every vertex"): 53,
     }
+
+
+def _rule_children(monkeypatch, max_n):
+    """Every child of an exhaustive sweep that the N[v] rule checks (its
+    parent has a record and its colorer colors on P are P's): the rule's
+    verdicts from the parent's coloring context equal check_classes' at
+    N[v], properness and color count always, branching wherever the
+    coloring is proper. Returns how many children it compared."""
+    compared = 0
+
+    def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
+        nonlocal compared
+        v, colors = g.n - 1, state.colors
+        if parent is not None and state.failure is None and colors[:v] == parent[0][0]:
+            proper, branches, k = stress.check_at_new_vertex(
+                parent[2], g.adj[v], colors[v]
+            )
+            masks = class_masks(colors)
+            at_v = check_classes(g.adj, colors, masks, g.adj[v] | 1 << v)
+            assert (proper, k) == (at_v[0], len(masks))
+            assert not proper or branches == (at_v[1] is not None)
+            compared += 1
+        return _fn(g, state, parent)
+
+    monkeypatch.setattr(stress, "check_in_class_graph", checked)
+    assert run_stress("exhaustive", max_n=max_n, workers=0).total_violations == 0
+    return compared
+
+
+def test_n_v_rule_matches_check_classes(monkeypatch):
+    assert _rule_children(monkeypatch, 6) == 12915
+
+
+@pytest.mark.slow
+def test_n_v_rule_matches_check_classes_n7(monkeypatch):
+    assert _rule_children(monkeypatch, 7) == 245390
+
+
+def test_n_v_rule_matches_check_classes_at_every_neighborhood_and_color(monkeypatch):
+    """For every parent with a record at n <= 5, every neighborhood s of
+    the new vertex v (in the class or not) and every color c of v, an old
+    one or a new one: the N[v] rule gives the verdicts that check_classes
+    gives at N[v] and over every vertex, properness and color count always,
+    branching wherever the coloring is proper. Both verdicts occur."""
+    parents = []
+
+    def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
+        result = _fn(g, state, parent)
+        if result[3] is not None:
+            parents.append((g.adj, result[3][0]))
+        return result
+
+    monkeypatch.setattr(stress, "check_in_class_graph", checked)
+    run_stress("exhaustive", max_n=5, workers=0)
+    assert len(parents) == 810
+    verdicts = Counter()
+    for adj, colors in parents:
+        k = len(adj)
+        context = stress.coloring_context(adj, colors)
+        for s in range(1 << k):
+            child = tuple(a | 1 << k if s >> u & 1 else a for u, a in enumerate(adj)) + (s,)
+            for c in range(1, len(context[0]) + 2):
+                child_colors = colors + [c]
+                proper, branches, count = stress.check_at_new_vertex(context, s, c)
+                masks = class_masks(child_colors)
+                for check in (s | 1 << k, (1 << k + 1) - 1):
+                    at = check_classes(child, child_colors, masks, check)
+                    assert (proper, count) == (at[0], len(masks))
+                    assert not proper or branches == (at[1] is not None)
+                verdicts[proper, proper and branches] += 1
+    assert set(verdicts) == {(True, True), (True, False), (False, False)}
+
+
+def _oracle_calls(monkeypatch, max_n):
+    calls = 0
+
+    def oracle(*args, _fn=report.exact_chromatic):
+        nonlocal calls
+        calls += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(report, "exact_chromatic", oracle)
+    assert run_stress("exhaustive", max_n=max_n, workers=0).total_violations == 0
+    return calls
+
+
+def test_oracle_calls_per_exhaustive_pass(monkeypatch):
+    """How often prove_chi falls through to the exact oracle: where neither
+    the colorer's coloring nor the parent's chi and witness close the
+    bracket and no join-count certificate exists."""
+    assert _oracle_calls(monkeypatch, 6) == 291
+
+
+@pytest.mark.slow
+def test_oracle_calls_per_exhaustive_pass_n7(monkeypatch):
+    assert _oracle_calls(monkeypatch, 7) == 5841
 
 
 def test_parallel_merge_is_deterministic(monkeypatch):
@@ -474,7 +577,7 @@ def test_exhaustive_progress_reports_each_level(capsys):
     levels = [
         re.fullmatch(
             r"progress: n=(\d+) done, (\d+) in class, \d+\.\d\d s"
-            r" \(extensions \d+\.\d\d s\)",
+            r" \(extensions \d+\.\d\d s, tables \d+\.\d\d s\)",
             line,
         )
         for line in err.splitlines()[:4]
@@ -501,10 +604,11 @@ def test_check_in_class_graph_clean_on_wheel():
     assert viol == set()
     assert strict_vertices == 0  # wheel violates the strict degree bound
     assert fallbacks == 0
-    # a graph that passes gets a record (colors, masks, chi, witness): its
-    # colorer coloring and chi
-    assert record[0] == colorer.insert_vertices(g).colors
-    assert record[2] == 4
+    # a graph that passes gets a record (colors, chi, witness): its colorer
+    # coloring, chi and chi's witness
+    colors, chi, witness = record
+    assert colors == colorer.insert_vertices(g).colors
+    assert chi == 4 == witness.colors_used
 
 
 # a P4 on which the colorer uses 3 colors: chi = 2 has no join-count
@@ -624,10 +728,10 @@ def _sweep_chi_from_parents(monkeypatch, max_n):
         searched.append("oracle")
         return _fn(*args)
 
-    def confirmed(g, w, upper, parent=None, _fn=report.prove_chi):
+    def confirmed(g, w, upper, parent=None, colors_used=None, _fn=report.prove_chi):
         nonlocal taken
         searched.clear()
-        chi, witness = _fn(g, w, upper, parent)
+        chi, witness = _fn(g, w, upper, parent, colors_used)
         if parent is not None and not searched and (chi > w or witness is not upper):
             assert k_colorable(g, chi - 1) is None
             assert witness.colors_used == chi and verify_proper(g, witness) is None
