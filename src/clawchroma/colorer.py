@@ -19,10 +19,10 @@ Each new vertex is colored by the first applicable mechanism:
 
 Correctness rests on the exact fallback alone: a failed Kempe attempt writes
 no color, so it only decides how often the fallback runs. The RepairTrace
-records which mechanism colored each vertex; the state keeps the count per
-mechanism as it goes, so the trace is built without a rescan. The first two
-mechanisms are color_step, which report.prove_chi also uses to extend a
-coloring of G - v at v.
+records which mechanism colored each vertex; finish_coloring builds it from
+the state's masks of the vertices a Kempe swap and the exact fallback
+colored. The first two mechanisms are color_step, which report.prove_chi
+also uses to extend a coloring of G - v at v.
 
 A vertex's insertion reads only its earlier neighbors, and the clique
 query, the Kempe swap and the exact fallback stay inside the prefix. So the
@@ -64,9 +64,9 @@ class RepairTrace:
     direct_colors: int
     kempe_swaps: int
     exact_fallbacks: int
-    # always 0: kept only because the benchmark tracer still reads them
-    pair_recolor_moves: int = 0
-    cascade_moves: int = 0
+    # always 0, and not fields: kept only because the benchmark tracer reads them
+    pair_recolor_moves = 0
+    cascade_moves = 0
 
 
 def _try_kempe_swap(adj, colors, u, nb, prefix, target) -> bool:
@@ -127,32 +127,32 @@ def color_step(adj, colors, u, nb, prefix, target) -> str | None:
 
 class InsertionState:
     """The colorer after inserting vertices 0..k-1 of a graph, k = len(colors):
-    the colors, the mechanism of each step, the prefix clique number and
-    maximum degree, and how many steps each mechanism took, as (direct,
-    kempe_swap, exact_fallback).
+    the colors, as a tuple, the prefix clique number and maximum degree, and
+    the masks of the vertices that a Kempe swap (kempe) and the exact
+    fallback (fallback) colored; every other vertex was colored directly.
 
     failure holds the message of an exact fallback that found no coloring;
     insertion stopped there, the other fields are stale, and finish_coloring
     raises it. A plain class: a dataclass would add to the import time.
     """
 
-    __slots__ = ("colors", "steps", "omega", "delta", "failure", "counts")
+    __slots__ = ("colors", "omega", "delta", "failure", "kempe", "fallback")
 
     def __init__(
         self,
-        colors: list[int],
-        steps: list[tuple[int, str]],
+        colors: tuple[int, ...],
         omega: int,
         delta: int,
         failure: str | None = None,
-        counts: tuple[int, int, int] = (0, 0, 0),
+        kempe: int = 0,
+        fallback: int = 0,
     ):
         self.colors = colors
-        self.steps = steps
         self.omega = omega
         self.delta = delta
         self.failure = failure
-        self.counts = counts
+        self.kempe = kempe
+        self.fallback = fallback
 
 
 def insert_vertices(
@@ -166,16 +166,15 @@ def insert_vertices(
     """
     n, adj = g.n, g.adj
     if parent is None:
-        lo = omega_p = delta_p = direct = kempe = fallback = 0
-        colors, steps = [0] * n, []
+        lo = omega_p = delta_p = kempe = fallback = 0
+        colors = [0] * n
     elif parent.failure is not None:
         return parent
     else:
         lo = len(parent.colors)
-        colors = parent.colors + [0] * (n - lo)
-        steps = parent.steps.copy()
+        colors = [*parent.colors] + [0] * (n - lo)
         omega_p, delta_p = parent.omega, parent.delta
-        direct, kempe, fallback = parent.counts
+        kempe, fallback = parent.kempe, parent.fallback
     prefix = (1 << lo) - 1
     for u in range(lo, n):
         nb = adj[u] & prefix
@@ -197,11 +196,9 @@ def insert_vertices(
         target = target_colors(omega_p, delta_p)
 
         mech = color_step(adj, colors, u, nb, prefix, target)
-        if mech == DIRECT:
-            direct += 1
-        elif mech == KEMPE_SWAP:
-            kempe += 1
-        else:
+        if mech == KEMPE_SWAP:
+            kempe |= 1 << u
+        elif mech is None:
             clique = K.lex_min_max_clique(adj, n, prefix_new)
             sol = K.k_color(adj, n, prefix_new, target, clique)
             if sol is None:
@@ -209,16 +206,12 @@ def insert_vertices(
                     f"no {target}-coloring of an in-class prefix "
                     f"(omega={omega_p}, delta={delta_p})"
                 )
-                return InsertionState(colors, steps, omega_p, delta_p, failure)
+                return InsertionState(tuple(colors), omega_p, delta_p, failure)
             for v in iter_bits(prefix_new):
                 colors[v] = sol[v]
-            mech = EXACT_FALLBACK
-            fallback += 1
-        steps.append((u, mech))
+            fallback |= 1 << u
         prefix = prefix_new
-    return InsertionState(
-        colors, steps, omega_p, delta_p, counts=(direct, kempe, fallback)
-    )
+    return InsertionState(tuple(colors), omega_p, delta_p, None, kempe, fallback)
 
 
 def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTrace]:
@@ -232,7 +225,7 @@ def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTr
     """
     if state.failure is not None:
         raise ClaimViolationError("prefix_colorable", g, state.failure)
-    out = Coloring(tuple(state.colors)).canonical()
+    out = Coloring(state.colors).canonical()
     if verify_proper(g, out) is not None:
         raise ClaimViolationError("colorer_proper", g, "output coloring improper")
     w = state.omega
@@ -241,7 +234,15 @@ def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTr
         raise ClaimViolationError(
             "colorer_bound", g, f"used {out.colors_used} colors, bound is {bound}"
         )
-    return out, RepairTrace(tuple(state.steps), *state.counts)
+    mechs = [DIRECT] * len(state.colors)
+    for mask, mech in ((state.kempe, KEMPE_SWAP), (state.fallback, EXACT_FALLBACK)):
+        for u in iter_bits(mask):
+            mechs[u] = mech
+    k, f = state.kempe.bit_count(), state.fallback.bit_count()
+    # through a list, whose length is known: a tuple grown from a bare
+    # iterator is resized as it fills, which fragments memory and raised the
+    # CLI benchmarks' peak RSS by 1-2 MB
+    return out, RepairTrace(tuple(list(enumerate(mechs))), len(mechs) - k - f, k, f)
 
 
 def color_in_class(g: Graph) -> tuple[Coloring, RepairTrace]:

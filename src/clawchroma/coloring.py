@@ -65,18 +65,19 @@ def class_masks(colors) -> dict[int, int]:
     return masks
 
 
-def check_classes(adj, colors, masks, check: int) -> tuple[bool, int | None]:
+def check_classes(adj, colors, check: int) -> tuple[bool, int | None, int]:
     """Properness and the two-class degree test at the vertices of check.
 
-    colors[u] is u's color and masks is class_masks(colors). Returns (True
-    iff no vertex of check has a neighbor of its own color, the least vertex
-    of check of degree >= 3 in some two-class subgraph, else None). A vertex
+    colors[u] is u's color. Returns (True iff no vertex of check has a
+    neighbor of its own color, the least vertex of check of degree >= 3 in
+    some two-class subgraph, else None, the number of colors). A vertex
     u of color a has degree |N(u) & C_a| + |N(u) & C_b| in the (a, b)
     subgraph, for each other present color b; same-colored neighbors of an
     improper coloring count in every pair containing a. Each answer at u
     reads only N(u) and the colors on N[u], besides which colors are
     present. The scan stops once both answers are known.
     """
+    masks = class_masks(colors)
     proper = True
     branch = None
     while check:
@@ -95,7 +96,7 @@ def check_classes(adj, colors, masks, check: int) -> tuple[bool, int | None]:
                     break
         if not proper and branch is not None:
             break
-    return proper, branch
+    return proper, branch, len(masks)
 
 
 def _check_total(g: Graph, coloring: Coloring) -> None:
@@ -130,7 +131,7 @@ def find_branching_component(g: Graph, coloring: Coloring) -> int | None:
     vertex.
     """
     a = coloring.assignment
-    return check_classes(g.adj, a, class_masks(a), g.full_mask())[1]
+    return check_classes(g.adj, a, g.full_mask())[1]
 
 
 def dsatur_greedy(g: Graph) -> Coloring:

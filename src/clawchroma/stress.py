@@ -19,12 +19,12 @@ at v, and exactly: every count and counterexample is what checking G from
 scratch gives. The colorer's state at v depends only on the prefix, so G's
 insertion continues P's; omega and delta of G are read off it (recomputed
 only when insertion failed, which leaves them stale). A parent that passed
-every check hands its children a record, the tuple (colors, chi, witness):
-the colorer's colors, chi and chi's witness. _extension_chunk builds two
-tables once per such parent and hands them to each child with the record:
-K.shape_table of P, and P's coloring context (coloring_context): the class
-masks of P's colorer colors and, for each color c, the mask of P's
-vertices with two neighbors colored c.
+every check hands its children a record, prove_chi's pair (chi, witness);
+a witness that is the colorer's coloring shares the state's color tuple.
+_extension_chunk builds two tables once per such parent and hands them to
+each child with the record: K.shape_table of P, and P's coloring context
+(coloring_context): P's colorer colors, their class masks and, for each
+color c, the mask of P's vertices with two neighbors colored c.
 
 check_in_class_graph checks the four shapes and the colorer's coloring at
 N[v] or at every vertex, by what each fact reads. Each fact checked at a
@@ -41,8 +41,9 @@ a repair that recolors P leaves them local.
 
 The colorer's coloring is checked by the N[v] rule (check_at_new_vertex)
 when P has a record and, besides, the colorer's colors on P's vertices are
-P's, checked in full (the lists are compared, as a repair at v may recolor
-P). With c = color(v) and C_c P's class c (empty when c is new):
+P's, checked in full (the tuples are compared, as a repair at v may
+recolor P; the colorer's repair masks are only its own report). With
+c = color(v) and C_c P's class c (empty when c is new):
 
   proper iff S misses C_c;
   v has degree >= 3 in a two-class subgraph iff some class holds three
@@ -233,11 +234,11 @@ class StressSummary:
         return out
 
 
-def coloring_context(adj, colors) -> tuple[dict[int, int], dict[int, int]]:
+def coloring_context(adj, colors) -> tuple[tuple, dict[int, int], dict[int, int]]:
     """The coloring context of a parent P with a record, colors its colorer
-    colors: (color -> class mask, color c -> mask of P's vertices with two
-    neighbors colored c). A vertex has two neighbors in a class iff it is a
-    common neighbor of two of its vertices."""
+    colors: (colors, color -> class mask, color c -> mask of P's vertices
+    with two neighbors colored c). A vertex has two neighbors in a class
+    iff it is a common neighbor of two of its vertices."""
     masks = class_masks(colors)
     two = {}
     for c, mask in masks.items():
@@ -249,7 +250,7 @@ def coloring_context(adj, colors) -> tuple[dict[int, int], dict[int, int]]:
             twice |= seen & a
             seen |= a
         two[c] = twice
-    return masks, two
+    return colors, masks, two
 
 
 def check_at_new_vertex(context, s: int, c: int) -> tuple[bool, bool, int]:
@@ -258,7 +259,7 @@ def check_at_new_vertex(context, s: int, c: int) -> tuple[bool, bool, int]:
     context: (proper, some vertex has degree >= 3 in a two-class subgraph,
     color count). The second answer is exact where the coloring is proper
     (see the module docstring)."""
-    masks, two = context
+    _, masks, two = context
     own = masks.get(c, 0)
     branches = s & two.get(c, 0) != 0
     if not branches and s.bit_count() > 2:
@@ -277,9 +278,9 @@ def check_in_class_graph(
     state is the colorer's state after all of g (insert_vertices). Omega and
     the maximum degree are read off it, unless insertion failed and left
     them stale; then they are computed here. parent, when P = g - v, v the
-    last vertex, passed every check, is the triple of P's record, the tuple
-    (colorer colors, chi, chi's witness), P's K.shape_table, whose bit N(v)
-    is g's four-shape verdict at N[v], and P's coloring_context. The shapes
+    last vertex, passed every check, is the triple of P's record (chi, chi's
+    witness), P's K.shape_table, whose bit N(v) is g's four-shape verdict at
+    N[v], and P's coloring_context, which holds P's colors. The shapes
     are checked at N[v] or every vertex. The colorer's coloring is checked
     by the N[v] rule when its colors on P are P's, else by check_classes
     over every vertex. The rule (check_at_new_vertex), with S = N(v) and
@@ -290,13 +291,13 @@ def check_in_class_graph(
     docstring). chi's witness is checked over every vertex. On an in-class
     graph a proper coloring never branches (three same-colored neighbors
     would form a claw), so component_shape counts only claws or improper
-    colorings. The colorer's coloring is prove_chi's upper bound, handed
-    with its color count; DSATUR's is instead when insertion failed or the
-    coloring is improper. Every check ignores color names, so the coloring
-    is left uncanonical.
+    colorings. The colorer's coloring, the state's color tuple, is
+    prove_chi's upper bound, handed with its color count; DSATUR's is
+    instead when insertion failed or the coloring is improper. Every check
+    ignores color names, so the coloring is left uncanonical.
     Returns (violated categories, vertices colored under the degree bound,
     exact fallbacks the colorer used on them, and, when g passed every
-    check, g's record for its children).
+    check, g's record (chi, witness) for its children).
     """
     adj, colors, v = g.adj, state.colors, g.n - 1
     failed = state.failure is not None
@@ -316,20 +317,18 @@ def check_in_class_graph(
             if not verify_neighborhood_all_cliques(g, b.bit_length() - 1):
                 viol.add(NEIGHBORHOOD_SHAPE)
     else:
-        record, shapes, context = parent
-        parent_colors, prior = record[0], record[1:]
+        prior, shapes, context = parent
         if shapes >> adj[v] & 1:
             viol.add(NEIGHBORHOOD_SHAPE)
     coloring = k = None
     if not failed:
-        if parent is not None and colors[:v] == parent_colors:
+        if parent is not None and colors[:v] == context[0]:
             proper, branches, k = check_at_new_vertex(context, adj[v], colors[v])
         else:
-            masks = class_masks(colors)
-            proper, at = check_classes(adj, colors, masks, full)
-            branches, k = at is not None, len(masks)
+            proper, at, k = check_classes(adj, colors, full)
+            branches = at is not None
         if proper:
-            coloring = Coloring(tuple(colors))
+            coloring = Coloring(colors)
             if branches:
                 viol.add(COMPONENT_SHAPE)
     if coloring is None:
@@ -341,10 +340,8 @@ def check_in_class_graph(
         viol.update(e.category for e in failures)
     # chi rests on the witness; the colorer's own coloring is checked above
     if witness is not coloring:
-        a = witness.assignment
-        wmasks = class_masks(a)
-        proper, at = check_classes(adj, a, wmasks, full)
-        if len(wmasks) != chi or not proper:
+        proper, at, k_witness = check_classes(adj, witness.assignment, full)
+        if k_witness != chi or not proper:
             viol.add(CHI_WITHIN_ONE)
         if at is not None:
             viol.add(COMPONENT_SHAPE)
@@ -360,10 +357,10 @@ def check_in_class_graph(
         viol.add(CHI_EQUALS_OMEGA if bound_holds else CHI_WITHIN_ONE)
     elif bound_holds:
         strict_vertices = g.n
-        strict_fallbacks = state.counts[2]
+        strict_fallbacks = state.fallback.bit_count()
     if viol:
         return viol, strict_vertices, strict_fallbacks, None
-    return viol, strict_vertices, strict_fallbacks, (colors, chi, witness)
+    return viol, strict_vertices, strict_fallbacks, (chi, witness)
 
 
 def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]:
@@ -388,7 +385,7 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
             resumed = (
                 verified,
                 K.shape_table(parent.adj, n - 1),
-                coloring_context(parent.adj, verified[0]),
+                coloring_context(parent.adj, parent_state.colors),
             )
             part.tables_time += time.perf_counter() - t1
         for adj in extensions:

@@ -196,6 +196,8 @@ def test_criteria_1_to_4_and_7_full_n7_sweep():
     assert summary.exact_fallbacks == 197
     assert summary.fallback_rate == 0.00025161
     assert summary.wall_time < 1800
+    payload = json.dumps(summary.payload(), separators=(", ", ": ")) + "\n"
+    assert payload == (GOLDEN / "exhaustive7.json").read_text()
     _announce(
         "1/2/3/4/7 @ n=7",
         f"{summary.graphs_checked} graphs, {summary.in_class_count} in class, "

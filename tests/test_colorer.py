@@ -129,11 +129,11 @@ def test_relaxed_contract_exhaustive_small():
     "state, category",
     [
         # vertices 0 and 1 are adjacent and share a color
-        (InsertionState([1, 1, 2, 3], [], 3, 3), "colorer_proper"),
+        (InsertionState((1, 1, 2, 3), 3, 3), "colorer_proper"),
         # proper, but omega + 1 colors where max degree <= 2*omega - 3
-        (InsertionState([1, 2, 3, 4], [], 3, 3), "colorer_bound"),
+        (InsertionState((1, 2, 3, 4), 3, 3), "colorer_bound"),
         # an exact fallback found no coloring
-        (InsertionState([1, 0, 0, 0], [], 1, 0, "patched"), "prefix_colorable"),
+        (InsertionState((1, 0, 0, 0), 1, 0, "patched"), "prefix_colorable"),
     ],
 )
 def test_finish_coloring_contract(state, category):

@@ -15,7 +15,7 @@ from clawchroma.bitops import iter_bits
 from clawchroma.cli import _dump_counterexamples, main
 from clawchroma.cliques import omega
 from clawchroma.colorer import InsertionState
-from clawchroma.coloring import Coloring, check_classes, class_masks, exact_chromatic, verify_proper
+from clawchroma.coloring import Coloring, check_classes, exact_chromatic, verify_proper
 from clawchroma.errors import ParamRangeError, ScaleExceededError
 from clawchroma.generators import line_graph
 from clawchroma.graph import Graph, build_graph, degree_profile, edge_mask_of, from_edge_mask
@@ -155,7 +155,7 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
     graphs = []
 
     def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
-        ruled = parent is not None and state.colors[: g.n - 1] == parent[0][0]
+        ruled = parent is not None and state.colors[: g.n - 1] == parent[2][0]
         graphs.append((g, parent is not None, ruled, set(), []))
         return _fn(g, state, parent)
 
@@ -163,9 +163,9 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
         graphs[-1][3].add(u)
         return _fn(g, u)
 
-    def classes(adj, colors, masks, check, _fn=stress.check_classes):
+    def classes(adj, colors, check, _fn=stress.check_classes):
         graphs[-1][4].append(check)
-        return _fn(adj, colors, masks, check)
+        return _fn(adj, colors, check)
 
     def table(adj, k, _fn=K.shape_table):
         checks["shape_table"] += 1
@@ -216,13 +216,12 @@ def _rule_children(monkeypatch, max_n):
     def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
         nonlocal compared
         v, colors = g.n - 1, state.colors
-        if parent is not None and state.failure is None and colors[:v] == parent[0][0]:
+        if parent is not None and state.failure is None and colors[:v] == parent[2][0]:
             proper, branches, k = stress.check_at_new_vertex(
                 parent[2], g.adj[v], colors[v]
             )
-            masks = class_masks(colors)
-            at_v = check_classes(g.adj, colors, masks, g.adj[v] | 1 << v)
-            assert (proper, k) == (at_v[0], len(masks))
+            at_v = check_classes(g.adj, colors, g.adj[v] | 1 << v)
+            assert (proper, k) == (at_v[0], at_v[2])
             assert not proper or branches == (at_v[1] is not None)
             compared += 1
         return _fn(g, state, parent)
@@ -252,7 +251,7 @@ def test_n_v_rule_matches_check_classes_at_every_neighborhood_and_color(monkeypa
     def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
         result = _fn(g, state, parent)
         if result[3] is not None:
-            parents.append((g.adj, result[3][0]))
+            parents.append((g.adj, state.colors))
         return result
 
     monkeypatch.setattr(stress, "check_in_class_graph", checked)
@@ -264,16 +263,45 @@ def test_n_v_rule_matches_check_classes_at_every_neighborhood_and_color(monkeypa
         context = stress.coloring_context(adj, colors)
         for s in range(1 << k):
             child = tuple(a | 1 << k if s >> u & 1 else a for u, a in enumerate(adj)) + (s,)
-            for c in range(1, len(context[0]) + 2):
-                child_colors = colors + [c]
+            for c in range(1, len(context[1]) + 2):
+                child_colors = colors + (c,)
                 proper, branches, count = stress.check_at_new_vertex(context, s, c)
-                masks = class_masks(child_colors)
                 for check in (s | 1 << k, (1 << k + 1) - 1):
-                    at = check_classes(child, child_colors, masks, check)
-                    assert (proper, count) == (at[0], len(masks))
+                    at = check_classes(child, child_colors, check)
+                    assert (proper, count) == (at[0], at[2])
                     assert not proper or branches == (at[1] is not None)
                 verdicts[proper, proper and branches] += 1
     assert set(verdicts) == {(True, True), (True, False), (False, False)}
+
+
+def test_kept_level_holds_each_fact_once():
+    """A kept exhaustive entry (graph, colorer state, record) holds each
+    fact once: the state keeps its colors as one tuple and its repairs as
+    two vertex masks, and the record (chi, witness) shares that tuple
+    whenever the witness is the colorer's coloring: about 490 B per n = 6
+    entry."""
+    level = [(Graph(0, ()), None, None)]
+    for n in range(1, 6):
+        level = stress._extension_chunk((n, level, True))[1]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = stress._extension_chunk((6, level, True))[1]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 13217 - 810
+    assert retained / len(kept) <= 600
+    shared = 0
+    for _, state, record in kept:
+        # an equal witness is the colorer's coloring: any other witness
+        # uses fewer colors
+        if record is not None and record[1].assignment == state.colors:
+            assert record[1].assignment is state.colors
+            shared += 1
+    # every n = 6 graph passes; the other 1,636 witnesses are a parent's
+    # witness extended at v or the oracle's
+    assert shared == 10771
 
 
 def _oracle_calls(monkeypatch, max_n):
@@ -604,10 +632,8 @@ def test_check_in_class_graph_clean_on_wheel():
     assert viol == set()
     assert strict_vertices == 0  # wheel violates the strict degree bound
     assert fallbacks == 0
-    # a graph that passes gets a record (colors, chi, witness): its colorer
-    # coloring, chi and chi's witness
-    colors, chi, witness = record
-    assert colors == colorer.insert_vertices(g).colors
+    # a graph that passes gets a record (chi, witness): chi and chi's witness
+    chi, witness = record
     assert chi == 4 == witness.colors_used
 
 
@@ -624,7 +650,7 @@ P4 = build_graph(4, [(0, 3), (1, 2), (2, 3)])
         # oracle witness: proper with more colors than chi
         ("exact_chromatic", (2, Coloring((1, 2, 3, 4)))),
         # improper colorer state on C5, which the sweep rejects
-        ("insert_vertices", InsertionState([1, 1, 2, 3, 2], [], 2, 2)),
+        ("insert_vertices", InsertionState((1, 1, 2, 3, 2), 2, 2)),
     ],
 )
 def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value):
@@ -637,13 +663,13 @@ def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value
 def _colorer_raises(g):
     """The state of a colorer run that failed at vertex 0, leaving omega and
     the maximum degree stale."""
-    return InsertionState([0] * g.n, [], 0, 0, "no coloring of a prefix")
+    return InsertionState((0,) * g.n, 0, 0, "no coloring of a prefix")
 
 
 def _colorer_one_over(g):
     """A proper omega + 1 coloring of k4_minus_edge: the missing edge 2-3 is
     not shared."""
-    return InsertionState([1, 2, 3, 4], [], 3, 3)
+    return InsertionState((1, 2, 3, 4), 3, 3)
 
 
 @pytest.mark.parametrize(
