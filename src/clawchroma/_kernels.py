@@ -8,7 +8,8 @@ perfbench's tracer and the tests do, reaches every caller; backend_name
 names the implementation. One branch and bound, _clique_search, answers all
 four clique questions: the clique number (clique_number), whether a k-clique
 exists (has_clique), the lexicographically least maximum clique
-(lex_min_max_clique) and the list of maximum cliques (max_cliques). One
+(lex_min_max_clique) and the list of maximum cliques (max_cliques, which
+clique_table below reads). One
 search colors: k_color, and dsatur is its first descent. Both searches are
 single loops over an explicit stack, so no clique or graph size reaches the
 recursion limit, and no kernel builds a closure, so a call leaves no
@@ -21,7 +22,9 @@ s is the verdict on neighborhood s: claw_table is claw_through's rule as
 such a table, and the K5-minus-P3 rules through the new vertex are ORed in.
 The sweep's per-graph check reads a third such table, shape_table, whose
 bit s is the four-shape verdict at every vertex of N[v] when v is joined
-to s (rules and proof in its docstring).
+to s (rules and proof in its docstring), and the colorer resumes each
+child at v from a fourth, clique_table, whose bit s says whether s holds a
+maximum clique of the parent, that is, whether v raises omega.
 A whole claw-free graph is decided by claw_free_has_k5_minus_p3 instead,
 for the random draw and recognition, near-linear on dense graphs.
 
@@ -601,6 +604,22 @@ def shape_table(adj, k: int) -> int:
                     ok |= sup[x] & (full ^ hit[a ^ x])
         bad |= t[u] & (full ^ ok)
     return bad
+
+
+def clique_table(adj, k: int) -> int:
+    """Whether s holds a maximum clique of P, as a truth table over every s
+    below 2^k.
+
+    adj is a graph P on vertices 0..k-1; bit s is set iff s holds a clique
+    of size omega(P). Every such clique is a maximum clique of P, so the
+    table is the OR, over max_cliques, of the tables "c within s". A new
+    vertex joined to s raises omega by one iff bit s is set.
+    """
+    sup = _lattice(k)[2]
+    table = 0
+    for c in max_cliques(adj, k, (1 << k) - 1):
+        table |= sup[c]
+    return table
 
 
 def in_class_extensions(adj, n: int) -> list[tuple[int, ...]]:

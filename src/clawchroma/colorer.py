@@ -8,7 +8,12 @@ colors stay valid. Inserting a vertex u raises the prefix clique number by
 one at most, and exactly when its earlier neighbors hold a clique of the old
 size, so the prefix clique number is kept by increment: one has_clique query
 per vertex, which stops at the first such clique, instead of a full clique
-search.
+search. A vertex v resumed by insert_last reads the same fact off a table
+of its prefix P instead, built once for all of P's extensions
+(K.clique_table: bit s is set iff s holds a clique of size omega(P)), and
+the maximum degree off the mask of P's vertices of degree delta(P):
+delta = max(delta(P) + [N(v) meets that mask], |N(v)|), since only the
+vertices of N(v) gain a neighbor, v, and each gains exactly one.
 
 Each new vertex is colored by the first applicable mechanism:
 
@@ -29,7 +34,7 @@ query, the Kempe swap and the exact fallback stay inside the prefix. So the
 colorer's state after vertices 0..k-1 (InsertionState) depends only on the
 graph those vertices induce: a graph that extends that prefix can resume
 from it, as the exhaustive sweep does, and get the coloring that starting
-from vertex 0 would give.
+from vertex 0 would give; insert_last resumes one vertex, the last.
 
 omega_color_strict and class_color run the same coloring; the first also
 rejects a graph whose max degree exceeds 2*clique - 3, read off its state.
@@ -212,6 +217,34 @@ def insert_vertices(
             fallback |= 1 << u
         prefix = prefix_new
     return InsertionState(tuple(colors), omega_p, delta_p, None, kempe, fallback)
+
+
+def insert_last(
+    g: Graph, parent: InsertionState, cliques: int, top: int
+) -> InsertionState:
+    """The colorer's state after all of g, resumed from parent, the state
+    after all but g's last vertex v, which did not fail.
+
+    omega and delta are read off two masks of P = g - v: cliques, bit s
+    set iff s holds a clique of size omega(P) (K.clique_table), and top,
+    P's vertices of degree delta(P). With S = N(v), omega rises by bit S
+    of cliques, and delta = max(delta(P) + [S meets top], |S|). v is
+    colored by color_step; where it gives no color, the state is
+    insert_vertices(g, parent)'s, exact fallback included.
+    """
+    adj, v = g.adj, g.n - 1
+    s = adj[v]
+    omega = parent.omega + (cliques >> s & 1)
+    delta = parent.delta + (s & top != 0)
+    size = s.bit_count()
+    if size > delta:
+        delta = size
+    colors = [*parent.colors, 0]
+    mech = color_step(adj, colors, v, s, (1 << v) - 1, target_colors(omega, delta))
+    if mech is None:
+        return insert_vertices(g, parent)
+    kempe = parent.kempe | 1 << v if mech == KEMPE_SWAP else parent.kempe
+    return InsertionState(tuple(colors), omega, delta, None, kempe, parent.fallback)
 
 
 def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTrace]:

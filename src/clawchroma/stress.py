@@ -7,12 +7,12 @@ and no K5-minus-P3 goes through that vertex; in_class_extensions lists the
 children that pass, as adjacencies, deciding the local rules through the
 new vertex for all of its neighborhoods at once, as truth tables. The
 progress lines give each level's time, the part of it spent listing
-children and the part spent building per-parent tables (the shape table and
-the coloring context below), each summed over workers. Every labeled graph
-on n vertices is still decided, by its parent's verdict or by the new
-vertex's check, so graphs_checked still adds 2^(n(n-1)/2) per n, and the
-in-class graphs are exactly those that scan_in_class, the scan over all
-edge masks, keeps.
+children and the part spent building per-parent tables (the shape table,
+the coloring context and the colorer's two masks below), each summed over
+workers. Every labeled graph on n vertices is still decided, by its
+parent's verdict or by the new vertex's check, so graphs_checked still adds
+2^(n(n-1)/2) per n, and the in-class graphs are exactly those that
+scan_in_class, the scan over all edge masks, keeps.
 
 Each child G, with v = n-1 and S = N(v), resumes its parent P = G - v
 at v, and exactly: every count and counterexample is what checking G from
@@ -24,7 +24,12 @@ a witness that is the colorer's coloring shares the state's color tuple.
 _extension_chunk builds two tables once per such parent and hands them to
 each child with the record: K.shape_table of P, and P's coloring context
 (coloring_context): P's colorer colors, their class masks and, for each
-color c, the mask of P's vertices with two neighbors colored c.
+color c, the mask of P's vertices with two neighbors colored c. Beside
+them it builds the colorer's two masks of P, K.clique_table (bit s set iff
+s holds a clique of size omega(P)) and P's vertices of degree delta(P),
+from which colorer.insert_last resumes each child at v with no clique
+search; a child of a parent without a record, and every graph of the
+random sweep, is inserted by insert_vertices.
 
 check_in_class_graph checks the four shapes and the colorer's coloring at
 N[v] or at every vertex, by what each fact reads. Each fact checked at a
@@ -123,7 +128,7 @@ from .cliques import omega as omega_of
 # unused here, imported for the benchmark tracer, which wraps them at stress:
 # color_in_class, exact_chromatic, find_branching_component, find_induced_wheel6,
 # is_in_class, random_graph, verify_proper
-from .colorer import InsertionState, color_in_class, insert_vertices  # noqa: F401
+from .colorer import InsertionState, color_in_class, insert_last, insert_vertices  # noqa: F401
 from .coloring import ORACLE_MAX_VERTICES, Coloring, class_masks, check_classes, dsatur_greedy
 from .coloring import exact_chromatic, find_branching_component, verify_proper  # noqa: F401
 from .errors import ParamRangeError, ScaleExceededError
@@ -166,7 +171,8 @@ class StressSummary:
     exact_fallbacks: int = 0
     wall_time: float = 0.0
     # seconds spent listing children (in_class_extensions) and building
-    # per-parent tables (shape table, coloring context); not serialized
+    # per-parent tables (shape table, coloring context, the colorer's clique
+    # table and maximum-degree mask); not serialized
     extensions_time: float = 0.0
     tables_time: float = 0.0
     # first counterexample per category, as (n, edge_mask); not serialized
@@ -280,7 +286,9 @@ def check_in_class_graph(
     them stale; then they are computed here. parent, when P = g - v, v the
     last vertex, passed every check, is the triple of P's record (chi, chi's
     witness), P's K.shape_table, whose bit N(v) is g's four-shape verdict at
-    N[v], and P's coloring_context, which holds P's colors. The shapes
+    N[v], and P's coloring_context, which holds P's colors; state was then
+    resumed by colorer.insert_last from P's other two per-parent masks, its
+    K.clique_table and its vertices of degree delta(P). The shapes
     are checked at N[v] or every vertex. The colorer's coloring is checked
     by the N[v] rule when its colors on P are P's, else by check_classes
     over every vertex. The rule (check_at_new_vertex), with S = N(v) and
@@ -369,8 +377,9 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
     Each parent comes with its colorer state and its record, or None when it
     failed a check, which each child resumes at vertex n - 1; a parent with
     a record also hands its children its shape table and its coloring
-    context, built once here. Returns the chunk's summary and, when keep is
-    set, the children with theirs, in order.
+    context, and resumes them by insert_last from its clique table and its
+    vertices of maximum degree, all built once here. Returns the chunk's
+    summary and, when keep is set, the children with theirs, in order.
     """
     n, parents, keep = args
     part = StressSummary("exhaustive")
@@ -387,10 +396,16 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
                 K.shape_table(parent.adj, n - 1),
                 coloring_context(parent.adj, parent_state.colors),
             )
+            cliques = K.clique_table(parent.adj, n - 1)
+            delta = parent_state.delta
+            top = sum(1 << u for u, a in enumerate(parent.adj) if a.bit_count() == delta)
             part.tables_time += time.perf_counter() - t1
         for adj in extensions:
             g = Graph(n, adj, parent.edge_count + adj[-1].bit_count())
-            state = insert_vertices(g, parent_state)
+            if resumed is None:
+                state = insert_vertices(g, parent_state)
+            else:
+                state = insert_last(g, parent_state, cliques, top)
             record = part.record(g, state, resumed)
             if keep:
                 children.append((g, state, record))

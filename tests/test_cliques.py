@@ -95,6 +95,27 @@ def test_has_clique_matches_clique_number_on_every_subgraph_up_to_n5():
     assert checked == 1 + 2 + 2 * 4 + 8 * 8 + 64 * 16 + 1024 * 32
 
 
+def _assert_clique_table(adj, k):
+    """Bit s of K.clique_table is set iff s holds a clique of size omega."""
+    w = K.clique_number(adj, k, (1 << k) - 1)
+    table = K.clique_table(adj, k)
+    assert table >> (1 << k) == 0
+    for s in range(1 << k):
+        assert table >> s & 1 == K.has_clique(adj, k, s, w)
+
+
+def test_clique_table_matches_has_clique():
+    # every labeled graph with k <= 5, and a seeded sample at k = 7, the
+    # parents of an n = 8 sweep
+    for k in range(6):
+        for g in enumerate_labeled(k):
+            _assert_clique_table(g.adj, k)
+    stream = SplitMix64(8)
+    for _ in range(200):
+        g = random_graph(7, stream.next_unit(), stream)
+        _assert_clique_table(g.adj, 7)
+
+
 @pytest.mark.slow
 def test_clique_kernels_match_brute_force_at_n6():
     n = 6

@@ -75,13 +75,25 @@ ROWS = [
     # has_clique asking for one vertex more than it is given makes the
     # colorer's prefix omega too low and the join-count certificate's query
     # too strict; a certificate whose w is below |U| is a proof of chi > w,
-    # so the graphs are counted, with no ZeroDivisionError
+    # so the graphs are counted, with no ZeroDivisionError. The colorer asks
+    # has_clique only in insert_vertices: at the n = 1 graph, whose omega it
+    # leaves at 0, so that graph fails and its children, and the children of
+    # every graph that fails in turn, are inserted by insert_vertices too
+    # (738 of the 810 graphs), and at an exact fallback
     pytest.param(
         K, "has_clique", lambda adj, n, sub, k: _has_clique(adj, n, sub, k + 1),
         EXHAUSTIVE_5, 810,
         {DEGREE_BOUND: 736, WHEEL_BRANCH: 416, CHI_WITHIN_ONE: 27,
          CHI_EQUALS_OMEGA: 15},
         id="has_clique-one-too-many",
+    ),
+    # a clique table that is never set: omega never rises at a child that
+    # insert_last resumes, so the colorer's omega is too low
+    pytest.param(
+        K, "clique_table", lambda adj, k: 0, EXHAUSTIVE_5, 810,
+        {DEGREE_BOUND: 404, WHEEL_BRANCH: 374, CHI_WITHIN_ONE: 15,
+         CHI_EQUALS_OMEGA: 15},
+        id="clique_table-never-set",
     ),
     # the colorer's palette one color too large under the degree bound: the
     # sweep holds the colorer to the branch, not to the colorer's own target

@@ -89,10 +89,14 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     k_color opens only where neither that coloring nor the parent's chi
     witness extended at v closes it and no join-count certificate exists
     (the 12 labeled C5s have one); the colorer keeps prefix omega by
-    has_clique, never by a clique_number search; the sweep reads omega off
-    the colorer's state, so it searches no clique itself."""
+    has_clique, never by a clique_number search, and a resumed child reads
+    it off its parent's clique table, one max_cliques search per parent
+    with a record; the sweep reads omega off the colorer's state, so it
+    searches no clique itself."""
     calls = Counter()
-    for name in ("dsatur", "k_color", "clique_number", "has_clique"):
+    for name in (
+        "dsatur", "k_color", "clique_number", "has_clique", "clique_table", "max_cliques"
+    ):
         def counted(*args, _fn=getattr(K, name), _name=name):
             calls[_name, sys._getframe(1).f_globals["__name__"]] += 1
             return _fn(*args)
@@ -106,9 +110,14 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     # omega is the colorer state's, which no failed insertion made stale
     assert calls["clique_number", "clawchroma.stress"] == 0
     assert calls["clique_number", "clawchroma.cliques"] == 0
-    # one has_clique per inserted vertex: each graph resumes its parent's
-    # state, so only its last vertex is inserted
-    assert calls["has_clique", "clawchroma.colorer"] == 810
+    # each graph resumes its parent's state, so only its last vertex is
+    # inserted; every parent but the empty graph has a record, so its
+    # children read omega off its clique table, and only the n = 1 graph
+    # asks has_clique
+    assert calls["has_clique", "clawchroma.colorer"] == 1
+    # the in-class graphs with n <= 4, each a parent with a record
+    assert calls["clique_table", "clawchroma.stress"] == 1 + 2 + 8 + 60
+    assert calls["max_cliques", "clawchroma._kernels"] == 1 + 2 + 8 + 60
 
 
 def test_sweep_decides_k5_minus_p3_through_the_new_vertex(monkeypatch):
@@ -203,6 +212,37 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
         ("coloring", "every vertex"): 11,
         ("witness", "every vertex"): 53,
     }
+
+
+def _resumed_children(monkeypatch, max_n):
+    """Every child of an exhaustive sweep that insert_last resumes (its
+    parent has a record): its state equals insert_vertices' from the same
+    parent in every slot. Returns how many children it compared."""
+    compared = 0
+
+    def resumed(g, parent, cliques, top, _fn=stress.insert_last):
+        nonlocal compared
+        state = _fn(g, parent, cliques, top)
+        ref = colorer.insert_vertices(g, parent)
+        for slot in InsertionState.__slots__:
+            assert getattr(state, slot) == getattr(ref, slot), slot
+        compared += 1
+        return state
+
+    monkeypatch.setattr(stress, "insert_last", resumed)
+    assert run_stress("exhaustive", max_n=max_n, workers=0).total_violations == 0
+    return compared
+
+
+def test_resumed_states_match_insert_vertices(monkeypatch):
+    # every graph but the n = 1 graph, whose parent, the empty graph, has
+    # no record
+    assert _resumed_children(monkeypatch, 6) == 13217 - 1
+
+
+@pytest.mark.slow
+def test_resumed_states_match_insert_vertices_n7(monkeypatch):
+    assert _resumed_children(monkeypatch, 7) == 251302 - 1
 
 
 def _rule_children(monkeypatch, max_n):
