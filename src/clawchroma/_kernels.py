@@ -9,10 +9,10 @@ names the implementation. One branch and bound, _clique_search, answers all
 four clique questions: the clique number (clique_number), whether a k-clique
 exists (has_clique), the lexicographically least maximum clique
 (lex_min_max_clique) and the list of maximum cliques (max_cliques, which
-clique_table below reads). One
-search colors: k_color, and dsatur is its first descent. Both searches are
-single loops over an explicit stack, so no clique or graph size reaches the
-recursion limit, and no kernel builds a closure, so a call leaves no
+only the tests and the benchmark's tracer call). One search colors:
+k_color, and dsatur is its first descent. Both searches are single loops
+over an explicit stack, so no clique or graph size reaches the recursion
+limit, and no kernel builds a closure, so a call leaves no
 reference cycles for the garbage collector. One rule, claw_through, finds
 the claws through a new vertex joined to one neighborhood, for the sparse
 side of the random draw. The exhaustive sweep's children
@@ -20,11 +20,13 @@ side of the random draw. The exhaustive sweep's children
 k-vertex parent at once, as truth tables over the subset lattice whose bit
 s is the verdict on neighborhood s: claw_table is claw_through's rule as
 such a table, and the K5-minus-P3 rules through the new vertex are ORed in.
-The sweep's per-graph check reads a third such table, shape_table, whose
+in_class_extensions returns the neighborhoods S that pass, as ints. The
+sweep's per-graph check reads a third such table, shape_table, whose
 bit s is the four-shape verdict at every vertex of N[v] when v is joined
 to s (rules and proof in its docstring), and the colorer resumes each
 child at v from a fourth, clique_table, whose bit s says whether s holds a
-maximum clique of the parent, that is, whether v raises omega.
+maximum clique of the parent, that is, whether v raises omega; it is read
+off the lattice too, with no clique search.
 A whole claw-free graph is decided by claw_free_has_k5_minus_p3 instead,
 for the random draw and recognition, near-linear on dense graphs.
 
@@ -36,7 +38,6 @@ and 0 means uncolored.
 from __future__ import annotations
 
 from functools import cache
-from operator import or_
 
 from .bitops import universal_vertices
 
@@ -418,10 +419,9 @@ def _lattice(k: int):
     """Truth tables over the subsets s of {0..k-1}, as (2^k)-bit ints whose
     bit s is the value at s: full (all true), t[u] ("u in s") and, per
     vertex mask m, sup[m] ("m within s"), hit[m] ("s meets m"), in2[m] ("two
-    of m in s") and out2[m] ("two of m outside s"); and vm[s], per s, the
-    tuple that holds the bit of vertex k at each u in s and 0 elsewhere.
-    Each per-mask table holds 4^k bits, 2 KB at k = 7, so one set per k is
-    kept for the life of the process."""
+    of m in s") and out2[m] ("two of m outside s"). Each per-mask table
+    holds 4^k bits, 2 KB at k = 7, so one set per k is kept for the life of
+    the process."""
     size = 1 << k
     full = (1 << size) - 1
     t = tuple(sum(1 << s for s in range(size) if s >> u & 1) for u in range(k))
@@ -437,9 +437,7 @@ def _lattice(k: int):
         hit[m] = hit[r] | tu
         in2[m] = in2[r] | hit[r] & tu
         out2[m] = out2[r] | (full ^ sup[r]) & ~tu
-    vbit = 1 << k
-    vm = tuple(tuple(vbit if s >> u & 1 else 0 for u in range(k)) for s in range(size))
-    return full, t, tuple(sup), tuple(hit), tuple(in2), tuple(out2), vm
+    return full, t, tuple(sup), tuple(hit), tuple(in2), tuple(out2)
 
 
 def claw_table(adj, k: int) -> int:
@@ -474,6 +472,54 @@ def claw_table(adj, k: int) -> int:
                 center |= t[b] & hit[c]
         bad |= t[u] & (center | (full ^ inside))
     return bad
+
+
+def shape_table_at_v(adj, k: int) -> int:
+    """The u = v part of shape_table: bit s is set iff <s>, the neighborhood
+    of a new vertex joined to s, is none of the four shapes (rules in
+    shape_table's docstring). It reads <s> alone, so it holds for any graph
+    adj on vertices 0..k-1."""
+    _, t, _, hit, in2 = _lattice(k)[:5]
+    kmask = (1 << k) - 1
+    co = [kmask & ~adj[x] & ~(1 << x) for x in range(k)]
+    # s is no clique minus a matching (cm) and no two cliques (two), unless
+    # it induces a P4 or a C5 (shaped)
+    cm = two = shaped = 0
+    for x in range(k):
+        ax, cx, tx = adj[x], co[x], t[x]
+        cm |= tx & in2[cx]
+        pairs = 0
+        m = cx & (-2 << x)
+        while m:
+            by = m & -m
+            y = by.bit_length() - 1
+            m ^= by
+            pairs |= t[y] & hit[ax & adj[y] | cx & co[y]]
+        two |= tx & pairs
+        # the induced P4s a-x-y-d with x < y, and a C5 per e joined to a, d
+        m = ax & (-2 << x)
+        while m:
+            by = m & -m
+            y = by.bit_length() - 1
+            m ^= by
+            xy = 1 << x | by
+            ma = ax & co[y]
+            while ma:
+                ba = ma & -ma
+                a = ba.bit_length() - 1
+                ma ^= ba
+                md = adj[y] & cx & co[a]
+                while md:
+                    bd = md & -md
+                    md ^= bd
+                    p4 = xy | ba | bd
+                    shaped |= 1 << p4
+                    me = adj[a] & adj[bd.bit_length() - 1] & cx & co[y]
+                    while me:
+                        be = me & -me
+                        me ^= be
+                        shaped |= 1 << (p4 | be)
+    return cm & two & ~shaped
 
 
 def shape_table(adj, k: int) -> int:
@@ -513,47 +559,10 @@ def shape_table(adj, k: int) -> int:
     claw_table, so a call is O(k^2) table operations plus one step per
     induced P4 and C5 of P.
     """
-    full, t, sup, hit, in2, out2 = _lattice(k)[:6]
+    full, t, sup, hit, _, out2 = _lattice(k)[:6]
     kmask = (1 << k) - 1
     co = [kmask & ~adj[x] & ~(1 << x) for x in range(k)]
-    # at v: s is no clique minus a matching (cm) and no two cliques (two),
-    # unless it induces a P4 or a C5 (shaped)
-    cm = two = shaped = 0
-    for x in range(k):
-        ax, cx, tx = adj[x], co[x], t[x]
-        cm |= tx & in2[cx]
-        pairs = 0
-        m = cx & (-2 << x)
-        while m:
-            by = m & -m
-            y = by.bit_length() - 1
-            m ^= by
-            pairs |= t[y] & hit[ax & adj[y] | cx & co[y]]
-        two |= tx & pairs
-        # the induced P4s a-x-y-d with x < y, and a C5 per e joined to a, d
-        m = ax & (-2 << x)
-        while m:
-            by = m & -m
-            y = by.bit_length() - 1
-            m ^= by
-            xy = 1 << x | by
-            ma = ax & co[y]
-            while ma:
-                ba = ma & -ma
-                a = ba.bit_length() - 1
-                ma ^= ba
-                md = adj[y] & cx & co[a]
-                while md:
-                    bd = md & -md
-                    md ^= bd
-                    p4 = xy | ba | bd
-                    shaped |= 1 << p4
-                    me = adj[a] & adj[bd.bit_length() - 1] & cx & co[y]
-                    while me:
-                        be = me & -me
-                        me ^= be
-                        shaped |= 1 << (p4 | be)
-    bad = cm & two & ~shaped
+    bad = shape_table_at_v(adj, k)
     # at u in s: ok is the table of the s whose T = s & A passes a shape
     for u in range(k):
         a = adj[u]
@@ -612,18 +621,33 @@ def clique_table(adj, k: int) -> int:
 
     adj is a graph P on vertices 0..k-1; bit s is set iff s holds a clique
     of size omega(P). Every such clique is a maximum clique of P, so the
-    table is the OR, over max_cliques, of the tables "c within s". A new
-    vertex joined to s raises omega by one iff bit s is set.
+    table is the OR, over P's maximum cliques c, of the tables "c within s".
+    The cliques are read off the lattice with no search: bit c of cliques
+    is set iff c is a clique of P, that is, iff c holds no non-adjacent
+    pair x < y, one AND per x. A new vertex joined to s raises omega by one
+    iff bit s is set.
     """
-    sup = _lattice(k)[2]
-    table = 0
-    for c in max_cliques(adj, k, (1 << k) - 1):
-        table |= sup[c]
+    full, t, sup, hit = _lattice(k)[:4]
+    kmask = (1 << k) - 1
+    cliques = full
+    for x in range(k):
+        cliques &= ~(t[x] & hit[kmask & ~adj[x] & (-2 << x)])
+    table = size = 0
+    while cliques:
+        b = cliques & -cliques
+        cliques ^= b
+        c = b.bit_length() - 1
+        count = c.bit_count()
+        if count > size:
+            table, size = sup[c], count
+        elif count == size:
+            table |= sup[c]
     return table
 
 
-def in_class_extensions(adj, n: int) -> list[tuple[int, ...]]:
-    """Adjacencies of the in-class graphs that add a vertex v = n-1 to adj.
+def in_class_extensions(adj, n: int) -> list[int]:
+    """The neighborhoods S, as masks, of the in-class graphs that add a
+    vertex v = n-1 to adj.
 
     adj is an in-class graph on vertices 0..k-1, k = n-1, so every claw or
     K5-minus-P3 of adj plus v joined to S goes through v, and the grown
@@ -643,11 +667,11 @@ def in_class_extensions(adj, n: int) -> list[tuple[int, ...]]:
 
     Each is also sufficient. The two vertices of the first two rules are
     the a and b, and they are adjacent: otherwise d (first) or e (second)
-    is the center of a claw on a, b and v or c. The children are the S
-    outside bad, built in ascending order of S, their last entry.
+    is the center of a claw on a, b and v or c. Returns the S outside bad,
+    in ascending order.
     """
     k = n - 1
-    full, t, _, hit, in2, out2, vm = _lattice(k)
+    full, t, _, hit, in2, out2 = _lattice(k)
     bad = claw_table(adj, k)
     for e in range(k):
         ae = adj[e]
@@ -677,9 +701,8 @@ def in_class_extensions(adj, n: int) -> list[tuple[int, ...]]:
     out = []
     while good:
         b = good & -good
-        s = b.bit_length() - 1
         good ^= b
-        out.append((*map(or_, adj, vm[s]), s))
+        out.append(b.bit_length() - 1)
     return out
 
 

@@ -8,7 +8,7 @@ colors stay valid. Inserting a vertex u raises the prefix clique number by
 one at most, and exactly when its earlier neighbors hold a clique of the old
 size, so the prefix clique number is kept by increment: one has_clique query
 per vertex, which stops at the first such clique, instead of a full clique
-search. A vertex v resumed by insert_last reads the same fact off a table
+search. A vertex v resumed by resume_last reads the same fact off a table
 of its prefix P instead, built once for all of P's extensions
 (K.clique_table: bit s is set iff s holds a clique of size omega(P)), and
 the maximum degree off the mask of P's vertices of degree delta(P):
@@ -34,7 +34,11 @@ query, the Kempe swap and the exact fallback stay inside the prefix. So the
 colorer's state after vertices 0..k-1 (InsertionState) depends only on the
 graph those vertices induce: a graph that extends that prefix can resume
 from it, as the exhaustive sweep does, and get the coloring that starting
-from vertex 0 would give; insert_last resumes one vertex, the last.
+from vertex 0 would give; resume_last resumes one vertex, the last, and
+insert_last makes the state after it. The step reads no edge of v but its
+neighborhood, so it runs on the prefix's adjacency as well as on the
+whole graph's: the exhaustive sweep checks most children without building
+them.
 
 omega_color_strict and class_color run the same coloring; the first also
 rejects a graph whose max degree exceeds 2*clique - 3, read off its state.
@@ -219,30 +223,45 @@ def insert_vertices(
     return InsertionState(tuple(colors), omega_p, delta_p, None, kempe, fallback)
 
 
-def insert_last(
-    g: Graph, parent: InsertionState, cliques: int, top: int
-) -> InsertionState:
-    """The colorer's state after all of g, resumed from parent, the state
-    after all but g's last vertex v, which did not fail.
+def resume_last(
+    adj, parent: InsertionState, s: int, cliques: int, top: int
+) -> tuple[list[int], int, int, str | None]:
+    """The colorer's step at a new vertex v = len(parent.colors) joined to
+    s, resumed from parent, the state after P = G - v, which did not fail:
+    (colors of G, omega(G), delta(G), the mechanism), the mechanism None
+    when color_step gives v no color.
 
-    omega and delta are read off two masks of P = g - v: cliques, bit s
-    set iff s holds a clique of size omega(P) (K.clique_table), and top,
-    P's vertices of degree delta(P). With S = N(v), omega rises by bit S
-    of cliques, and delta = max(delta(P) + [S meets top], |S|). v is
-    colored by color_step; where it gives no color, the state is
-    insert_vertices(g, parent)'s, exact fallback included.
+    omega and delta are read off two masks of P: cliques, bit s set iff s
+    holds a clique of size omega(P) (K.clique_table), and top, P's vertices
+    of degree delta(P). omega rises by bit s of cliques, and
+    delta = max(delta(P) + [s meets top], |s|). adj may be G's adjacency or
+    P's: color_step reads the colors on s and, for a Kempe swap, the
+    two-class components inside P, and G's edges inside P are P's.
     """
-    adj, v = g.adj, g.n - 1
-    s = adj[v]
     omega = parent.omega + (cliques >> s & 1)
     delta = parent.delta + (s & top != 0)
     size = s.bit_count()
     if size > delta:
         delta = size
+    v = len(parent.colors)
     colors = [*parent.colors, 0]
     mech = color_step(adj, colors, v, s, (1 << v) - 1, target_colors(omega, delta))
+    return colors, omega, delta, mech
+
+
+def insert_last(
+    g: Graph, parent: InsertionState, step: tuple[list[int], int, int, str | None]
+) -> InsertionState:
+    """The colorer's state after all of g, resumed from parent, the state
+    after all but g's last vertex v, which did not fail, and step,
+    resume_last's at v: step's colors, omega and delta, or, where
+    color_step gave v no color, insert_vertices(g, parent)'s state, exact
+    fallback included.
+    """
+    colors, omega, delta, mech = step
     if mech is None:
         return insert_vertices(g, parent)
+    v = g.n - 1
     kempe = parent.kempe | 1 << v if mech == KEMPE_SWAP else parent.kempe
     return InsertionState(tuple(colors), omega, delta, None, kempe, parent.fallback)
 

@@ -22,10 +22,12 @@ prove_chi decides chi by proof from omega and a proper coloring:
 
   1. the coloring uses omega colors: chi == omega;
   2. it uses omega + 1 colors and a join-count certificate exists: an S in
-     {V} + {N[v]}, with U the vertices of S adjacent to all the rest of S,
-     such that |U| + ceil(|S - U| / alpha(S - U)) > omega. U is joined to
-     S - U, so chi(S) = |U| + chi(S - U) >= |U| + |S - U| / alpha(S - U),
-     and chi == omega + 1;
+     {V} + {N[v]}, or a connected component of a disconnected graph (an odd
+     cycle beside an isolated vertex has an independent triple in V), with
+     U the vertices of S adjacent to all the rest of S, such that
+     |U| + ceil(|S - U| / alpha(S - U)) > omega. U is joined to S - U, so
+     chi(S) = |U| + chi(S - U) >= |U| + |S - U| / alpha(S - U), and
+     chi == omega + 1;
   3. otherwise the exact oracle decides, bracketed by omega and the coloring.
 
 The stress sweep may also give it the chi and a witness coloring of G - v,
@@ -50,7 +52,7 @@ import json
 from dataclasses import dataclass
 
 from . import _kernels as K
-from .bitops import iter_bits, universal_vertices
+from .bitops import iter_bits, mask_components, universal_vertices
 # unused here, imported for the benchmark tracer, which wraps them at report:
 # omega_of, color_in_class
 from .cliques import omega as omega_of  # noqa: F401
@@ -100,26 +102,33 @@ def find_induced_wheel6(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
+def _certifies(adj, co_adj, n: int, s: int, w: int) -> bool:
+    """True iff S = s has a join-count certificate chi(S) > w; co_adj is
+    the complement's adjacency."""
+    u = universal_vertices(adj, s)
+    rest = s & ~u
+    if not rest:
+        return False
+    # U plus any vertex of R is a clique, so |U| < w unless w is below the
+    # clique number, and then |U| + ceil(|R| / alpha(R)) > w already; else
+    # that holds iff R has no independent set of ceil(|R| / (w - |U|))
+    # vertices
+    free = w - u.bit_count()
+    if free <= 0:
+        return True
+    return not K.has_clique(co_adj, n, rest, -(-rest.bit_count() // free))
+
+
 def _chi_exceeds(g: Graph, w: int) -> bool:
-    """True iff some S in {V} + {N[v]} has a join-count certificate chi > w."""
+    """True iff some S in {V} + {N[v]}, or a connected component of a
+    disconnected g, has a join-count certificate chi > w."""
     adj, n, full = g.adj, g.n, g.full_mask()
     co_adj = [full & ~(a | 1 << v) for v, a in enumerate(adj)]
     for s in (full, *(a | 1 << v for v, a in enumerate(adj))):
-        u = universal_vertices(adj, s)
-        rest = s & ~u
-        if not rest:
-            continue
-        # U plus any vertex of R is a clique, so |U| < w unless w is below
-        # the clique number, and then |U| + ceil(|R| / alpha(R)) > w
-        # already; else that holds iff R has no independent set of
-        # ceil(|R| / (w - |U|)) vertices
-        free = w - u.bit_count()
-        if free <= 0:
+        if _certifies(adj, co_adj, n, s, w):
             return True
-        need = -(-rest.bit_count() // free)
-        if not K.has_clique(co_adj, n, rest, need):
-            return True
-    return False
+    comps = mask_components(adj, full)
+    return len(comps) > 1 and any(_certifies(adj, co_adj, n, c, w) for c in comps)
 
 
 def _extend_at_last(g: Graph, k: int, witness: Coloring) -> Coloring | None:

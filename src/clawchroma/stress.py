@@ -4,12 +4,14 @@ The exhaustive sweep grows the labeled in-class graphs level by level. The
 class is hereditary, so every in-class graph on n vertices is an in-class
 graph on vertices 0..n-2 plus vertex n-1, and it is in the class iff no claw
 and no K5-minus-P3 goes through that vertex; in_class_extensions lists the
-children that pass, as adjacencies, deciding the local rules through the
-new vertex for all of its neighborhoods at once, as truth tables. The
+neighborhoods S of the new vertex that pass, as masks, deciding the local
+rules through it for all of its neighborhoods at once, as truth tables. The
 progress lines give each level's time, the part of it spent listing
 children and the part spent building per-parent tables (the shape table,
 the coloring context and the colorer's two masks below), each summed over
-workers. Every labeled graph on n vertices is still decided, by its
+workers, and how many of the level's graphs check_in_class_graph checked
+in full (below).
+Every labeled graph on n vertices is still decided, by its
 parent's verdict or by the new vertex's check, so graphs_checked still adds
 2^(n(n-1)/2) per n, and the in-class graphs are exactly those that
 scan_in_class, the scan over all edge masks, keeps.
@@ -27,9 +29,24 @@ each child with the record: K.shape_table of P, and P's coloring context
 color c, the mask of P's vertices with two neighbors colored c. Beside
 them it builds the colorer's two masks of P, K.clique_table (bit s set iff
 s holds a clique of size omega(P)) and P's vertices of degree delta(P),
-from which colorer.insert_last resumes each child at v with no clique
+from which colorer.resume_last resumes each child at v with no clique
 search; a child of a parent without a record, and every graph of the
 random sweep, is inserted by insert_vertices.
+
+A child of a parent with a record is checked from these tables by
+check_child, with no graph built: its shapes by bit S of the shape table,
+its colorer coloring by the N[v] rule below, chi closed when the color
+count k is max(omega, chi(P)), and the branch read off omega and delta.
+Only where that is not enough is the child built and checked by
+check_in_class_graph: when v needed the exact fallback (or insertion
+failed), a repair recolored P, k does not close chi, the child is in the
+wheel branch or it fails a claim (its counterexample needs the graph). A
+kept child, which becomes a parent, is built either way: its adjacency,
+Graph and colorer state (made by colorer.insert_last from resume_last's
+step), and, when check_child closed it, the record (chi, the colorer's
+coloring) that check_in_class_graph would give. Both paths decide the same
+facts the same way, so every count and counterexample is unchanged by the
+choice.
 
 check_in_class_graph checks the four shapes and the colorer's coloring at
 N[v] or at every vertex, by what each fact reads. Each fact checked at a
@@ -82,8 +99,9 @@ degree bound, omega + 1 otherwise; the witness's must be chi. The count is
 handed to prove_chi, which rebuilds it otherwise. chi(G) >= chi(P), as G
 contains P, so prove_chi takes max(omega, chi(P)) as its lower bound and
 tries P's witness extended at v before a certificate or the oracle.
-Graphs are visited in extension order, so the first counterexample per
-category is the first in that order. The random sweep keeps the seeded
+Graphs are visited in extension order, and a child that fails a claim is
+always built and counted at its place in it, so the first counterexample
+per category is the first in that order. The random sweep keeps the seeded
 draws that are in the class and runs the colorer's insertions on each, so
 both sweeps hand check_in_class_graph the same facts.
 
@@ -129,6 +147,7 @@ from .cliques import omega as omega_of
 # color_in_class, exact_chromatic, find_branching_component, find_induced_wheel6,
 # is_in_class, random_graph, verify_proper
 from .colorer import InsertionState, color_in_class, insert_last, insert_vertices  # noqa: F401
+from .colorer import resume_last
 from .coloring import ORACLE_MAX_VERTICES, Coloring, class_masks, check_classes, dsatur_greedy
 from .coloring import exact_chromatic, find_branching_component, verify_proper  # noqa: F401
 from .errors import ParamRangeError, ScaleExceededError
@@ -175,6 +194,8 @@ class StressSummary:
     # table and maximum-degree mask); not serialized
     extensions_time: float = 0.0
     tables_time: float = 0.0
+    # graphs checked in full by check_in_class_graph; not serialized
+    built: int = 0
     # first counterexample per category, as (n, edge_mask); not serialized
     counterexamples: dict[str, tuple[int, int]] = field(default_factory=dict)
 
@@ -197,6 +218,7 @@ class StressSummary:
         """Count one in-class graph and the claims it fails; returns the
         record check_in_class_graph gives its children."""
         self.in_class_count += 1
+        self.built += 1
         viol, strict_vertices, strict_fallbacks, verified = check_in_class_graph(
             g, state, parent
         )
@@ -217,6 +239,7 @@ class StressSummary:
         self.exact_fallbacks += part.exact_fallbacks
         self.extensions_time += part.extensions_time
         self.tables_time += part.tables_time
+        self.built += part.built
         for cat, cex in part.counterexamples.items():
             self.counterexamples.setdefault(cat, cex)
 
@@ -287,7 +310,7 @@ def check_in_class_graph(
     last vertex, passed every check, is the triple of P's record (chi, chi's
     witness), P's K.shape_table, whose bit N(v) is g's four-shape verdict at
     N[v], and P's coloring_context, which holds P's colors; state was then
-    resumed by colorer.insert_last from P's other two per-parent masks, its
+    resumed by colorer.resume_last from P's other two per-parent masks, its
     K.clique_table and its vertices of degree delta(P). The shapes
     are checked at N[v] or every vertex. The colorer's coloring is checked
     by the N[v] rule when its colors on P are P's, else by check_classes
@@ -371,19 +394,62 @@ def check_in_class_graph(
     return viol, strict_vertices, strict_fallbacks, (chi, witness)
 
 
+def check_child(tables: tuple, s: int, step: tuple) -> tuple[int, int, int] | None:
+    """The claims of a child G = P + v, v joined to s, checked from its
+    parent's tables with no graph built, or None when a check needs the
+    whole graph.
+
+    tables is (P's colors as a list, the triple check_in_class_graph takes
+    as parent: P's record (chi, witness), K.shape_table and
+    coloring_context, and the count of exact fallbacks P's colorer used),
+    for a P with a record, and step is colorer.resume_last's at v: G's
+    colors, omega, delta and the mechanism. The shapes are read off bit s
+    of the shape table; the colorer's coloring, when its colors on P are
+    P's, is checked by the N[v] rule (check_at_new_vertex); prove_chi
+    closes chi on the color count k when k = max(omega, chi(P)), with the
+    colorer's coloring as the witness; and the branch is read off omega
+    and delta. That is what check_in_class_graph(G, state, P's triple)
+    decides when every claim holds and G is not in the wheel branch.
+    Returns None, leaving every check to that call, when v needed the exact
+    fallback (or insertion failed), a repair recolored P, k does not close
+    chi, G is in the wheel branch or a claim fails; else (chi, vertices
+    colored under the degree bound, exact fallbacks the colorer used on
+    them).
+    """
+    base, ((chi_p, _), shapes, context), fallbacks = tables
+    colors, w, delta, mech = step
+    if mech is None or shapes >> s & 1 or colors[:-1] != base:
+        return None
+    proper, branches, k = check_at_new_vertex(context, s, colors[-1])
+    if not proper or branches or k != max(w, chi_p):
+        return None
+    if delta <= 2 * w - 3:
+        if k == w:
+            return k, len(colors), fallbacks
+    elif delta == 2 * w - 2 and k <= w + 1:
+        return k, 0, 0
+    return None
+
+
 def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]:
     """Check every in-class child on n vertices of a slice of level n - 1.
 
     Each parent comes with its colorer state and its record, or None when it
-    failed a check, which each child resumes at vertex n - 1; a parent with
-    a record also hands its children its shape table and its coloring
-    context, and resumes them by insert_last from its clique table and its
-    vertices of maximum degree, all built once here. Returns the chunk's
-    summary and, when keep is set, the children with theirs, in order.
+    failed a check, which each child resumes at vertex n - 1. A parent with
+    a record builds its tables once here (shape table, coloring context,
+    clique table and vertices of maximum degree); colorer.resume_last
+    resumes each of its children from them, and check_child checks it. A
+    child is built (adjacency, Graph and colorer state) only when it is
+    kept or check_child leaves it to check_in_class_graph, as it does every
+    child of a parent without a record, inserted by insert_vertices; a kept
+    child that check_child closed gets the record (chi, the colorer's
+    coloring). Returns the chunk's summary and, when keep is set, the
+    children with their states and records, in order.
     """
     n, parents, keep = args
     part = StressSummary("exhaustive")
     children = []
+    vbit = 1 << (n - 1)
     for parent, parent_state, verified in parents:
         t0 = time.perf_counter()
         extensions = K.in_class_extensions(parent.adj, n)
@@ -391,22 +457,34 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
         part.extensions_time += t1 - t0
         resumed = None
         if verified is not None:
-            resumed = (
-                verified,
-                K.shape_table(parent.adj, n - 1),
-                coloring_context(parent.adj, parent_state.colors),
-            )
+            context = coloring_context(parent.adj, parent_state.colors)
+            resumed = (verified, K.shape_table(parent.adj, n - 1), context)
+            tables = ([*parent_state.colors], resumed, parent_state.fallback.bit_count())
             cliques = K.clique_table(parent.adj, n - 1)
             delta = parent_state.delta
             top = sum(1 << u for u, a in enumerate(parent.adj) if a.bit_count() == delta)
             part.tables_time += time.perf_counter() - t1
-        for adj in extensions:
-            g = Graph(n, adj, parent.edge_count + adj[-1].bit_count())
+        for s in extensions:
+            closed = None
+            if resumed is not None:
+                step = resume_last(parent.adj, parent_state, s, cliques, top)
+                closed = check_child(tables, s, step)
+                if closed is not None:
+                    part.in_class_count += 1
+                    part.vertices_colored_strict += closed[1]
+                    part.exact_fallbacks += closed[2]
+                    if not keep:
+                        continue
+            adj = (*[a | vbit if s >> u & 1 else a for u, a in enumerate(parent.adj)], s)
+            g = Graph(n, adj, parent.edge_count + s.bit_count())
             if resumed is None:
                 state = insert_vertices(g, parent_state)
             else:
-                state = insert_last(g, parent_state, cliques, top)
-            record = part.record(g, state, resumed)
+                state = insert_last(g, parent_state, step)
+            if closed is None:
+                record = part.record(g, state, resumed)
+            else:
+                record = (closed[0], Coloring(state.colors))
             if keep:
                 children.append((g, state, record))
     return part, children
@@ -498,6 +576,7 @@ def run_stress(
             in_class_before = summary.in_class_count
             extensions_before = summary.extensions_time
             tables_before = summary.tables_time
+            built_before = summary.built
             keep = n < max_n
             chunks = [(n, parents, keep) for parents in _slices(level, workers)]
             summary.graphs_checked += 1 << (n * (n - 1) // 2)
@@ -512,9 +591,11 @@ def run_stress(
                 elapsed = time.perf_counter() - t_level
                 extensions = summary.extensions_time - extensions_before
                 tables = summary.tables_time - tables_before
+                built = summary.built - built_before
                 print(
                     f"progress: n={n} done, {done} in class, {elapsed:.2f} s"
-                    f" (extensions {extensions:.2f} s, tables {tables:.2f} s)",
+                    f" (extensions {extensions:.2f} s, tables {tables:.2f} s,"
+                    f" {built} built)",
                     file=sys.stderr,
                 )
     elif mode == "random":

@@ -61,7 +61,10 @@ EXHAUSTIVE_5 = dict(mode="exhaustive", max_n=5)
 EXHAUSTIVE_6 = dict(mode="exhaustive", max_n=6)
 RANDOM_2000 = dict(mode="random", n_lo=5, n_hi=22, samples=2000, seed=1)
 
-# (module, name, replacement, sweep, in-class graphs, nonzero violation counts)
+# (module, name, replacement, sweep, in-class graphs, nonzero violation
+# counts, first counterexample per category as (n, edge mask)); the
+# counterexamples are pinned for the exhaustive rows, where "first" is the
+# first in extension order
 ROWS = [
     # a claw table that never finds a claw, at the kernel's one binding, lets
     # claws into the sweep's children: more graphs are taken in class, and
@@ -70,6 +73,8 @@ ROWS = [
         K, "claw_table", lambda adj, k: 0, EXHAUSTIVE_5, 1059,
         {NEIGHBORHOOD_SHAPE: 249, COMPONENT_SHAPE: 229, DEGREE_BOUND: 159,
          WHEEL_BRANCH: 154},
+        {NEIGHBORHOOD_SHAPE: (4, 52), COMPONENT_SHAPE: (4, 52), DEGREE_BOUND: (4, 52),
+         WHEEL_BRANCH: (4, 52)},
         id="claw_table-finds-no-claw",
     ),
     # has_clique asking for one vertex more than it is given makes the
@@ -85,6 +90,8 @@ ROWS = [
         EXHAUSTIVE_5, 810,
         {DEGREE_BOUND: 736, WHEEL_BRANCH: 416, CHI_WITHIN_ONE: 27,
          CHI_EQUALS_OMEGA: 15},
+        {DEGREE_BOUND: (1, 0), WHEEL_BRANCH: (2, 1), CHI_WITHIN_ONE: (4, 63),
+         CHI_EQUALS_OMEGA: (4, 63)},
         id="has_clique-one-too-many",
     ),
     # a clique table that is never set: omega never rises at a child that
@@ -93,6 +100,8 @@ ROWS = [
         K, "clique_table", lambda adj, k: 0, EXHAUSTIVE_5, 810,
         {DEGREE_BOUND: 404, WHEEL_BRANCH: 374, CHI_WITHIN_ONE: 15,
          CHI_EQUALS_OMEGA: 15},
+        {DEGREE_BOUND: (2, 1), WHEEL_BRANCH: (2, 1), CHI_WITHIN_ONE: (4, 63),
+         CHI_EQUALS_OMEGA: (4, 63)},
         id="clique_table-never-set",
     ),
     # the colorer's palette one color too large under the degree bound: the
@@ -100,6 +109,7 @@ ROWS = [
     pytest.param(
         colorer, "target_colors", lambda w, delta: w + 1, EXHAUSTIVE_5, 810,
         {CHI_EQUALS_OMEGA: 10},
+        {CHI_EQUALS_OMEGA: (5, 966)},
         id="target_colors-omega-plus-one",
     ),
     # the palette one color too small outside the degree bound: insertion
@@ -107,12 +117,14 @@ ROWS = [
     pytest.param(
         colorer, "target_colors", lambda w, delta: w, EXHAUSTIVE_5, 810,
         {CHI_WITHIN_ONE: 12},
+        {CHI_WITHIN_ONE: (5, 358)},
         id="target_colors-omega",
     ),
     # the 72 labeled W5s at n = 6 lose their wheel
     pytest.param(
         report, "find_induced_wheel6", lambda g: None, EXHAUSTIVE_6, 13217,
         {WHEEL_BRANCH: 72},
+        {WHEEL_BRANCH: (6, 28118)},
         id="find_induced_wheel6-none",
     ),
     # a Kempe swap that leaves its component's highest vertex unswapped
@@ -121,6 +133,7 @@ ROWS = [
     pytest.param(
         colorer, "_try_kempe_swap", _kempe_swap_keeping_highest, EXHAUSTIVE_5, 810,
         {CHI_EQUALS_OMEGA: 6, CHI_WITHIN_ONE: 36, COMPONENT_SHAPE: 8},
+        {CHI_EQUALS_OMEGA: (5, 966), CHI_WITHIN_ONE: (4, 50), COMPONENT_SHAPE: (5, 998)},
         id="kempe_swap-keeps-highest-vertex",
     ),
     # the per-vertex check now runs only where no parent hands a record:
@@ -129,6 +142,7 @@ ROWS = [
         stress, "verify_neighborhood_all_cliques", lambda g, u: False,
         EXHAUSTIVE_5, 810,
         {NEIGHBORHOOD_SHAPE: 810},
+        {NEIGHBORHOOD_SHAPE: (1, 0)},
         id="verify_neighborhood_all_cliques-false",
     ),
     # the shape table without its P4 and C5 exceptions at v: the 12 labeled
@@ -138,6 +152,7 @@ ROWS = [
         _shape_table_dropping(lambda child, s: _is_p4(child, s) or _is_c5(child, s)),
         EXHAUSTIVE_5, 810,
         {NEIGHBORHOOD_SHAPE: 12},
+        {NEIGHBORHOOD_SHAPE: (5, 878)},
         id="shape_table-no-p4-or-c5-at-v",
     ),
     # the shape table without its P4 case at a u in s with |N_P(u)| = 3
@@ -151,6 +166,7 @@ ROWS = [
         ),
         EXHAUSTIVE_5, 810,
         {NEIGHBORHOOD_SHAPE: 48},
+        {NEIGHBORHOOD_SHAPE: (5, 750)},
         id="shape_table-no-p4-at-u",
     ),
     # the random draw's claw rule finds no claw: claws get into the drawn
@@ -159,23 +175,26 @@ ROWS = [
         K, "claw_through", lambda adj, nb: False, RANDOM_2000, 787,
         {DEGREE_BOUND: 194, WHEEL_BRANCH: 142, COMPONENT_SHAPE: 316,
          NEIGHBORHOOD_SHAPE: 335},
+        None,
         id="claw_through-finds-no-claw",
     ),
 ]
 
 
-@pytest.mark.parametrize("module, name, fault, sweep, in_class, counts", ROWS)
+@pytest.mark.parametrize("module, name, fault, sweep, in_class, counts, firsts", ROWS)
 def test_planted_fault_is_counted(
-    monkeypatch, module, name, fault, sweep, in_class, counts
+    monkeypatch, module, name, fault, sweep, in_class, counts, firsts
 ):
     monkeypatch.setattr(module, name, fault)
     s = run_stress(**sweep, workers=0)
     assert s.in_class_count == in_class
     assert s.violations == {c: counts.get(c, 0) for c in CATEGORIES}
+    if firsts is not None:
+        assert s.counterexamples == firsts
 
 
 def test_every_category_is_raised_by_some_row():
-    raised = {c for row in ROWS for c, count in row.values[-1].items() if count}
+    raised = {c for row in ROWS for c, count in row.values[5].items() if count}
     assert raised == set(CATEGORIES)
 
 

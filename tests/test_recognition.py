@@ -227,15 +227,15 @@ def test_claw_through_matches_find_claw_up_to_n5():
 def _extensions_agree(adj, n):
     """in_class_extensions of a graph adj on n vertices, asserted to list
     exactly the masks s whose grown graph (vertex n joined to s) has no
-    claw and no K5-P3, each as that graph's adjacency, in ascending s;
-    returns the number of children."""
+    claw and no K5-P3, in ascending order; returns the number of
+    children."""
     vbit = 1 << n
     expected = []
     for s in range(vbit):
         child = (*[a | vbit if s >> u & 1 else a for u, a in enumerate(adj)], s)
         if K.find_claw(child, n + 1) is None:
             if K.find_k5_minus_p3(child, n + 1) is None:
-                expected.append(child)
+                expected.append(s)
     assert K.in_class_extensions(adj, n + 1) == expected, adj
     return len(expected)
 
@@ -324,6 +324,26 @@ def test_shape_table_matches_the_per_vertex_check_up_to_n5():
     assert len(parents) == 1 + 1 + 2 + 8 + 60 + 739
     for adj, n in parents:
         _shape_table_agrees(adj, n)
+
+
+def test_shape_table_at_v_matches_the_per_vertex_check():
+    """The u = v part of the shape table on its own, at every mask of every
+    labeled graph with k <= 5, claws and all: bit s is set iff the new
+    vertex joined to s fails verify_neighborhood_all_cliques. The whole
+    table hides it, as a vertex of s often fails where v does."""
+    graphs = 0
+    for k in range(6):
+        vbit = 1 << k
+        for g in enumerate_labeled(k):
+            expected = 0
+            for s in range(vbit):
+                child = [a | vbit if s >> u & 1 else a for u, a in enumerate(g.adj)] + [s]
+                child = Graph(k + 1, child)
+                if not verify_neighborhood_all_cliques(child, k):
+                    expected |= 1 << s
+            assert K.shape_table_at_v(g.adj, k) == expected, g.adj
+            graphs += 1
+    assert graphs == 1100
 
 
 @pytest.mark.slow

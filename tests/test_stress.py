@@ -90,9 +90,9 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     witness extended at v closes it and no join-count certificate exists
     (the 12 labeled C5s have one); the colorer keeps prefix omega by
     has_clique, never by a clique_number search, and a resumed child reads
-    it off its parent's clique table, one max_cliques search per parent
-    with a record; the sweep reads omega off the colorer's state, so it
-    searches no clique itself."""
+    it off its parent's clique table, built once per parent with a record
+    off the subset lattice with no clique search; the sweep reads omega off
+    the colorer's state, so it searches no clique itself."""
     calls = Counter()
     for name in (
         "dsatur", "k_color", "clique_number", "has_clique", "clique_table", "max_cliques"
@@ -117,7 +117,7 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     assert calls["has_clique", "clawchroma.colorer"] == 1
     # the in-class graphs with n <= 4, each a parent with a record
     assert calls["clique_table", "clawchroma.stress"] == 1 + 2 + 8 + 60
-    assert calls["max_cliques", "clawchroma._kernels"] == 1 + 2 + 8 + 60
+    assert sum(c for (name, _), c in calls.items() if name == "max_cliques") == 0
 
 
 def test_sweep_decides_k5_minus_p3_through_the_new_vertex(monkeypatch):
@@ -142,6 +142,41 @@ def test_sweep_decides_k5_minus_p3_through_the_new_vertex(monkeypatch):
     assert calls == {"in_class_extensions": 811}
 
 
+def _grown(adj, s):
+    """The graph adj plus a vertex joined to s."""
+    v = len(adj)
+    return Graph(v + 1, (*[a | 1 << v if s >> u & 1 else a for u, a in enumerate(adj)], s))
+
+
+def _on_resume(monkeypatch, visit):
+    """Call visit(g, parent, step) for every child of an exhaustive sweep
+    resumed from a parent with a record: g the child, parent its parent's
+    colorer state and step resume_last's at its new vertex."""
+
+    def resumed(adj, parent, s, cliques, top, _fn=stress.resume_last):
+        step = _fn(adj, parent, s, cliques, top)
+        visit(_grown(adj, s), parent, step)
+        return step
+
+    monkeypatch.setattr(stress, "resume_last", resumed)
+
+
+def _on_child(monkeypatch, visit):
+    """Call visit(g, parent, step, tables, closed) for every child that
+    check_child decides, after it does: the arguments of _on_resume's
+    visit, then check_child's tables and its verdict, None when the child
+    is built and checked by check_in_class_graph."""
+    child = []
+    _on_resume(monkeypatch, lambda *args: child.__setitem__(slice(None), args))
+
+    def checked(tables, s, step, _fn=stress.check_child):
+        closed = _fn(tables, s, step)
+        visit(*child, tables, closed)
+        return closed
+
+    monkeypatch.setattr(stress, "check_child", checked)
+
+
 def test_sweep_checks_each_coloring_once(monkeypatch):
     """Each graph's four shapes are read off its parent's shape table, one
     K.shape_table call per parent with a record, with no
@@ -153,7 +188,9 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
     every vertex (the n = 1 graph and 10 children whose insertion made a
     Kempe swap). chi's witness gets a pass over every vertex whenever it is
     not the colorer's coloring: the 50 parent witnesses extended at v and
-    the oracle's 3. No coloring is checked by verify_proper."""
+    the oracle's 3. No coloring is checked by verify_proper. The children
+    that check_child closes are checked by the shape table and the N[v]
+    rule alone; the others by check_in_class_graph."""
     checks = Counter()
     for module in (colorer, stress):
         def counted(g, c, _fn=module.verify_proper, _name=module.__name__):
@@ -167,6 +204,11 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
         ruled = parent is not None and state.colors[: g.n - 1] == parent[2][0]
         graphs.append((g, parent is not None, ruled, set(), []))
         return _fn(g, state, parent)
+
+    def closed(g, parent, step, tables, verdict):
+        if verdict is not None:
+            checks["closed"] += 1
+            graphs.append((g, True, True, set(), []))
 
     def shape(g, u, _fn=stress.verify_neighborhood_all_cliques):
         graphs[-1][3].add(u)
@@ -189,6 +231,7 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
     monkeypatch.setattr(stress, "check_classes", classes)
     monkeypatch.setattr(stress, "coloring_context", context)
     monkeypatch.setattr(K, "shape_table", table)
+    _on_child(monkeypatch, closed)
     run_stress("exhaustive", max_n=5, workers=0)
     for g, resumed, ruled, vertices, passes in graphs:
         assert vertices == (set() if resumed else set(range(g.n)))
@@ -211,25 +254,26 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
         ("coloring", "N[v] rule"): 799,
         ("coloring", "every vertex"): 11,
         ("witness", "every vertex"): 53,
+        "closed": 734,
     }
 
 
 def _resumed_children(monkeypatch, max_n):
-    """Every child of an exhaustive sweep that insert_last resumes (its
-    parent has a record): its state equals insert_vertices' from the same
-    parent in every slot. Returns how many children it compared."""
+    """Every child of an exhaustive sweep that resume_last resumes (its
+    parent has a record): the state insert_last makes from its step equals
+    insert_vertices' from the same parent in every slot. Returns how many
+    children it compared."""
     compared = 0
 
-    def resumed(g, parent, cliques, top, _fn=stress.insert_last):
+    def resumed(g, parent, step):
         nonlocal compared
-        state = _fn(g, parent, cliques, top)
+        state = colorer.insert_last(g, parent, step)
         ref = colorer.insert_vertices(g, parent)
         for slot in InsertionState.__slots__:
             assert getattr(state, slot) == getattr(ref, slot), slot
         compared += 1
-        return state
 
-    monkeypatch.setattr(stress, "insert_last", resumed)
+    _on_resume(monkeypatch, resumed)
     assert run_stress("exhaustive", max_n=max_n, workers=0).total_violations == 0
     return compared
 
@@ -253,20 +297,19 @@ def _rule_children(monkeypatch, max_n):
     coloring is proper. Returns how many children it compared."""
     compared = 0
 
-    def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
+    def checked(g, parent, step):
         nonlocal compared
+        state = colorer.insert_last(g, parent, step)
         v, colors = g.n - 1, state.colors
-        if parent is not None and state.failure is None and colors[:v] == parent[2][0]:
-            proper, branches, k = stress.check_at_new_vertex(
-                parent[2], g.adj[v], colors[v]
-            )
+        if state.failure is None and colors[:v] == parent.colors:
+            context = stress.coloring_context(g.adj[:v], parent.colors)
+            proper, branches, k = stress.check_at_new_vertex(context, g.adj[v], colors[v])
             at_v = check_classes(g.adj, colors, g.adj[v] | 1 << v)
             assert (proper, k) == (at_v[0], at_v[2])
             assert not proper or branches == (at_v[1] is not None)
             compared += 1
-        return _fn(g, state, parent)
 
-    monkeypatch.setattr(stress, "check_in_class_graph", checked)
+    _on_resume(monkeypatch, checked)
     assert run_stress("exhaustive", max_n=max_n, workers=0).total_violations == 0
     return compared
 
@@ -280,6 +323,66 @@ def test_n_v_rule_matches_check_classes_n7(monkeypatch):
     assert _rule_children(monkeypatch, 7) == 245390
 
 
+def _children_match_the_full_check(monkeypatch, max_n):
+    """Every child that check_child decides, against the full check of the
+    child built: check_in_class_graph(g, insert_last(g, P's state, step),
+    P's triple). Where check_child closes the child, that check finds no
+    violation, and gives the same chi, vertices colored under the degree
+    bound and exact fallbacks, and a record whose witness is the colorer's
+    coloring. Where it leaves the child to that check, a check needs the
+    whole graph: v needed the exact fallback, a repair recolored P, the color count k
+    does not close chi, the child is in the wheel branch or it fails a
+    claim. Every kept child's state and record equal the full check's.
+    Returns (closed, checked in full, kept)."""
+    counts = Counter()
+    full = {}
+
+    def compare(g, parent, step, tables, closed):
+        state = colorer.insert_last(g, parent, step)
+        viol, strict, fallbacks, record = check_in_class_graph(g, state, tables[1])
+        full[g.adj] = state, record
+        if closed is None:
+            w, delta, k = step[1], step[2], len(set(state.colors))
+            assert (
+                step[3] is None
+                or state.colors[: g.n - 1] != parent.colors
+                or k != max(w, tables[1][0][0])
+                or delta == 2 * w - 1
+                or viol
+            )
+            counts["checked in full"] += 1
+        else:
+            assert (viol, strict, fallbacks) == (set(), *closed[1:])
+            assert record[0] == closed[0] and record[1].assignment == state.colors
+            counts["closed"] += 1
+
+    _on_child(monkeypatch, compare)
+    level = [(Graph(0, ()), None, None)]
+    for n in range(1, max_n + 1):
+        part, level = stress._extension_chunk((n, level, n < max_n))
+        assert part.total_violations == 0
+        for g, state, record in level:
+            if g.adj in full:
+                ref_state, ref_record = full.pop(g.adj)
+                for slot in InsertionState.__slots__:
+                    assert getattr(state, slot) == getattr(ref_state, slot), slot
+                assert record == ref_record
+                counts["kept"] += 1
+        full.clear()
+    return counts["closed"], counts["checked in full"], counts["kept"]
+
+
+def test_children_match_the_full_check(monkeypatch):
+    # every graph but the n = 1 graph, whose parent has no record; the kept
+    # ones are those with n <= 5
+    assert _children_match_the_full_check(monkeypatch, 6) == (11082, 2134, 809)
+
+
+@pytest.mark.slow
+def test_children_match_the_full_check_n7(monkeypatch):
+    assert _children_match_the_full_check(monkeypatch, 7) == (189737, 61564, 13216)
+
+
 def test_n_v_rule_matches_check_classes_at_every_neighborhood_and_color(monkeypatch):
     """For every parent with a record at n <= 5, every neighborhood s of
     the new vertex v (in the class or not) and every color c of v, an old
@@ -287,15 +390,10 @@ def test_n_v_rule_matches_check_classes_at_every_neighborhood_and_color(monkeypa
     gives at N[v] and over every vertex, properness and color count always,
     branching wherever the coloring is proper. Both verdicts occur."""
     parents = []
-
-    def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
-        result = _fn(g, state, parent)
-        if result[3] is not None:
-            parents.append((g.adj, state.colors))
-        return result
-
-    monkeypatch.setattr(stress, "check_in_class_graph", checked)
-    run_stress("exhaustive", max_n=5, workers=0)
+    level = [(Graph(0, ()), None, None)]
+    for n in range(1, 6):
+        level = stress._extension_chunk((n, level, True))[1]
+        parents += [(g.adj, state.colors) for g, state, record in level if record]
     assert len(parents) == 810
     verdicts = Counter()
     for adj, colors in parents:
@@ -360,13 +458,14 @@ def _oracle_calls(monkeypatch, max_n):
 def test_oracle_calls_per_exhaustive_pass(monkeypatch):
     """How often prove_chi falls through to the exact oracle: where neither
     the colorer's coloring nor the parent's chi and witness close the
-    bracket and no join-count certificate exists."""
-    assert _oracle_calls(monkeypatch, 6) == 291
+    bracket and no join-count certificate exists: all 231 with omega = 3 and
+    chi = omega."""
+    assert _oracle_calls(monkeypatch, 6) == 231
 
 
 @pytest.mark.slow
 def test_oracle_calls_per_exhaustive_pass_n7(monkeypatch):
-    assert _oracle_calls(monkeypatch, 7) == 5841
+    assert _oracle_calls(monkeypatch, 7) == 5601
 
 
 def test_parallel_merge_is_deterministic(monkeypatch):
@@ -543,7 +642,7 @@ def test_through_v_checks_match_full_checks_under_faults(monkeypatch):
 
     def with_claws(adj, n, _fn=K.in_class_extensions):
         extra = CLAW_CHILDREN.get(adj)
-        return _fn(adj, n) + ([extra] if extra and n == 6 else [])
+        return _fn(adj, n) + ([extra[-1]] if extra and n == 6 else [])
 
     def scan_with_claws(n, start, stop, _fn=K.scan_in_class):
         extra = [edge_mask_of(Graph(6, a)) for a in CLAW_CHILDREN.values()]
@@ -599,13 +698,21 @@ def test_faulty_extension_outside_n_v_is_counted(monkeypatch):
 
 
 def test_sweep_carries_omega_and_max_degree(monkeypatch):
+    """The omega and delta the sweep decides the branch by: the ones
+    check_in_class_graph hands trichotomy, and resume_last's on the
+    children that check_child closes."""
     seen = []
 
     def recording(g, w, delta, chi, _fn=stress.trichotomy):
         seen.append((g, w, delta))
         return _fn(g, w, delta, chi)
 
+    def closed(g, parent, step, tables, verdict):
+        if verdict is not None:
+            seen.append((g, step[1], step[2]))
+
     monkeypatch.setattr(stress, "trichotomy", recording)
+    _on_child(monkeypatch, closed)
     run_stress("exhaustive", max_n=6, workers=0)
     assert len(seen) == 13217
     for g, w, delta in seen:
@@ -645,13 +752,15 @@ def test_exhaustive_progress_reports_each_level(capsys):
     levels = [
         re.fullmatch(
             r"progress: n=(\d+) done, (\d+) in class, \d+\.\d\d s"
-            r" \(extensions \d+\.\d\d s, tables \d+\.\d\d s\)",
+            r" \(extensions \d+\.\d\d s, tables \d+\.\d\d s, (\d+) built\)",
             line,
         )
         for line in err.splitlines()[:4]
     ]
-    assert [m and (int(m[1]), int(m[2])) for m in levels] == [
-        (1, 1), (2, 2), (3, 8), (4, 60)
+    # the graphs check_in_class_graph checks in full: the n = 1 graph and
+    # those check_child does not close
+    assert [m and (int(m[1]), int(m[2]), int(m[3])) for m in levels] == [
+        (1, 1, 1), (2, 2, 0), (3, 8, 0), (4, 60, 3)
     ]
 
 
@@ -766,15 +875,17 @@ def _sweep_certificates(monkeypatch, max_n):
 
 
 def test_sweep_certificates_agree_with_the_oracle(monkeypatch):
-    # the 12 labeled C5s and the 72 labeled W5s
-    assert _sweep_certificates(monkeypatch, 6) == 84
+    # the 12 labeled C5s, the 72 labeled W5s and, by a component, the 60
+    # labeled C5 + K1 whose isolated vertex is not the last (where it is,
+    # the parent C5's chi proves chi by heredity)
+    assert _sweep_certificates(monkeypatch, 6) == 144
 
 
 @pytest.mark.slow
 def test_sweep_certificates_agree_with_the_oracle_n7(monkeypatch):
     # fewer than the graphs with chi = omega + 1: where the parent's chi is
     # already omega + 1, heredity proves it and no certificate is searched
-    assert _sweep_certificates(monkeypatch, 7) == 16266
+    assert _sweep_certificates(monkeypatch, 7) == 16506
 
 
 def _sweep_chi_from_parents(monkeypatch, max_n):
@@ -782,7 +893,8 @@ def _sweep_chi_from_parents(monkeypatch, max_n):
     heredity (chi of G - v above omega bounds chi below) or from the
     parent's witness extended at v, with no certificate and no oracle; each
     confirmed by the oracle: no (chi - 1)-coloring exists, and the witness
-    is proper with chi colors."""
+    is proper with chi colors. check_child takes chi by heredity where it
+    closes a child whose color count is chi(G - v) > omega."""
     taken = 0
     searched = []
 
@@ -804,9 +916,18 @@ def _sweep_chi_from_parents(monkeypatch, max_n):
             taken += 1
         return chi, witness
 
+    def closed(g, parent, step, tables, verdict):
+        nonlocal taken
+        if verdict is not None and verdict[0] > step[1]:
+            chi, witness = verdict[0], Coloring(tuple(step[0]))
+            assert k_colorable(g, chi - 1) is None
+            assert witness.colors_used == chi and verify_proper(g, witness) is None
+            taken += 1
+
     monkeypatch.setattr(report, "_chi_exceeds", certificate)
     monkeypatch.setattr(report, "exact_chromatic", oracle)
     monkeypatch.setattr(stress, "prove_chi", confirmed)
+    _on_child(monkeypatch, closed)
     assert run_stress("exhaustive", max_n=max_n, workers=0).total_violations == 0
     return taken
 
