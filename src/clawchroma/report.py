@@ -28,22 +28,26 @@ prove_chi decides chi by proof from omega and a proper coloring:
      |U| + ceil(|S - U| / alpha(S - U)) > omega. U is joined to S - U, so
      chi(S) = |U| + chi(S - U) >= |U| + |S - U| / alpha(S - U), and
      chi == omega + 1;
-  3. otherwise the exact oracle decides, bracketed by omega and the coloring.
+  3. omega colors first: the colorer's own step (colorer.color_step, the
+     least free color, else one Kempe swap) colors the graph in omega
+     colors, in index order, else in reverse, else smallest-last
+     (color_in_order); a success is the witness of chi == omega;
+  4. it uses omega + 1 colors and some S = V - v has a join-count
+     certificate (a vertex outside an obstruction can spoil V's count);
+  5. otherwise the exact oracle decides, bracketed by omega and the coloring.
 
-The stress sweep may also give it the chi and a witness coloring of G - v,
-for v the last vertex. chi is hereditary, so chi(G) >= chi(G - v), and the
-lower bound is the larger of that and omega: step 1 then closes when the
-coloring uses that many colors. When it does not and chi(G - v) is the
-bound, the witness of G - v is extended at v by the colorer's own step
-(colorer.color_step) in its palette, the least free color, else one Kempe
-swap; that result is the witness of chi == chi(G - v), which the sweep
-checks proper, as it checks every witness but the colorer's own coloring.
-Steps 2 and 3 follow only when neither coloring closes the bracket, and the
-oracle starts at the bound.
+Step 2 comes before omega colors first: on a graph with chi = omega + 1 all
+three orders fail, so trying them first is wasted work wherever a
+certificate exists, as on blown-up odd cycles: classify_trichotomy over
+W5 and twelve of them took 6.1 ms per pass that way against 2.1 ms (medians
+of 15, Python 3.11 on a 2-vCPU VM). Step 4 comes after them: its n searches
+are wasted on every graph with chi = omega that reaches it, as in the random
+sweep, where step 3 closes every such graph. No witness is checked here; a
+caller that trusts chi checks the witness unless it is the coloring it
+handed over.
 
 classify_trichotomy and the stress sweep both give it the insertion coloring
-and read omega and the maximum degree off the colorer's state;
-classify_trichotomy gives no G - v.
+and read omega and the maximum degree off the colorer's state.
 """
 
 from __future__ import annotations
@@ -131,43 +135,71 @@ def _chi_exceeds(g: Graph, w: int) -> bool:
     return len(comps) > 1 and any(_certifies(adj, co_adj, n, c, w) for c in comps)
 
 
-def _extend_at_last(g: Graph, k: int, witness: Coloring) -> Coloring | None:
-    """witness, a k-coloring of g minus its last vertex v, extended at v by
-    the colorer's own step inside 1..k, or None when that step fails."""
-    v = g.n - 1
-    colors = [*witness.assignment, 0]
-    prefix = (1 << v) - 1
-    if color_step(g.adj, colors, v, g.adj[v] & prefix, prefix, k) is None:
-        return None
-    return Coloring(tuple(colors))
+def _chi_exceeds_without_a_vertex(g: Graph, w: int) -> bool:
+    """True iff some V - v has a join-count certificate chi > w."""
+    adj, n, full = g.adj, g.n, g.full_mask()
+    co_adj = [full & ~(a | 1 << v) for v, a in enumerate(adj)]
+    return any(_certifies(adj, co_adj, n, full ^ 1 << v, w) for v in range(n))
+
+
+def color_in_order(adj, colors, order, prefix: int, target: int) -> bool:
+    """Color the vertices of order, one at a time, by the colorer's own step
+    (colorer.color_step) inside the palette 1..target, into colors. prefix
+    is the mask of the vertices already colored, and each vertex is colored
+    against its neighbors there, then joins it. adj is read at the vertices
+    of order and, by a Kempe swap, inside prefix. False at the first vertex
+    that neither step colors."""
+    for u in order:
+        if color_step(adj, colors, u, adj[u] & prefix, prefix, target) is None:
+            return False
+        prefix |= 1 << u
+    return True
+
+
+def _orders(adj):
+    """The vertex orders omega colors first tries, each made when the one
+    before failed: index order, its reverse, and smallest-last (remove a
+    vertex of least degree among those left, the least such, until none is
+    left, and take them in reverse order of removal)."""
+    n = len(adj)
+    yield range(n)
+    yield range(n - 1, -1, -1)
+    left = (1 << n) - 1
+    removed = []
+    while left:
+        u = min(iter_bits(left), key=lambda x: (adj[x] & left).bit_count())
+        removed.append(u)
+        left ^= 1 << u
+    yield removed[::-1]
+
+
+def _omega_coloring(g: Graph, w: int) -> Coloring | None:
+    """A w-coloring of g by color_in_order in one of _orders, or None."""
+    for order in _orders(g.adj):
+        colors = [0] * g.n
+        if color_in_order(g.adj, colors, order, 0, w):
+            return Coloring(tuple(colors))
+    return None
 
 
 def prove_chi(
-    g: Graph,
-    w: int,
-    upper: Coloring,
-    parent: tuple[int, Coloring] | None = None,
-    colors_used: int | None = None,
+    g: Graph, w: int, upper: Coloring, colors_used: int | None = None
 ) -> tuple[int, Coloring]:
     """(chi, witness coloring) of an in-class graph with clique number w, by
-    the three steps above from upper, a proper coloring. parent, when given,
-    is (chi, witness coloring) of g minus its last vertex: it raises the
-    lower bound and its extension at that vertex is tried before step 2.
-    colors_used, when given, is upper's color count, which a caller that
-    has counted it hands over. upper is the witness unless another coloring
-    with fewer colors is. No witness is checked here: chi rests on the
-    witness, so a caller that trusts chi checks it, unless it is upper."""
+    the five steps above from upper, a proper coloring. colors_used, when
+    given, is upper's color count, which a caller that has counted it hands
+    over. upper is the witness unless another coloring with fewer colors
+    is. No witness is checked here: chi rests on the witness, so a caller
+    that trusts chi checks it, unless it is upper."""
     k = upper.colors_used if colors_used is None else colors_used
-    lower = w if parent is None else max(w, parent[0])
-    if k == lower:
+    if k == w or k == w + 1 and _chi_exceeds(g, w):
         return k, upper
-    if parent is not None and parent[0] == lower:
-        extended = _extend_at_last(g, *parent)
-        if extended is not None:
-            return lower, extended
-    if k == w + 1 and _chi_exceeds(g, w):
+    colored = _omega_coloring(g, w)
+    if colored is not None:
+        return w, colored
+    if k == w + 1 and _chi_exceeds_without_a_vertex(g, w):
         return k, upper
-    return exact_chromatic(g, upper, lower)
+    return exact_chromatic(g, upper, w)
 
 
 def trichotomy(

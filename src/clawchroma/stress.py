@@ -7,65 +7,56 @@ and no K5-minus-P3 goes through that vertex; in_class_extensions lists the
 neighborhoods S of the new vertex that pass, as masks, deciding the local
 rules through it for all of its neighborhoods at once, as truth tables. The
 progress lines give each level's time, the part of it spent listing
-children and the part spent building per-parent tables (the shape table,
-the coloring context and the colorer's two masks below), each summed over
-workers, and how many of the level's graphs check_in_class_graph checked
-in full (below).
+children and the part spent building per-parent tables (ParentTables),
+each summed over workers, and how many of the level's graphs
+check_in_class_graph checked in full ("built").
 Every labeled graph on n vertices is still decided, by its
 parent's verdict or by the new vertex's check, so graphs_checked still adds
 2^(n(n-1)/2) per n, and the in-class graphs are exactly those that
 scan_in_class, the scan over all edge masks, keeps.
 
-Each child G, with v = n-1 and S = N(v), resumes its parent P = G - v
-at v, and exactly: every count and counterexample is what checking G from
+Each child G, with v = n-1 and S = N(v), resumes its parent P = G - v at v,
+and exactly: every count and counterexample is what checking G from
 scratch gives. The colorer's state at v depends only on the prefix, so G's
-insertion continues P's; omega and delta of G are read off it (recomputed
-only when insertion failed, which leaves them stale). A parent that passed
-every check hands its children a record, prove_chi's pair (chi, witness);
-a witness that is the colorer's coloring shares the state's color tuple.
-_extension_chunk builds two tables once per such parent and hands them to
-each child with the record: K.shape_table of P, and P's coloring context
-(coloring_context): P's colorer colors, their class masks and, for each
-color c, the mask of P's vertices with two neighbors colored c. Beside
-them it builds the colorer's two masks of P, K.clique_table (bit s set iff
-s holds a clique of size omega(P)) and P's vertices of degree delta(P),
-from which colorer.resume_last resumes each child at v with no clique
-search; a child of a parent without a record, and every graph of the
-random sweep, is inserted by insert_vertices.
+insertion continues P's. A parent that passed every check hands its
+children a record, prove_chi's pair (chi, witness); a witness that is the
+colorer's coloring shares the state's color tuple. For such a parent,
+_extension_chunk builds ParentTables once: K.shape_table of P, P's coloring
+context (coloring_context) and the colorer's two masks of P, from which
+colorer.resume_last colors v and reads omega and delta with no clique
+search. check_child then checks each child from these tables, with no
+colorer state built, and a Graph only where prove_chi or the wheel branch
+needs one:
 
-A child of a parent with a record is checked from these tables by
-check_child, with no graph built: its shapes by bit S of the shape table,
-its colorer coloring by the N[v] rule below, chi closed when the color
-count k is max(omega, chi(P)), and the branch read off omega and delta.
-Only where that is not enough is the child built and checked by
-check_in_class_graph: when v needed the exact fallback (or insertion
-failed), a repair recolored P, k does not close chi, the child is in the
-wheel branch or it fails a claim (its counterexample needs the graph). A
-kept child, which becomes a parent, is built either way: its adjacency,
-Graph and colorer state (made by colorer.insert_last from resume_last's
-step), and, when check_child closed it, the record (chi, the colorer's
-coloring) that check_in_class_graph would give. Both paths decide the same
-facts the same way, so every count and counterexample is unchanged by the
-choice.
+  shapes    bit S of the shape table, the four-shape verdict at N[v];
+  coloring  the colorer's, by the N[v] rule below when its colors on P are
+            P's, else (a repair recolored P) by one check_classes pass over
+            the child's adjacency; its count held to the branch, omega
+            colors under the degree bound, omega + 1 otherwise;
+  chi       chi(G) >= chi(P), as G contains P, so chi is the color count k
+            when k = max(omega, chi(P)); else P's witness is extended at v
+            by the colorer's step in that palette (report.color_in_order)
+            and checked like the colorer's coloring, by the N[v] rule from
+            the witness's own coloring context when its colors on P are
+            P's witness's, else by one check_classes pass; else prove_chi
+            decides it on a Graph view of the child's adjacency;
+  branch    read off omega and delta; in the wheel branch report.trichotomy
+            runs on that Graph view, for the induced 6-wheel.
 
-check_in_class_graph checks the four shapes and the colorer's coloring at
-N[v] or at every vertex, by what each fact reads. Each fact checked at a
-vertex u reads only N(u) and, for a coloring, the colors on N[u]: the
-four-shape test on <N(u)>, and properness at u and u's degree in each
-two-class subgraph (coloring.check_classes). Only v and S gain neighbors,
-so for u outside N[v] every <N(u)> is P's. When P passed every check (it
-has a record), the shapes are checked at N[v] alone, and read off the
-shape table, the verdict at N[v] for every S at once: the child's is its
-bit S. Every other graph (a child of a failed parent, the n = 1 graph,
-every graph of the random sweep) has its shapes checked by
-verify_neighborhood_all_cliques at every vertex. Shapes read no colors, so
-a repair that recolors P leaves them local.
+A child whose v needed the exact fallback, and a child that fails any of
+these checks, is built (adjacency, Graph, colorer state) and checked from
+scratch by check_in_class_graph, as is every graph with no parent record:
+the n = 1 graph, the children of a failed parent and every graph of the
+random sweep. A fault-free P passed every check, so a child that check_child
+finds failing fails the same claims from scratch. A kept child, which
+becomes a parent, is built either way and gets its record from the check
+that closed it.
 
-The colorer's coloring is checked by the N[v] rule (check_at_new_vertex)
-when P has a record and, besides, the colorer's colors on P's vertices are
-P's, checked in full (the tuples are compared, as a repair at v may
-recolor P; the colorer's repair masks are only its own report). With
-c = color(v) and C_c P's class c (empty when c is new):
+The N[v] rule checks a coloring of G whose colors on P are a coloring of P
+that is proper with every vertex of degree <= 2 in every two-class
+subgraph, given P's coloring context: its class masks and, for each color
+c, the mask of P's vertices with two neighbors colored c. With c = color(v)
+and C_c P's class c (empty when c is new):
 
   proper iff S misses C_c;
   v has degree >= 3 in a two-class subgraph iff some class holds three
@@ -73,53 +64,33 @@ c = color(v) and C_c P's class c (empty when c is new):
   a u in S has degree >= 3 in a two-class subgraph iff u is in c's
     two-neighbor mask, that is, u has two neighbors in C_c.
 
-Proof. P passed every check, so its coloring is proper and every vertex of
-P has degree <= 2 in every two-class subgraph. For u outside N[v] neither
-N(u) nor a color on N[u] changes, and a color new in G is v's alone, so
-each fact at u is P's. A u in S has the color of P, which N_P(u) misses,
-so u clashes iff v has u's color, iff u is in S & C_c; v clashes iff the
-same set is not empty. When the coloring is proper, v's degree in the
-subgraph of its class and class b is |S & C_b|, which is >= 3 for some b
-iff some class holds three vertices of S (C_c holds none). A u in S of
-color a != c gains one neighbor, v, in the (a, c) subgraph and none in the
-others, where P's degree <= 2 stands; so its degree there is
-|N_P(u) & C_c| + 1, which is >= 3 iff u has two neighbors in C_c. The color
-count is P's, plus one when c is new. QED.
+Proof. Each fact at a vertex u reads only N(u) and the colors on N[u]. For
+u outside N[v] neither changes, and a color new in G is v's alone, so each
+fact at u is P's. A u in S has the color of P, which N_P(u) misses, so u
+clashes iff v has u's color, iff u is in S & C_c; v clashes iff the same
+set is not empty. When the coloring is proper, v's degree in the subgraph
+of its class and class b is |S & C_b|, which is >= 3 for some b iff some
+class holds three vertices of S (C_c holds none). A u in S of color a != c
+gains one neighbor, v, in the (a, c) subgraph and none in the others, where
+P's degree <= 2 stands; so its degree there is |N_P(u) & C_c| + 1, which is
+>= 3 iff u has two neighbors in C_c. The color count is P's, plus one when
+c is new. QED. The shapes read no colors, and for u outside N[v] every
+<N(u)> is P's, so the shape table's bit S decides them.
 
-Every other colorer coloring gets one check_classes pass over every
-vertex, which includes every graph of the random sweep. chi's witness, when
-it is not the colorer's coloring, is checked over every vertex. On an
-in-class graph a proper coloring never has a vertex of degree >= 3 in a
-two-class subgraph: its neighbors there lie in one class, as the other is
-its own, so three of them are pairwise non-adjacent and form a claw with
-it. So component_shape counts only graphs with a claw or improper
-colorings: in the sweeps, a planted fault. The colorer's color count is
-held to G's branch as report.trichotomy returns it: omega colors under the
-degree bound, omega + 1 otherwise; the witness's must be chi. The count is
-handed to prove_chi, which rebuilds it otherwise. chi(G) >= chi(P), as G
-contains P, so prove_chi takes max(omega, chi(P)) as its lower bound and
-tries P's witness extended at v before a certificate or the oracle.
-Graphs are visited in extension order, and a child that fails a claim is
-always built and counted at its place in it, so the first counterexample
-per category is the first in that order. The random sweep keeps the seeded
-draws that are in the class and runs the colorer's insertions on each, so
-both sweeps hand check_in_class_graph the same facts.
-
-In-class graphs then get the full battery: the chromatic number against
-the clique number, the trichotomy's branch facts as report.trichotomy states
-them, the four-shape neighborhood classification for every vertex and every
-maximum clique, one constructive coloring held to the color count of its
-graph's branch, and the
-path-or-cycle shape of every two-class component of every produced coloring.
-report.prove_chi decides chi from the clique number, the colorer's
-coloring and, in the exhaustive sweep, the parent's chi and witness, so no
-DSATUR runs unless the colorer fails, and the oracle searches only where no
-coloring closes the bracket and no certificate exists. chi rests on
-prove_chi's witness, which must be proper with exactly chi colors and
-branch nowhere; it gets its own pass, over every vertex, unless it is the
-colorer's own coloring, which the colorer's pass checked.
-Each failed claim increments one violation counter; all counters must be
-zero.
+check_in_class_graph checks a graph from scratch: the four shapes at every
+vertex (verify_neighborhood_all_cliques), the colorer's coloring by one
+check_classes pass, and chi by prove_chi, whose witness, unless it is the
+colorer's coloring, gets a check_classes pass of its own. On an in-class
+graph a proper coloring never has a vertex of degree >= 3 in a two-class
+subgraph: its neighbors there lie in one class, as the other is its own, so
+three of them are pairwise non-adjacent and form a claw with it. So
+component_shape counts only graphs with a claw or improper colorings: in
+the sweeps, a planted fault. Graphs are visited in extension order, and a
+child that fails a claim is always built and counted at its place in it,
+so the first counterexample per category is the first in that order. The
+random sweep keeps the seeded draws that are in the class and runs the
+colorer's insertions on each. Each failed claim increments one violation
+counter; all counters must be zero.
 
 Sweeps may be distributed over processes: CLAWCHROMA_THREADS takes an
 integer >= 0 (0, the default, and 1 run serially); any other value is a
@@ -155,7 +126,8 @@ from .generators import SplitMix64, random_graph, random_in_class_graph  # noqa:
 from .graph import Graph, degree_profile, edge_mask_of
 from .recognition import is_in_class, verify_neighborhood_all_cliques  # noqa: F401
 from .report import CHI_EQUALS_OMEGA, CHI_WITHIN_ONE, DEGREE_BOUND, WHEEL_BRANCH
-from .report import OMEGA_CASE, find_induced_wheel6, prove_chi, trichotomy  # noqa: F401
+from .report import OMEGA_CASE, color_in_order, find_induced_wheel6, prove_chi  # noqa: F401
+from .report import trichotomy
 
 # the fewest items, parents or sample seeds, in one worker's chunk
 _MIN_CHUNK = 64
@@ -209,19 +181,12 @@ class StressSummary:
             return 0.0
         return round(self.exact_fallbacks / self.vertices_colored_strict, 8)
 
-    def record(
-        self,
-        g: Graph,
-        state: InsertionState,
-        parent: tuple | None = None,
-    ) -> tuple | None:
+    def record(self, g: Graph, state: InsertionState) -> tuple | None:
         """Count one in-class graph and the claims it fails; returns the
         record check_in_class_graph gives its children."""
         self.in_class_count += 1
         self.built += 1
-        viol, strict_vertices, strict_fallbacks, verified = check_in_class_graph(
-            g, state, parent
-        )
+        viol, strict_vertices, strict_fallbacks, verified = check_in_class_graph(g, state)
         self.vertices_colored_strict += strict_vertices
         self.exact_fallbacks += strict_fallbacks
         for cat in viol:
@@ -264,10 +229,10 @@ class StressSummary:
 
 
 def coloring_context(adj, colors) -> tuple[tuple, dict[int, int], dict[int, int]]:
-    """The coloring context of a parent P with a record, colors its colorer
-    colors: (colors, color -> class mask, color c -> mask of P's vertices
-    with two neighbors colored c). A vertex has two neighbors in a class
-    iff it is a common neighbor of two of its vertices."""
+    """The coloring context of a coloring of a parent P, colors[u] the
+    color of u: (colors, color -> class mask, color c -> mask of P's
+    vertices with two neighbors colored c). A vertex has two neighbors in a
+    class iff it is a common neighbor of two of its vertices."""
     masks = class_masks(colors)
     two = {}
     for c, mask in masks.items():
@@ -284,10 +249,10 @@ def coloring_context(adj, colors) -> tuple[tuple, dict[int, int], dict[int, int]
 
 def check_at_new_vertex(context, s: int, c: int) -> tuple[bool, bool, int]:
     """The coloring facts of a child G = P + v, S = N(v) given as s, whose
-    colorer colors are its parent's on P and c at v, from P's coloring
-    context: (proper, some vertex has degree >= 3 in a two-class subgraph,
-    color count). The second answer is exact where the coloring is proper
-    (see the module docstring)."""
+    colors are the context's on P and c at v, from that coloring context:
+    (proper, some vertex has degree >= 3 in a two-class subgraph, color
+    count). The second answer is exact where the coloring is proper (see
+    the module docstring)."""
     _, masks, two = context
     own = masks.get(c, 0)
     branches = s & two.get(c, 0) != 0
@@ -300,37 +265,23 @@ def check_at_new_vertex(context, s: int, c: int) -> tuple[bool, bool, int]:
 
 
 def check_in_class_graph(
-    g: Graph, state: InsertionState, parent: tuple | None = None
+    g: Graph, state: InsertionState
 ) -> tuple[set[str], int, int, tuple | None]:
-    """All per-graph claims for an in-class graph.
+    """All per-graph claims for an in-class graph, checked from scratch.
 
-    state is the colorer's state after all of g (insert_vertices). Omega and
-    the maximum degree are read off it, unless insertion failed and left
-    them stale; then they are computed here. parent, when P = g - v, v the
-    last vertex, passed every check, is the triple of P's record (chi, chi's
-    witness), P's K.shape_table, whose bit N(v) is g's four-shape verdict at
-    N[v], and P's coloring_context, which holds P's colors; state was then
-    resumed by colorer.resume_last from P's other two per-parent masks, its
-    K.clique_table and its vertices of degree delta(P). The shapes
-    are checked at N[v] or every vertex. The colorer's coloring is checked
-    by the N[v] rule when its colors on P are P's, else by check_classes
-    over every vertex. The rule (check_at_new_vertex), with S = N(v) and
-    c = color(v): proper iff S misses P's class c; v branches (has degree
-    >= 3 in a two-class subgraph) iff some class holds three vertices of S;
-    a u in S branches iff u has two neighbors colored c. It holds because P
-    passed every check and only v and S gain neighbors (proof in the module
-    docstring). chi's witness is checked over every vertex. On an in-class
-    graph a proper coloring never branches (three same-colored neighbors
-    would form a claw), so component_shape counts only claws or improper
-    colorings. The colorer's coloring, the state's color tuple, is
-    prove_chi's upper bound, handed with its color count; DSATUR's is
-    instead when insertion failed or the coloring is improper. Every check
-    ignores color names, so the coloring is left uncanonical.
-    Returns (violated categories, vertices colored under the degree bound,
-    exact fallbacks the colorer used on them, and, when g passed every
-    check, g's record (chi, witness) for its children).
+    state is the colorer's state after all of g. Omega and the maximum
+    degree are read off it, unless insertion failed and left them stale;
+    then they are computed here. The shapes are checked at every vertex,
+    the colorer's coloring by one check_classes pass, and chi's witness,
+    when it is not that coloring, by one more. The colorer's coloring, the
+    state's color tuple, is prove_chi's upper bound, handed with its color
+    count; DSATUR's is instead when insertion failed or the coloring is
+    improper. Every check ignores color names, so the coloring is left
+    uncanonical. Returns (violated categories, vertices colored under the
+    degree bound, exact fallbacks the colorer used on them, and, when g
+    passed every check, g's record (chi, witness) for its children).
     """
-    adj, colors, v = g.adj, state.colors, g.n - 1
+    adj, colors = g.adj, state.colors
     failed = state.failure is not None
     if failed:
         w = omega_of(g)
@@ -339,33 +290,23 @@ def check_in_class_graph(
         w, delta = state.omega, state.delta
     full = g.full_mask()
     viol = set()
-    if parent is None:
-        prior = None
-        m = full
-        while m:
-            b = m & -m
-            m ^= b
-            if not verify_neighborhood_all_cliques(g, b.bit_length() - 1):
-                viol.add(NEIGHBORHOOD_SHAPE)
-    else:
-        prior, shapes, context = parent
-        if shapes >> adj[v] & 1:
+    m = full
+    while m:
+        b = m & -m
+        m ^= b
+        if not verify_neighborhood_all_cliques(g, b.bit_length() - 1):
             viol.add(NEIGHBORHOOD_SHAPE)
     coloring = k = None
     if not failed:
-        if parent is not None and colors[:v] == context[0]:
-            proper, branches, k = check_at_new_vertex(context, adj[v], colors[v])
-        else:
-            proper, at, k = check_classes(adj, colors, full)
-            branches = at is not None
+        proper, at, k = check_classes(adj, colors, full)
         if proper:
             coloring = Coloring(colors)
-            if branches:
+            if at is not None:
                 viol.add(COMPONENT_SHAPE)
     if coloring is None:
-        chi, witness = prove_chi(g, w, dsatur_greedy(g), prior)
+        chi, witness = prove_chi(g, w, dsatur_greedy(g))
     else:
-        chi, witness = prove_chi(g, w, coloring, prior, colors_used=k)
+        chi, witness = prove_chi(g, w, coloring, colors_used=k)
     branch, _, failures = trichotomy(g, w, delta, chi)
     if failures:
         viol.update(e.category for e in failures)
@@ -394,41 +335,103 @@ def check_in_class_graph(
     return viol, strict_vertices, strict_fallbacks, (chi, witness)
 
 
-def check_child(tables: tuple, s: int, step: tuple) -> tuple[int, int, int] | None:
-    """The claims of a child G = P + v, v joined to s, checked from its
-    parent's tables with no graph built, or None when a check needs the
-    whole graph.
+class ParentTables:
+    """What check_child reads of a parent P with a record, built once per P:
+    P's adjacency, its colorer colors as a list, its record (chi, witness),
+    K.shape_table, the coloring context of its colorer coloring, the exact
+    fallbacks its colorer used, and resume_last's two masks, K.clique_table
+    and P's vertices of degree delta(P). The witness's colors as a list and
+    their coloring context are built on first use, and are the colorer's
+    when the colors are equal."""
 
-    tables is (P's colors as a list, the triple check_in_class_graph takes
-    as parent: P's record (chi, witness), K.shape_table and
-    coloring_context, and the count of exact fallbacks P's colorer used),
-    for a P with a record, and step is colorer.resume_last's at v: G's
-    colors, omega, delta and the mechanism. The shapes are read off bit s
-    of the shape table; the colorer's coloring, when its colors on P are
-    P's, is checked by the N[v] rule (check_at_new_vertex); prove_chi
-    closes chi on the color count k when k = max(omega, chi(P)), with the
-    colorer's coloring as the witness; and the branch is read off omega
-    and delta. That is what check_in_class_graph(G, state, P's triple)
-    decides when every claim holds and G is not in the wheel branch.
-    Returns None, leaving every check to that call, when v needed the exact
-    fallback (or insertion failed), a repair recolored P, k does not close
-    chi, G is in the wheel branch or a claim fails; else (chi, vertices
-    colored under the degree bound, exact fallbacks the colorer used on
-    them).
+    __slots__ = (
+        "adj", "colors", "record", "shapes", "context", "fallbacks", "cliques", "top", "_witness"
+    )
+
+    def __init__(self, adj, state: InsertionState, record: tuple):
+        k = len(adj)
+        self.adj = adj
+        self.colors = [*state.colors]
+        self.record = record
+        self.shapes = K.shape_table(adj, k)
+        self.context = coloring_context(adj, state.colors)
+        self.fallbacks = state.fallback.bit_count()
+        self.cliques = K.clique_table(adj, k)
+        self.top = sum(1 << u for u, a in enumerate(adj) if a.bit_count() == state.delta)
+        self._witness = None
+
+    def witness(self) -> tuple[list, tuple]:
+        """(P's witness colors as a list, their coloring context)."""
+        if self._witness is None:
+            colors = self.record[1].assignment
+            if colors == self.context[0]:
+                self._witness = self.colors, self.context
+            else:
+                self._witness = [*colors], coloring_context(self.adj, colors)
+        return self._witness
+
+
+def _grown(adj, s: int) -> tuple:
+    """The adjacency of adj plus a vertex joined to s."""
+    vbit = 1 << len(adj)
+    return (*[a | vbit if s >> u & 1 else a for u, a in enumerate(adj)], s)
+
+
+def _coloring_facts(adj, s: int, colors: list, base: list, context) -> tuple:
+    """(proper, branches, color count) of a coloring colors of the child of
+    P = adj joined to s: by the N[v] rule from context when its colors on P
+    are base, else by one check_classes pass over the child's adjacency."""
+    if colors[:-1] == base:
+        return check_at_new_vertex(context, s, colors[-1])
+    proper, at, k = check_classes(_grown(adj, s), colors, (1 << len(colors)) - 1)
+    return proper, at is not None, k
+
+
+def check_child(tables: ParentTables, s: int, step: tuple) -> tuple | None:
+    """The claims of a child G = P + v, v joined to s, checked from its
+    parent's tables (see the module docstring), or None when v needed the
+    exact fallback or a claim fails, which leaves G to check_in_class_graph.
+    step is colorer.resume_last's at v: G's colors, omega, delta and the
+    mechanism. Returns (chi, chi's witness, or None when it is the
+    colorer's coloring, vertices colored under the degree bound, exact
+    fallbacks the colorer used on them).
     """
-    base, ((chi_p, _), shapes, context), fallbacks = tables
     colors, w, delta, mech = step
-    if mech is None or shapes >> s & 1 or colors[:-1] != base:
+    if mech is None or tables.shapes >> s & 1 or delta > 2 * w - 1:
         return None
-    proper, branches, k = check_at_new_vertex(context, s, colors[-1])
-    if not proper or branches or k != max(w, chi_p):
+    bound_holds = delta <= 2 * w - 3
+    wheel = delta == 2 * w - 1
+    proper, branches, k = _coloring_facts(tables.adj, s, colors, tables.colors, tables.context)
+    chi = max(w, tables.record[0])
+    if not proper or branches or not chi <= k <= (w if bound_holds else w + 1):
         return None
-    if delta <= 2 * w - 3:
-        if k == w:
-            return k, len(colors), fallbacks
-    elif delta == 2 * w - 2 and k <= w + 1:
-        return k, 0, 0
-    return None
+    witness = g = None
+    if k > chi:
+        # so chi = omega, in the middle or wheel branch
+        v = len(tables.adj)
+        base, context = tables.witness()
+        extended = [*base, 0]
+        if not wheel and color_in_order((*tables.adj, s), extended, (v,), (1 << v) - 1, chi):
+            proper, branches, k = _coloring_facts(tables.adj, s, extended, base, context)
+            witness = Coloring(tuple(extended))
+        else:
+            g = Graph(v + 1, _grown(tables.adj, s))
+            upper = Coloring(tuple(colors))
+            chi, witness = prove_chi(g, w, upper, colors_used=k)
+            if witness is upper:
+                witness = None
+            else:
+                proper, at, k = check_classes(g.adj, witness.assignment, g.full_mask())
+                branches = at is not None
+        if not proper or branches or k != chi or not w <= chi <= w + 1:
+            return None
+    if wheel:
+        g = g or Graph(len(colors), _grown(tables.adj, s))
+        if trichotomy(g, w, delta, chi)[2]:
+            return None
+    if bound_holds:
+        return chi, witness, len(colors), tables.fallbacks
+    return chi, witness, 0, 0
 
 
 def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]:
@@ -436,55 +439,48 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
 
     Each parent comes with its colorer state and its record, or None when it
     failed a check, which each child resumes at vertex n - 1. A parent with
-    a record builds its tables once here (shape table, coloring context,
-    clique table and vertices of maximum degree); colorer.resume_last
-    resumes each of its children from them, and check_child checks it. A
-    child is built (adjacency, Graph and colorer state) only when it is
-    kept or check_child leaves it to check_in_class_graph, as it does every
-    child of a parent without a record, inserted by insert_vertices; a kept
-    child that check_child closed gets the record (chi, the colorer's
-    coloring). Returns the chunk's summary and, when keep is set, the
-    children with their states and records, in order.
+    a record builds its ParentTables once here; colorer.resume_last resumes
+    each of its children from them, and check_child checks it. A child is
+    built (adjacency, Graph and colorer state) only when it is kept or
+    check_child leaves it to check_in_class_graph, as it does every child of
+    a parent without a record, inserted by insert_vertices; a kept child
+    that check_child closed gets the record check_child gives. Returns the
+    chunk's summary and, when keep is set, the children with their states
+    and records, in order.
     """
     n, parents, keep = args
     part = StressSummary("exhaustive")
     children = []
-    vbit = 1 << (n - 1)
     for parent, parent_state, verified in parents:
         t0 = time.perf_counter()
         extensions = K.in_class_extensions(parent.adj, n)
         t1 = time.perf_counter()
         part.extensions_time += t1 - t0
-        resumed = None
+        tables = None
         if verified is not None:
-            context = coloring_context(parent.adj, parent_state.colors)
-            resumed = (verified, K.shape_table(parent.adj, n - 1), context)
-            tables = ([*parent_state.colors], resumed, parent_state.fallback.bit_count())
-            cliques = K.clique_table(parent.adj, n - 1)
-            delta = parent_state.delta
-            top = sum(1 << u for u, a in enumerate(parent.adj) if a.bit_count() == delta)
+            tables = ParentTables(parent.adj, parent_state, verified)
             part.tables_time += time.perf_counter() - t1
         for s in extensions:
             closed = None
-            if resumed is not None:
-                step = resume_last(parent.adj, parent_state, s, cliques, top)
+            if tables is not None:
+                step = resume_last(parent.adj, parent_state, s, tables.cliques, tables.top)
                 closed = check_child(tables, s, step)
                 if closed is not None:
                     part.in_class_count += 1
-                    part.vertices_colored_strict += closed[1]
-                    part.exact_fallbacks += closed[2]
+                    part.vertices_colored_strict += closed[2]
+                    part.exact_fallbacks += closed[3]
                     if not keep:
                         continue
-            adj = (*[a | vbit if s >> u & 1 else a for u, a in enumerate(parent.adj)], s)
-            g = Graph(n, adj, parent.edge_count + s.bit_count())
-            if resumed is None:
+            g = Graph(n, _grown(parent.adj, s), parent.edge_count + s.bit_count())
+            if tables is None:
                 state = insert_vertices(g, parent_state)
             else:
                 state = insert_last(g, parent_state, step)
             if closed is None:
-                record = part.record(g, state, resumed)
+                record = part.record(g, state)
             else:
-                record = (closed[0], Coloring(state.colors))
+                chi, witness = closed[:2]
+                record = (chi, Coloring(state.colors) if witness is None else witness)
             if keep:
                 children.append((g, state, record))
     return part, children
@@ -567,8 +563,8 @@ def run_stress(
     if mode == "exhaustive":
         if max_n is None or max_n < 1:
             raise ParamRangeError("exhaustive mode needs max_n >= 1")
-        if max_n > 7:
-            raise ScaleExceededError("exhaustive sweeps capped at n = 7")
+        if max_n > 8:
+            raise ScaleExceededError("exhaustive sweeps capped at n = 8")
         summary = StressSummary(mode=mode, max_n=max_n)
         level = [(Graph(0, ()), None, None)]
         for n in range(1, max_n + 1):

@@ -202,7 +202,7 @@ def test_stress_random_zero_samples_exits_clean(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--exhaustive", "8"], "error: exhaustive sweeps capped at n = 7"),
+        (["--exhaustive", "9"], "error: exhaustive sweeps capped at n = 8"),
         (["--random", "1", "65", "10", "1"], "error: vertex range 1..65 outside 1..64"),
     ],
 )

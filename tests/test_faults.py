@@ -57,6 +57,31 @@ def _kempe_swap_keeping_highest(adj, colors, u, *args):
     return True
 
 
+_color_step = colorer.color_step
+
+
+def _direct_step_copying_a_neighbor(adj, colors, u, nb, prefix, target):
+    """colorer.color_step, except that a direct step gives u the color of
+    its least neighbor."""
+    mech = _color_step(adj, colors, u, nb, prefix, target)
+    if mech == colorer.DIRECT and nb:
+        colors[u] = colors[(nb & -nb).bit_length() - 1]
+    return mech
+
+
+def _kempe_step_keeping_highest(adj, colors, u, nb, prefix, target):
+    """colorer.color_step, except that the highest vertex of a swapped
+    component of two or more vertices keeps its color. A swap recolors
+    exactly its component's vertices, all in prefix."""
+    before = [*colors]
+    mech = _color_step(adj, colors, u, nb, prefix, target)
+    if mech == colorer.KEMPE_SWAP:
+        swapped = [x for x in iter_bits(prefix) if colors[x] != before[x]]
+        if len(swapped) > 1:
+            colors[swapped[-1]] = before[swapped[-1]]
+    return mech
+
+
 EXHAUSTIVE_5 = dict(mode="exhaustive", max_n=5)
 EXHAUSTIVE_6 = dict(mode="exhaustive", max_n=6)
 RANDOM_2000 = dict(mode="random", n_lo=5, n_hi=22, samples=2000, seed=1)
@@ -128,11 +153,11 @@ ROWS = [
         id="find_induced_wheel6-none",
     ),
     # a Kempe swap that leaves its component's highest vertex unswapped
-    # makes improper colorings: the colorer's, and a parent's chi witness
-    # extended at v by the same swap
+    # makes improper colorings: the colorer's, a parent's chi witness
+    # extended at v by the same swap, and prove_chi's omega-colorings
     pytest.param(
         colorer, "_try_kempe_swap", _kempe_swap_keeping_highest, EXHAUSTIVE_5, 810,
-        {CHI_EQUALS_OMEGA: 6, CHI_WITHIN_ONE: 36, COMPONENT_SHAPE: 8},
+        {CHI_EQUALS_OMEGA: 6, CHI_WITHIN_ONE: 42, COMPONENT_SHAPE: 8},
         {CHI_EQUALS_OMEGA: (5, 966), CHI_WITHIN_ONE: (4, 50), COMPONENT_SHAPE: (5, 998)},
         id="kempe_swap-keeps-highest-vertex",
     ),
@@ -145,17 +170,22 @@ ROWS = [
         {NEIGHBORHOOD_SHAPE: (1, 0)},
         id="verify_neighborhood_all_cliques-false",
     ),
-    # the shape table without its P4 and C5 exceptions at v: the 12 labeled
-    # gems, a P4 joined to v, fail at v
+    # the shape table without its P4 and C5 exceptions at v flags the 12
+    # labeled gems, a P4 joined to v; a child the table flags is checked
+    # from scratch, at every vertex, where its shapes hold: a false flag
+    # costs a build and counts nothing. A missed flag is counted: with the
+    # table always clear, the claw_table row's neighborhood_shape count
+    # falls from 249 to 229
     pytest.param(
         K, "shape_table",
         _shape_table_dropping(lambda child, s: _is_p4(child, s) or _is_c5(child, s)),
         EXHAUSTIVE_5, 810,
-        {NEIGHBORHOOD_SHAPE: 12},
-        {NEIGHBORHOOD_SHAPE: (5, 878)},
+        {},
+        {},
         id="shape_table-no-p4-or-c5-at-v",
     ),
-    # the shape table without its P4 case at a u in s with |N_P(u)| = 3
+    # the shape table without its P4 case at a u in s with |N_P(u)| = 3:
+    # 48 children flagged, none counted
     pytest.param(
         K, "shape_table",
         _shape_table_dropping(
@@ -165,15 +195,44 @@ ROWS = [
             )
         ),
         EXHAUSTIVE_5, 810,
-        {NEIGHBORHOOD_SHAPE: 48},
-        {NEIGHBORHOOD_SHAPE: (5, 750)},
+        {},
+        {},
         id="shape_table-no-p4-at-u",
+    ),
+    # the three rows below each plant a fault in one coloring that
+    # check_child checks, so that its rule sends the child to the check from
+    # scratch, which counts it; with the rule skipped, each row's count
+    # falls (to 168, 27 + 26 and 3 + 24) and no other row's moves.
+    # A parent's chi witness extended at v by a direct step that copies a
+    # neighbor's color fails the N[v] rule from the witness's context; from
+    # scratch, prove_chi's omega-coloring makes the same improper steps
+    pytest.param(
+        report, "color_step", _direct_step_copying_a_neighbor, EXHAUSTIVE_6, 13217,
+        {CHI_WITHIN_ONE: 531},
+        {CHI_WITHIN_ONE: (5, 170)},
+        id="extension-direct-step-copies-a-neighbor",
+    ),
+    # the witness extended by a faulty Kempe swap fails its check_classes
+    # pass; from scratch, prove_chi's omega-coloring swaps the same way
+    pytest.param(
+        report, "color_step", _kempe_step_keeping_highest, EXHAUSTIVE_6, 13217,
+        {CHI_WITHIN_ONE: 1005, COMPONENT_SHAPE: 638},
+        {CHI_WITHIN_ONE: (4, 50), COMPONENT_SHAPE: (5, 998)},
+        id="extension-kempe-swap-keeps-highest-vertex",
+    ),
+    # the colorer's own faulty Kempe swap recolors P: its coloring fails
+    # check_child's check_classes pass, and the same state fails from scratch
+    pytest.param(
+        colorer, "color_step", _kempe_step_keeping_highest, EXHAUSTIVE_6, 13217,
+        {CHI_EQUALS_OMEGA: 220, CHI_WITHIN_ONE: 280},
+        {CHI_EQUALS_OMEGA: (5, 966), CHI_WITHIN_ONE: (5, 966)},
+        id="colorer-kempe-swap-keeps-highest-vertex",
     ),
     # the random draw's claw rule finds no claw: claws get into the drawn
     # graphs, and the checks that claws break count them
     pytest.param(
         K, "claw_through", lambda adj, nb: False, RANDOM_2000, 787,
-        {DEGREE_BOUND: 194, WHEEL_BRANCH: 142, COMPONENT_SHAPE: 316,
+        {DEGREE_BOUND: 194, WHEEL_BRANCH: 142, COMPONENT_SHAPE: 317,
          NEIGHBORHOOD_SHAPE: 335},
         None,
         id="claw_through-finds-no-claw",

@@ -93,12 +93,13 @@ def test_trichotomy_failures(g, w, delta, chi, branch, categories):
 
 def test_classify_trichotomy_raises_first_failure(monkeypatch):
     # an omega + 1 coloring of k4_minus_edge has no join-count certificate,
-    # so chi comes from the oracle; chi = 5 fails chi_equals_omega first,
-    # then chi_within_one
+    # and with the colorer's step finding no omega-coloring chi comes from
+    # the oracle; chi = 5 fails chi_equals_omega first, then chi_within_one
     g = k4_minus_edge()
     monkeypatch.setattr(
         report, "finish_coloring", lambda _g, _state: (Coloring((1, 2, 3, 4)), None)
     )
+    monkeypatch.setattr(report, "_omega_coloring", lambda *_: None)
     monkeypatch.setattr(report, "exact_chromatic", lambda *_: (5, None))
     with pytest.raises(ClaimViolationError) as exc:
         classify_trichotomy(g)
@@ -211,6 +212,19 @@ def test_chi_above_omega_proved_without_oracle(monkeypatch):
     for g, w in cases:
         r = classify_trichotomy(g)
         assert (r.omega, r.chi) == (w, w + 1)
+
+
+def test_chi_equals_omega_proved_without_oracle(monkeypatch):
+    """A graph on which the colorer uses omega + 1 colors and chi = omega:
+    no certificate exists, and the colorer's step in omega colors finds
+    the witness, so the oracle is never asked. The exhaustive sweep to
+    n = 6 handed 228 such n = 6 graphs to the oracle before that step; this
+    is the first of them (vertex 2 is isolated)."""
+    monkeypatch.setattr(report, "exact_chromatic", _no_oracle)
+    g = build_graph(6, [(0, 3), (0, 5), (1, 4), (1, 5), (3, 4), (3, 5), (4, 5)])
+    r = classify_trichotomy(g)
+    assert (r.omega, r.delta, r.branch, r.chi) == (3, 4, MIDDLE_CASE, 3)
+    assert r.coloring.colors_used == 4
 
 
 def report_chi_agrees_with_oracle(monkeypatch, n):

@@ -45,7 +45,7 @@ def test_exhaustive_counts_match_closed_form():
 
 def test_exhaustive_param_errors():
     with pytest.raises(ScaleExceededError):
-        run_stress("exhaustive", max_n=8)
+        run_stress("exhaustive", max_n=9)
     with pytest.raises(ParamRangeError):
         run_stress("exhaustive", max_n=0)
     with pytest.raises(ParamRangeError):
@@ -85,10 +85,10 @@ def test_random_zero_samples_is_an_empty_summary():
 
 
 def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
-    """No DSATUR: the colorer's coloring tops the oracle's bracket, which
-    k_color opens only where neither that coloring nor the parent's chi
-    witness extended at v closes it and no join-count certificate exists
-    (the 12 labeled C5s have one); the colorer keeps prefix omega by
+    """No DSATUR and no oracle search: every chi is closed by a color count,
+    a parent's chi witness extended at v, a join-count certificate or an
+    omega-coloring by the colorer's step, so k_color never runs outside
+    the colorer; the colorer keeps prefix omega by
     has_clique, never by a clique_number search, and a resumed child reads
     it off its parent's clique table, built once per parent with a record
     off the subset lattice with no clique search; the sweep reads omega off
@@ -105,7 +105,7 @@ def test_sweep_runs_no_dsatur_and_no_colorer_clique_search(monkeypatch):
     s = run_stress("exhaustive", max_n=5, workers=0)
     assert s.in_class_count == 810
     assert sum(c for (name, _), c in calls.items() if name == "dsatur") == 0
-    assert calls["k_color", "clawchroma.coloring"] == 3
+    assert calls["k_color", "clawchroma.coloring"] == 0
     assert calls["clique_number", "clawchroma.colorer"] == 0
     # omega is the colorer state's, which no failed insertion made stale
     assert calls["clique_number", "clawchroma.stress"] == 0
@@ -178,19 +178,18 @@ def _on_child(monkeypatch, visit):
 
 
 def test_sweep_checks_each_coloring_once(monkeypatch):
-    """Each graph's four shapes are read off its parent's shape table, one
-    K.shape_table call per parent with a record, with no
-    verify_neighborhood_all_cliques call, when its parent passed; they are
-    checked by that call at every vertex otherwise (here the n = 1 graph
-    alone). Its colorer coloring is checked by the N[v] rule, from its
-    parent's coloring context, with no check_classes pass, when besides its
-    prefix colors are the parent's; else in one check_classes pass over
-    every vertex (the n = 1 graph and 10 children whose insertion made a
-    Kempe swap). chi's witness gets a pass over every vertex whenever it is
-    not the colorer's coloring: the 50 parent witnesses extended at v and
-    the oracle's 3. No coloring is checked by verify_proper. The children
-    that check_child closes are checked by the shape table and the N[v]
-    rule alone; the others by check_in_class_graph."""
+    """A graph checked from scratch (here the n = 1 graph alone) has its
+    four shapes checked by verify_neighborhood_all_cliques at every vertex
+    and its colorer coloring by one check_classes pass over every vertex.
+    Every other graph is closed by check_child: its shapes are read off its
+    parent's shape table, one K.shape_table call per parent with a record,
+    and its colorer coloring is checked by the N[v] rule from its parent's
+    coloring context when its prefix colors are the parent's, else by one
+    check_classes pass over every vertex (10 children whose insertion made a
+    Kempe swap). A witness of chi that is not the colorer's coloring gets
+    one check of its own: the N[v] rule from the parent witness's coloring
+    context for a direct extension at v, else one check_classes pass. No
+    coloring is checked by verify_proper."""
     checks = Counter()
     for module in (colorer, stress):
         def counted(g, c, _fn=module.verify_proper, _name=module.__name__):
@@ -198,24 +197,38 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
             return _fn(g, c)
 
         monkeypatch.setattr(module, "verify_proper", counted)
-    graphs = []
+    # the coloring checks of the current graph, in order, and the vertices
+    # whose shapes it checked
+    seen = []
+    vertices = set()
 
-    def checked(g, state, parent=None, _fn=stress.check_in_class_graph):
-        ruled = parent is not None and state.colors[: g.n - 1] == parent[2][0]
-        graphs.append((g, parent is not None, ruled, set(), []))
-        return _fn(g, state, parent)
+    def scratch(g, state, _fn=stress.check_in_class_graph):
+        seen.clear()
+        vertices.clear()
+        out = _fn(g, state)
+        assert vertices == set(range(g.n))
+        checks["scratch", *seen] += 1
+        return out
 
-    def closed(g, parent, step, tables, verdict):
-        if verdict is not None:
-            checks["closed"] += 1
-            graphs.append((g, True, True, set(), []))
+    def child(tables, s, step, _fn=stress.check_child):
+        seen.clear()
+        vertices.clear()
+        out = _fn(tables, s, step)
+        assert not vertices
+        checks["closed" if out else "left", *seen] += 1
+        return out
 
     def shape(g, u, _fn=stress.verify_neighborhood_all_cliques):
-        graphs[-1][3].add(u)
+        vertices.add(u)
         return _fn(g, u)
 
+    def rule(context, s, c, _fn=stress.check_at_new_vertex):
+        seen.append("N[v] rule")
+        return _fn(context, s, c)
+
     def classes(adj, colors, check, _fn=stress.check_classes):
-        graphs[-1][4].append(check)
+        assert check == (1 << len(adj)) - 1
+        seen.append("every vertex")
         return _fn(adj, colors, check)
 
     def table(adj, k, _fn=K.shape_table):
@@ -226,35 +239,26 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
         checks["coloring_context"] += 1
         return _fn(adj, colors)
 
-    monkeypatch.setattr(stress, "check_in_class_graph", checked)
     monkeypatch.setattr(stress, "verify_neighborhood_all_cliques", shape)
+    monkeypatch.setattr(stress, "check_in_class_graph", scratch)
+    monkeypatch.setattr(stress, "check_child", child)
+    monkeypatch.setattr(stress, "check_at_new_vertex", rule)
     monkeypatch.setattr(stress, "check_classes", classes)
     monkeypatch.setattr(stress, "coloring_context", context)
     monkeypatch.setattr(K, "shape_table", table)
-    _on_child(monkeypatch, closed)
     run_stress("exhaustive", max_n=5, workers=0)
-    for g, resumed, ruled, vertices, passes in graphs:
-        assert vertices == (set() if resumed else set(range(g.n)))
-        checks["shapes", "table" if resumed else "every vertex"] += 1
-        if ruled:
-            checks["coloring", "N[v] rule"] += 1
-        else:
-            passes = passes[1:]
-            checks["coloring", "every vertex"] += 1
-        # chi's witness is checked over every vertex
-        for mask in passes:
-            assert mask == g.full_mask()
-            checks["witness", "every vertex"] += 1
     assert checks == {
         # the in-class graphs with n <= 4, each a parent with a record
         "shape_table": 1 + 2 + 8 + 60,
-        "coloring_context": 1 + 2 + 8 + 60,
-        ("shapes", "table"): 809,
-        ("shapes", "every vertex"): 1,
-        ("coloring", "N[v] rule"): 799,
-        ("coloring", "every vertex"): 11,
-        ("witness", "every vertex"): 53,
-        "closed": 734,
+        # and 3 witness contexts, of parents whose witness is not the
+        # colorer's coloring and extends directly at some child
+        "coloring_context": 1 + 2 + 8 + 60 + 3,
+        ("scratch", "every vertex"): 1,
+        ("closed", "N[v] rule"): 746,
+        ("closed", "every vertex"): 10,
+        # the colorer's coloring, then chi's witness
+        ("closed", "N[v] rule", "N[v] rule"): 12,
+        ("closed", "N[v] rule", "every vertex"): 41,
     }
 
 
@@ -325,35 +329,32 @@ def test_n_v_rule_matches_check_classes_n7(monkeypatch):
 
 def _children_match_the_full_check(monkeypatch, max_n):
     """Every child that check_child decides, against the full check of the
-    child built: check_in_class_graph(g, insert_last(g, P's state, step),
-    P's triple). Where check_child closes the child, that check finds no
+    child built: check_in_class_graph(g, insert_last(g, P's state, step)),
+    from scratch. Where check_child closes the child, that check finds no
     violation, and gives the same chi, vertices colored under the degree
-    bound and exact fallbacks, and a record whose witness is the colorer's
-    coloring. Where it leaves the child to that check, a check needs the
-    whole graph: v needed the exact fallback, a repair recolored P, the color count k
-    does not close chi, the child is in the wheel branch or it fails a
-    claim. Every kept child's state and record equal the full check's.
-    Returns (closed, checked in full, kept)."""
+    bound and exact fallbacks; check_child's witness, when it is not the
+    colorer's coloring, is proper with chi colors and branches nowhere.
+    Where it leaves the child to that check, v needed the exact fallback or
+    the child fails a claim. Every kept child's state equals the full
+    check's, and its record has the same chi. Returns (closed, checked in
+    full, kept)."""
     counts = Counter()
     full = {}
 
     def compare(g, parent, step, tables, closed):
         state = colorer.insert_last(g, parent, step)
-        viol, strict, fallbacks, record = check_in_class_graph(g, state, tables[1])
+        viol, strict, fallbacks, record = check_in_class_graph(g, state)
         full[g.adj] = state, record
         if closed is None:
-            w, delta, k = step[1], step[2], len(set(state.colors))
-            assert (
-                step[3] is None
-                or state.colors[: g.n - 1] != parent.colors
-                or k != max(w, tables[1][0][0])
-                or delta == 2 * w - 1
-                or viol
-            )
+            assert step[3] is None or viol
             counts["checked in full"] += 1
         else:
-            assert (viol, strict, fallbacks) == (set(), *closed[1:])
-            assert record[0] == closed[0] and record[1].assignment == state.colors
+            chi, witness = closed[:2]
+            assert (viol, record[0], strict, fallbacks) == (set(), chi, *closed[2:])
+            if witness is not None:
+                assert check_classes(g.adj, witness.assignment, g.full_mask()) == (
+                    True, None, chi
+                )
             counts["closed"] += 1
 
     _on_child(monkeypatch, compare)
@@ -366,21 +367,22 @@ def _children_match_the_full_check(monkeypatch, max_n):
                 ref_state, ref_record = full.pop(g.adj)
                 for slot in InsertionState.__slots__:
                     assert getattr(state, slot) == getattr(ref_state, slot), slot
-                assert record == ref_record
+                assert record[0] == ref_record[0]
                 counts["kept"] += 1
         full.clear()
     return counts["closed"], counts["checked in full"], counts["kept"]
 
 
 def test_children_match_the_full_check(monkeypatch):
-    # every graph but the n = 1 graph, whose parent has no record; the kept
-    # ones are those with n <= 5
-    assert _children_match_the_full_check(monkeypatch, 6) == (11082, 2134, 809)
+    # every graph but the n = 1 graph, whose parent has no record; the 12
+    # checked in full needed the exact fallback at v; the kept ones are
+    # those with n <= 5
+    assert _children_match_the_full_check(monkeypatch, 6) == (13204, 12, 809)
 
 
 @pytest.mark.slow
 def test_children_match_the_full_check_n7(monkeypatch):
-    assert _children_match_the_full_check(monkeypatch, 7) == (189737, 61564, 13216)
+    assert _children_match_the_full_check(monkeypatch, 7) == (251140, 161, 13216)
 
 
 def test_n_v_rule_matches_check_classes_at_every_neighborhood_and_color(monkeypatch):
@@ -456,16 +458,16 @@ def _oracle_calls(monkeypatch, max_n):
 
 
 def test_oracle_calls_per_exhaustive_pass(monkeypatch):
-    """How often prove_chi falls through to the exact oracle: where neither
-    the colorer's coloring nor the parent's chi and witness close the
-    bracket and no join-count certificate exists: all 231 with omega = 3 and
-    chi = omega."""
-    assert _oracle_calls(monkeypatch, 6) == 231
+    """How often prove_chi falls through to the exact oracle: never. Where
+    neither the colorer's coloring nor the parent's chi and witness close
+    the bracket, a join-count certificate or the colorer's step in omega
+    colors does."""
+    assert _oracle_calls(monkeypatch, 6) == 0
 
 
 @pytest.mark.slow
 def test_oracle_calls_per_exhaustive_pass_n7(monkeypatch):
-    assert _oracle_calls(monkeypatch, 7) == 5601
+    assert _oracle_calls(monkeypatch, 7) == 0
 
 
 def test_parallel_merge_is_deterministic(monkeypatch):
@@ -687,8 +689,9 @@ def test_faulty_extension_outside_n_v_is_counted(monkeypatch):
         mech = _fn(adj, colors, u, nb, prefix, target)
         if mech == "direct":
             for w in iter_bits(prefix & ~nb):
-                if adj[w] and not adj[w] & (nb | 1 << u) and colors.count(colors[w]) > 1:
-                    colors[w] = colors[adj[w].bit_length() - 1]
+                a = adj[w] & prefix
+                if a and not a & nb and colors.count(colors[w]) > 1:
+                    colors[w] = colors[a.bit_length() - 1]
                     break
         return mech
 
@@ -699,24 +702,25 @@ def test_faulty_extension_outside_n_v_is_counted(monkeypatch):
 
 def test_sweep_carries_omega_and_max_degree(monkeypatch):
     """The omega and delta the sweep decides the branch by: the ones
-    check_in_class_graph hands trichotomy, and resume_last's on the
-    children that check_child closes."""
-    seen = []
+    check_in_class_graph and check_child (in the wheel branch) hand
+    trichotomy, and resume_last's on the children that check_child
+    closes."""
+    seen = {}
 
     def recording(g, w, delta, chi, _fn=stress.trichotomy):
-        seen.append((g, w, delta))
+        seen.setdefault(g, set()).add((w, delta))
         return _fn(g, w, delta, chi)
 
     def closed(g, parent, step, tables, verdict):
         if verdict is not None:
-            seen.append((g, step[1], step[2]))
+            seen.setdefault(g, set()).add(step[1:3])
 
     monkeypatch.setattr(stress, "trichotomy", recording)
     _on_child(monkeypatch, closed)
     run_stress("exhaustive", max_n=6, workers=0)
     assert len(seen) == 13217
-    for g, w, delta in seen:
-        assert (w, delta) == (omega(g), degree_profile(g)[1])
+    for g, facts in seen.items():
+        assert facts == {(omega(g), degree_profile(g)[1])}
 
 
 def test_sweep_carries_failed_neighborhood_shapes(monkeypatch):
@@ -758,9 +762,9 @@ def test_exhaustive_progress_reports_each_level(capsys):
         for line in err.splitlines()[:4]
     ]
     # the graphs check_in_class_graph checks in full: the n = 1 graph and
-    # those check_child does not close
+    # those check_child does not close, none up to n = 5
     assert [m and (int(m[1]), int(m[2]), int(m[3])) for m in levels] == [
-        (1, 1, 1), (2, 2, 0), (3, 8, 0), (4, 60, 3)
+        (1, 1, 1), (2, 2, 0), (3, 8, 0), (4, 60, 0)
     ]
 
 
@@ -786,27 +790,36 @@ def test_check_in_class_graph_clean_on_wheel():
     assert chi == 4 == witness.colors_used
 
 
-# a P4 on which the colorer uses 3 colors: chi = 2 has no join-count
-# certificate, so the oracle decides it
-P4 = build_graph(4, [(0, 3), (1, 2), (2, 3)])
+# L(Petersen), on which the colorer uses 4 colors: chi = 4 has no join-count
+# certificate and no 3-coloring, so the oracle decides it
+LINE_PETERSEN = line_graph(petersen())
 
 
 @pytest.mark.parametrize(
-    "target, value",
+    "target, value, expected",
     [
-        # oracle witness: improper with the right color count
-        ("exact_chromatic", (2, Coloring((1, 1, 2, 2)))),
+        # oracle witness: improper with the right color count; it branches
+        # too, at a vertex with a neighbor of its own color
+        (
+            "exact_chromatic",
+            (4, Coloring(tuple(1 + u % 4 for u in range(15)))),
+            {CHI_WITHIN_ONE, COMPONENT_SHAPE},
+        ),
         # oracle witness: proper with more colors than chi
-        ("exact_chromatic", (2, Coloring((1, 2, 3, 4)))),
+        ("exact_chromatic", (4, Coloring(tuple(range(1, 16)))), {CHI_WITHIN_ONE}),
         # improper colorer state on C5, which the sweep rejects
-        ("insert_vertices", InsertionState((1, 1, 2, 3, 2), 2, 2)),
+        ("insert_vertices", InsertionState((1, 1, 2, 3, 2), 2, 2), {CHI_WITHIN_ONE}),
     ],
+    ids=["exact_chromatic-value0", "exact_chromatic-value1", "insert_vertices-value2"],
 )
-def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value):
-    module, g = (report, P4) if target == "exact_chromatic" else (colorer, cycle(5))
+def test_bad_oracle_or_dsatur_coloring_is_a_violation(monkeypatch, target, value, expected):
+    if target == "exact_chromatic":
+        module, g = report, LINE_PETERSEN
+    else:
+        module, g = colorer, cycle(5)
     assert _checked(g)[0] == set()
     monkeypatch.setattr(module, target, lambda _g, *_: value)
-    assert _checked(g)[0] == {CHI_WITHIN_ONE}
+    assert _checked(g)[0] == expected
 
 
 def _colorer_raises(g):
@@ -858,44 +871,49 @@ def test_colorer_bracket_gives_the_dsatur_bracket_chi_n7():
 
 def _sweep_certificates(monkeypatch, max_n):
     """The join-count certificates an exhaustive sweep trusts in place of the
-    oracle, each confirmed by the oracle: no omega-coloring exists."""
-    certified = 0
+    oracle, on V, some N[v] or a component, or on some V - v, each
+    confirmed by the oracle: no omega-coloring exists. Returns the count of
+    each kind."""
+    certified = Counter()
 
-    def confirmed(g, w, _fn=report._chi_exceeds):
-        nonlocal certified
-        holds = _fn(g, w)
-        if holds:
-            assert k_colorable(g, w) is None
-            certified += 1
-        return holds
+    def confirming(name):
+        def confirmed(g, w, _fn=getattr(report, name)):
+            holds = _fn(g, w)
+            if holds:
+                assert k_colorable(g, w) is None
+                certified[name] += 1
+            return holds
 
-    monkeypatch.setattr(report, "_chi_exceeds", confirmed)
+        return confirmed
+
+    for name in ("_chi_exceeds", "_chi_exceeds_without_a_vertex"):
+        monkeypatch.setattr(report, name, confirming(name))
     assert run_stress("exhaustive", max_n=max_n, workers=0).total_violations == 0
-    return certified
+    return certified["_chi_exceeds"], certified["_chi_exceeds_without_a_vertex"]
 
 
 def test_sweep_certificates_agree_with_the_oracle(monkeypatch):
     # the 12 labeled C5s, the 72 labeled W5s and, by a component, the 60
     # labeled C5 + K1 whose isolated vertex is not the last (where it is,
     # the parent C5's chi proves chi by heredity)
-    assert _sweep_certificates(monkeypatch, 6) == 144
+    assert _sweep_certificates(monkeypatch, 6) == (144, 0)
 
 
 @pytest.mark.slow
 def test_sweep_certificates_agree_with_the_oracle_n7(monkeypatch):
     # fewer than the graphs with chi = omega + 1: where the parent's chi is
     # already omega + 1, heredity proves it and no certificate is searched
-    assert _sweep_certificates(monkeypatch, 7) == 16506
+    assert _sweep_certificates(monkeypatch, 7) == (16506, 0)
 
 
 def _sweep_chi_from_parents(monkeypatch, max_n):
-    """The chi values an exhaustive sweep takes from a graph's parent, by
-    heredity (chi of G - v above omega bounds chi below) or from the
-    parent's witness extended at v, with no certificate and no oracle; each
+    """The chi values an exhaustive sweep takes with no certificate and no
+    oracle, other than a color count equal to omega: by heredity (chi of
+    G - v above omega bounds chi below), from the parent's witness extended
+    at v, or from prove_chi's omega-coloring by the colorer's step; each
     confirmed by the oracle: no (chi - 1)-coloring exists, and the witness
-    is proper with chi colors. check_child takes chi by heredity where it
-    closes a child whose color count is chi(G - v) > omega."""
-    taken = 0
+    is proper with chi colors."""
+    taken = Counter()
     searched = []
 
     def certificate(*args, _fn=report._chi_exceeds):
@@ -906,39 +924,50 @@ def _sweep_chi_from_parents(monkeypatch, max_n):
         searched.append("oracle")
         return _fn(*args)
 
-    def confirmed(g, w, upper, parent=None, colors_used=None, _fn=report.prove_chi):
-        nonlocal taken
-        searched.clear()
-        chi, witness = _fn(g, w, upper, parent, colors_used)
-        if parent is not None and not searched and (chi > w or witness is not upper):
-            assert k_colorable(g, chi - 1) is None
-            assert witness.colors_used == chi and verify_proper(g, witness) is None
-            taken += 1
+    def confirm(g, chi, witness, how):
+        assert k_colorable(g, chi - 1) is None
+        assert witness.colors_used == chi and verify_proper(g, witness) is None
+        taken[how] += 1
+
+    def proved(g, w, upper, colors_used=None, _fn=report.prove_chi):
+        searched.append("prove_chi")
+        chi, witness = _fn(g, w, upper, colors_used)
+        # a certificate's witness is upper
+        if searched[-1] != "oracle" and witness is not upper:
+            confirm(g, chi, witness, "omega-coloring")
         return chi, witness
 
-    def closed(g, parent, step, tables, verdict):
-        nonlocal taken
-        if verdict is not None and verdict[0] > step[1]:
-            chi, witness = verdict[0], Coloring(tuple(step[0]))
-            assert k_colorable(g, chi - 1) is None
-            assert witness.colors_used == chi and verify_proper(g, witness) is None
-            taken += 1
+    def child(tables, s, step, _fn=stress.check_child):
+        searched.clear()
+        closed = _fn(tables, s, step)
+        if closed is not None and not searched:
+            chi, witness = closed[:2]
+            g = _grown(tables.adj, s)
+            if witness is not None:
+                confirm(g, chi, witness, "extension")
+            elif chi > step[1]:
+                confirm(g, chi, Coloring(tuple(step[0])), "heredity")
+        return closed
 
     monkeypatch.setattr(report, "_chi_exceeds", certificate)
     monkeypatch.setattr(report, "exact_chromatic", oracle)
-    monkeypatch.setattr(stress, "prove_chi", confirmed)
-    _on_child(monkeypatch, closed)
+    monkeypatch.setattr(stress, "prove_chi", proved)
+    monkeypatch.setattr(stress, "check_child", child)
     assert run_stress("exhaustive", max_n=max_n, workers=0).total_violations == 0
-    return taken
+    return dict(taken)
 
 
 def test_sweep_chi_from_parents_agrees_with_the_oracle(monkeypatch):
-    assert _sweep_chi_from_parents(monkeypatch, 6) == 1470
+    assert _sweep_chi_from_parents(monkeypatch, 6) == {
+        "heredity": 12, "extension": 1527, "omega-coloring": 162
+    }
 
 
 @pytest.mark.slow
 def test_sweep_chi_from_parents_agrees_with_the_oracle_n7(monkeypatch):
-    assert _sweep_chi_from_parents(monkeypatch, 7) == 34281
+    assert _sweep_chi_from_parents(monkeypatch, 7) == {
+        "heredity": 1380, "extension": 34381, "omega-coloring": 4121
+    }
 
 
 def test_line_graph_of_petersen_needs_one_oracle_call(monkeypatch):
