@@ -26,8 +26,8 @@ Correctness rests on the exact fallback alone: a failed Kempe attempt writes
 no color, so it only decides how often the fallback runs. The RepairTrace
 records which mechanism colored each vertex; finish_coloring builds it from
 the state's masks of the vertices a Kempe swap and the exact fallback
-colored. The first two mechanisms are color_step, which report.prove_chi
-also uses to extend a coloring of G - v at v.
+colored. The first two mechanisms are color_step, which
+report.color_in_order also runs, to extend a coloring of G - v at v.
 
 A vertex's insertion reads only its earlier neighbors, and the clique
 query, the Kempe swap and the exact fallback stay inside the prefix. So the
@@ -35,10 +35,12 @@ colorer's state after vertices 0..k-1 (InsertionState) depends only on the
 graph those vertices induce: a graph that extends that prefix can resume
 from it, as the exhaustive sweep does, and get the coloring that starting
 from vertex 0 would give; resume_last resumes one vertex, the last, and
-insert_last makes the state after it. The step reads no edge of v but its
-neighborhood, so it runs on the prefix's adjacency as well as on the
-whole graph's: the exhaustive sweep checks most children without building
-them.
+insert_last makes the state after it. Both insert_vertices and resume_last
+run the same step at a vertex, color_step and then the exact fallback
+(_exact_fallback). color_step reads no edge of v but its neighborhood, so
+resume_last runs it on the prefix's adjacency and builds the whole graph's
+only for the exact fallback: the exhaustive sweep checks a child without
+building it.
 
 omega_color_strict and class_color run the same coloring; the first also
 rejects a graph whose max degree exceeds 2*clique - 3, read off its state.
@@ -164,28 +166,30 @@ class InsertionState:
         self.fallback = fallback
 
 
-def insert_vertices(
-    g: Graph, parent: InsertionState | None = None
-) -> InsertionState:
-    """The colorer's state after all of g.
+def grown(adj, s: int) -> tuple:
+    """The adjacency of adj plus a vertex joined to s."""
+    vbit = 1 << len(adj)
+    return (*[a | vbit if s >> u & 1 else a for u, a in enumerate(adj)], s)
 
-    parent is the state after the first len(parent.colors) vertices of g,
-    which is resumed on a copy; None starts from vertex 0. A failed parent
-    is returned as it is: every graph that extends it fails the same way.
-    """
+
+def _exact_fallback(adj, colors, u, target) -> bool:
+    """Recolor vertices 0..u exactly inside the palette 1..target, by
+    K.k_color from the least maximum clique; False, with colors untouched,
+    when there is no such coloring."""
+    n, prefix = len(adj), (2 << u) - 1
+    sol = K.k_color(adj, n, prefix, target, K.lex_min_max_clique(adj, n, prefix))
+    if sol is None:
+        return False
+    colors[: u + 1] = sol[: u + 1]
+    return True
+
+
+def insert_vertices(g: Graph) -> InsertionState:
+    """The colorer's state after all of g, inserted from vertex 0."""
     n, adj = g.n, g.adj
-    if parent is None:
-        lo = omega_p = delta_p = kempe = fallback = 0
-        colors = [0] * n
-    elif parent.failure is not None:
-        return parent
-    else:
-        lo = len(parent.colors)
-        colors = [*parent.colors] + [0] * (n - lo)
-        omega_p, delta_p = parent.omega, parent.delta
-        kempe, fallback = parent.kempe, parent.fallback
-    prefix = (1 << lo) - 1
-    for u in range(lo, n):
+    omega_p = delta_p = kempe = fallback = prefix = 0
+    colors = [0] * n
+    for u in range(n):
         nb = adj[u] & prefix
         # u raises the prefix clique number, by one at most, iff N(u) in the
         # prefix holds a clique of the old size
@@ -208,16 +212,12 @@ def insert_vertices(
         if mech == KEMPE_SWAP:
             kempe |= 1 << u
         elif mech is None:
-            clique = K.lex_min_max_clique(adj, n, prefix_new)
-            sol = K.k_color(adj, n, prefix_new, target, clique)
-            if sol is None:
+            if not _exact_fallback(adj, colors, u, target):
                 failure = (
                     f"no {target}-coloring of an in-class prefix "
                     f"(omega={omega_p}, delta={delta_p})"
                 )
                 return InsertionState(tuple(colors), omega_p, delta_p, failure)
-            for v in iter_bits(prefix_new):
-                colors[v] = sol[v]
             fallback |= 1 << u
         prefix = prefix_new
     return InsertionState(tuple(colors), omega_p, delta_p, None, kempe, fallback)
@@ -227,16 +227,18 @@ def resume_last(
     adj, parent: InsertionState, s: int, cliques: int, top: int
 ) -> tuple[list[int], int, int, str | None]:
     """The colorer's step at a new vertex v = len(parent.colors) joined to
-    s, resumed from parent, the state after P = G - v, which did not fail:
-    (colors of G, omega(G), delta(G), the mechanism), the mechanism None
-    when color_step gives v no color.
+    s, resumed from parent, the state after P = G - v, which did not fail,
+    and adj, P's adjacency: (colors of G, omega(G), delta(G), the
+    mechanism), the mechanism None when even the exact fallback gives no
+    coloring.
 
     omega and delta are read off two masks of P: cliques, bit s set iff s
     holds a clique of size omega(P) (K.clique_table), and top, P's vertices
     of degree delta(P). omega rises by bit s of cliques, and
-    delta = max(delta(P) + [s meets top], |s|). adj may be G's adjacency or
-    P's: color_step reads the colors on s and, for a Kempe swap, the
-    two-class components inside P, and G's edges inside P are P's.
+    delta = max(delta(P) + [s meets top], |s|). color_step reads the colors
+    on s and, for a Kempe swap, the two-class components inside P, whose
+    edges in G are P's; only the exact fallback reads G's adjacency, which
+    is built for it.
     """
     omega = parent.omega + (cliques >> s & 1)
     delta = parent.delta + (s & top != 0)
@@ -245,7 +247,10 @@ def resume_last(
         delta = size
     v = len(parent.colors)
     colors = [*parent.colors, 0]
-    mech = color_step(adj, colors, v, s, (1 << v) - 1, target_colors(omega, delta))
+    target = target_colors(omega, delta)
+    mech = color_step(adj, colors, v, s, (1 << v) - 1, target)
+    if mech is None and _exact_fallback(grown(adj, s), colors, v, target):
+        mech = EXACT_FALLBACK
     return colors, omega, delta, mech
 
 
@@ -254,16 +259,17 @@ def insert_last(
 ) -> InsertionState:
     """The colorer's state after all of g, resumed from parent, the state
     after all but g's last vertex v, which did not fail, and step,
-    resume_last's at v: step's colors, omega and delta, or, where
-    color_step gave v no color, insert_vertices(g, parent)'s state, exact
-    fallback included.
+    resume_last's at v: step's colors, omega and delta, and v in the mask
+    of its mechanism. Where the step gave no coloring, the failed state is
+    rebuilt by insert_vertices(g).
     """
     colors, omega, delta, mech = step
     if mech is None:
-        return insert_vertices(g, parent)
-    v = g.n - 1
-    kempe = parent.kempe | 1 << v if mech == KEMPE_SWAP else parent.kempe
-    return InsertionState(tuple(colors), omega, delta, None, kempe, parent.fallback)
+        return insert_vertices(g)
+    bit = 1 << (g.n - 1)
+    kempe = parent.kempe | bit if mech == KEMPE_SWAP else parent.kempe
+    fallback = parent.fallback | bit if mech == EXACT_FALLBACK else parent.fallback
+    return InsertionState(tuple(colors), omega, delta, None, kempe, fallback)
 
 
 def finish_coloring(g: Graph, state: InsertionState) -> tuple[Coloring, RepairTrace]:

@@ -61,7 +61,7 @@ from .bitops import iter_bits, mask_components, universal_vertices
 # omega_of, color_in_class
 from .cliques import omega as omega_of  # noqa: F401
 from .colorer import color_in_class, color_step, finish_coloring, insert_vertices  # noqa: F401
-from .coloring import ORACLE_MAX_VERTICES, Coloring, exact_chromatic
+from .coloring import ORACLE_MAX_VERTICES, Coloring, exact_chromatic, verify_proper
 from .errors import ClaimViolationError, ScaleExceededError
 from .graph import Graph
 from .recognition import ForbiddenWitness, _is_c5, is_in_class
@@ -182,16 +182,13 @@ def _omega_coloring(g: Graph, w: int) -> Coloring | None:
     return None
 
 
-def prove_chi(
-    g: Graph, w: int, upper: Coloring, colors_used: int | None = None
-) -> tuple[int, Coloring]:
+def prove_chi(g: Graph, w: int, upper: Coloring) -> tuple[int, Coloring]:
     """(chi, witness coloring) of an in-class graph with clique number w, by
-    the five steps above from upper, a proper coloring. colors_used, when
-    given, is upper's color count, which a caller that has counted it hands
-    over. upper is the witness unless another coloring with fewer colors
-    is. No witness is checked here: chi rests on the witness, so a caller
-    that trusts chi checks it, unless it is upper."""
-    k = upper.colors_used if colors_used is None else colors_used
+    the five steps above from upper, a proper coloring. upper is the
+    witness unless another coloring with fewer colors is. No witness is
+    checked here: chi rests on the witness, so a caller that trusts chi
+    checks it, unless it is upper."""
+    k = upper.colors_used
     if k == w or k == w + 1 and _chi_exceeds(g, w):
         return k, upper
     colored = _omega_coloring(g, w)
@@ -268,10 +265,17 @@ def classify_trichotomy(g: Graph) -> ClassReport:
     state = insert_vertices(g)
     coloring, _ = finish_coloring(g, state)
     w, delta = state.omega, state.delta
-    chi, _ = prove_chi(g, w, coloring)
+    chi, witness = prove_chi(g, w, coloring)
     branch, w6, failures = trichotomy(g, w, delta, chi)
     if failures:
         raise failures[0]
+    # chi rests on the witness; finish_coloring checked the colorer's
+    if witness is not coloring and (
+        verify_proper(g, witness) is not None or witness.colors_used != chi
+    ):
+        raise ClaimViolationError(
+            CHI_WITHIN_ONE, g, f"chi = {chi}, but its witness is not a proper {chi}-coloring"
+        )
     return ClassReport(
         in_class=True,
         omega=w,

@@ -43,11 +43,11 @@ needs one:
   branch    read off omega and delta; in the wheel branch report.trichotomy
             runs on that Graph view, for the induced 6-wheel.
 
-A child whose v needed the exact fallback, and a child that fails any of
-these checks, is built (adjacency, Graph, colorer state) and checked from
-scratch by check_in_class_graph, as is every graph with no parent record:
-the n = 1 graph, the children of a failed parent and every graph of the
-random sweep. A fault-free P passed every check, so a child that check_child
+A child that fails any of these checks is built (adjacency, Graph,
+colorer state) and checked from scratch by check_in_class_graph, as is
+every graph with no parent record, inserted from vertex 0: the n = 1
+graph, the children of a failed parent and every graph of the random
+sweep. A fault-free P passed every check, so a child that check_child
 finds failing fails the same claims from scratch. A kept child, which
 becomes a parent, is built either way and gets its record from the check
 that closed it.
@@ -118,7 +118,7 @@ from .cliques import omega as omega_of
 # color_in_class, exact_chromatic, find_branching_component, find_induced_wheel6,
 # is_in_class, random_graph, verify_proper
 from .colorer import InsertionState, color_in_class, insert_last, insert_vertices  # noqa: F401
-from .colorer import resume_last
+from .colorer import EXACT_FALLBACK, grown, resume_last
 from .coloring import ORACLE_MAX_VERTICES, Coloring, class_masks, check_classes, dsatur_greedy
 from .coloring import exact_chromatic, find_branching_component, verify_proper  # noqa: F401
 from .errors import ParamRangeError, ScaleExceededError
@@ -306,7 +306,7 @@ def check_in_class_graph(
     if coloring is None:
         chi, witness = prove_chi(g, w, dsatur_greedy(g))
     else:
-        chi, witness = prove_chi(g, w, coloring, colors_used=k)
+        chi, witness = prove_chi(g, w, coloring)
     branch, _, failures = trichotomy(g, w, delta, chi)
     if failures:
         viol.update(e.category for e in failures)
@@ -371,30 +371,24 @@ class ParentTables:
         return self._witness
 
 
-def _grown(adj, s: int) -> tuple:
-    """The adjacency of adj plus a vertex joined to s."""
-    vbit = 1 << len(adj)
-    return (*[a | vbit if s >> u & 1 else a for u, a in enumerate(adj)], s)
-
-
 def _coloring_facts(adj, s: int, colors: list, base: list, context) -> tuple:
     """(proper, branches, color count) of a coloring colors of the child of
     P = adj joined to s: by the N[v] rule from context when its colors on P
     are base, else by one check_classes pass over the child's adjacency."""
     if colors[:-1] == base:
         return check_at_new_vertex(context, s, colors[-1])
-    proper, at, k = check_classes(_grown(adj, s), colors, (1 << len(colors)) - 1)
+    proper, at, k = check_classes(grown(adj, s), colors, (1 << len(colors)) - 1)
     return proper, at is not None, k
 
 
 def check_child(tables: ParentTables, s: int, step: tuple) -> tuple | None:
     """The claims of a child G = P + v, v joined to s, checked from its
-    parent's tables (see the module docstring), or None when v needed the
-    exact fallback or a claim fails, which leaves G to check_in_class_graph.
-    step is colorer.resume_last's at v: G's colors, omega, delta and the
-    mechanism. Returns (chi, chi's witness, or None when it is the
-    colorer's coloring, vertices colored under the degree bound, exact
-    fallbacks the colorer used on them).
+    parent's tables (see the module docstring), or None when a claim fails,
+    which leaves G to check_in_class_graph. step is colorer.resume_last's
+    at v: G's colors, omega, delta and the mechanism, None when the
+    colorer found no coloring. Returns (chi, chi's witness, or None when it
+    is the colorer's coloring, vertices colored under the degree bound,
+    exact fallbacks the colorer used on them).
     """
     colors, w, delta, mech = step
     if mech is None or tables.shapes >> s & 1 or delta > 2 * w - 1:
@@ -415,9 +409,9 @@ def check_child(tables: ParentTables, s: int, step: tuple) -> tuple | None:
             proper, branches, k = _coloring_facts(tables.adj, s, extended, base, context)
             witness = Coloring(tuple(extended))
         else:
-            g = Graph(v + 1, _grown(tables.adj, s))
+            g = Graph(v + 1, grown(tables.adj, s))
             upper = Coloring(tuple(colors))
-            chi, witness = prove_chi(g, w, upper, colors_used=k)
+            chi, witness = prove_chi(g, w, upper)
             if witness is upper:
                 witness = None
             else:
@@ -426,11 +420,11 @@ def check_child(tables: ParentTables, s: int, step: tuple) -> tuple | None:
         if not proper or branches or k != chi or not w <= chi <= w + 1:
             return None
     if wheel:
-        g = g or Graph(len(colors), _grown(tables.adj, s))
+        g = g or Graph(len(colors), grown(tables.adj, s))
         if trichotomy(g, w, delta, chi)[2]:
             return None
     if bound_holds:
-        return chi, witness, len(colors), tables.fallbacks
+        return chi, witness, len(colors), tables.fallbacks + (mech == EXACT_FALLBACK)
     return chi, witness, 0, 0
 
 
@@ -438,13 +432,13 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
     """Check every in-class child on n vertices of a slice of level n - 1.
 
     Each parent comes with its colorer state and its record, or None when it
-    failed a check, which each child resumes at vertex n - 1. A parent with
-    a record builds its ParentTables once here; colorer.resume_last resumes
-    each of its children from them, and check_child checks it. A child is
-    built (adjacency, Graph and colorer state) only when it is kept or
-    check_child leaves it to check_in_class_graph, as it does every child of
-    a parent without a record, inserted by insert_vertices; a kept child
-    that check_child closed gets the record check_child gives. Returns the
+    failed a check. A parent with a record builds its ParentTables once
+    here; colorer.resume_last resumes each of its children at vertex n - 1
+    from them, and check_child checks it. A child is built (adjacency, Graph
+    and colorer state) only when it is kept or check_child leaves it to
+    check_in_class_graph, as it does every child of a parent without a
+    record, inserted from vertex 0 by insert_vertices; a kept child that
+    check_child closed gets the record check_child gives. Returns the
     chunk's summary and, when keep is set, the children with their states
     and records, in order.
     """
@@ -471,9 +465,9 @@ def _extension_chunk(args: tuple[int, list, bool]) -> tuple[StressSummary, list]
                     part.exact_fallbacks += closed[3]
                     if not keep:
                         continue
-            g = Graph(n, _grown(parent.adj, s), parent.edge_count + s.bit_count())
+            g = Graph(n, grown(parent.adj, s), parent.edge_count + s.bit_count())
             if tables is None:
-                state = insert_vertices(g, parent_state)
+                state = insert_vertices(g)
             else:
                 state = insert_last(g, parent_state, step)
             if closed is None:
@@ -569,29 +563,22 @@ def run_stress(
         level = [(Graph(0, ()), None, None)]
         for n in range(1, max_n + 1):
             t_level = time.perf_counter()
-            in_class_before = summary.in_class_count
-            extensions_before = summary.extensions_time
-            tables_before = summary.tables_time
-            built_before = summary.built
             keep = n < max_n
             chunks = [(n, parents, keep) for parents in _slices(level, workers)]
-            summary.graphs_checked += 1 << (n * (n - 1) // 2)
+            done = StressSummary(mode, graphs_checked=1 << (n * (n - 1) // 2))
             level = []
             for part, children in _run_chunks(
                 chunks, _extension_chunk, workers, False
             ):
-                summary.merge(part)
+                done.merge(part)
                 level += children
+            summary.merge(done)
             if progress:
-                done = summary.in_class_count - in_class_before
-                elapsed = time.perf_counter() - t_level
-                extensions = summary.extensions_time - extensions_before
-                tables = summary.tables_time - tables_before
-                built = summary.built - built_before
                 print(
-                    f"progress: n={n} done, {done} in class, {elapsed:.2f} s"
-                    f" (extensions {extensions:.2f} s, tables {tables:.2f} s,"
-                    f" {built} built)",
+                    f"progress: n={n} done, {done.in_class_count} in class,"
+                    f" {time.perf_counter() - t_level:.2f} s"
+                    f" (extensions {done.extensions_time:.2f} s,"
+                    f" tables {done.tables_time:.2f} s, {done.built} built)",
                     file=sys.stderr,
                 )
     elif mode == "random":

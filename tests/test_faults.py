@@ -120,13 +120,11 @@ ROWS = [
         id="has_clique-one-too-many",
     ),
     # a clique table that is never set: omega never rises at a child that
-    # insert_last resumes, so the colorer's omega is too low
+    # resume_last resumes, so the colorer's omega is too low
     pytest.param(
         K, "clique_table", lambda adj, k: 0, EXHAUSTIVE_5, 810,
-        {DEGREE_BOUND: 404, WHEEL_BRANCH: 374, CHI_WITHIN_ONE: 15,
-         CHI_EQUALS_OMEGA: 15},
-        {DEGREE_BOUND: (2, 1), WHEEL_BRANCH: (2, 1), CHI_WITHIN_ONE: (4, 63),
-         CHI_EQUALS_OMEGA: (4, 63)},
+        {DEGREE_BOUND: 228, WHEEL_BRANCH: 200},
+        {DEGREE_BOUND: (2, 1), WHEEL_BRANCH: (2, 1)},
         id="clique_table-never-set",
     ),
     # the colorer's palette one color too large under the degree bound: the
@@ -250,6 +248,19 @@ def test_planted_fault_is_counted(
     assert s.violations == {c: counts.get(c, 0) for c in CATEGORIES}
     if firsts is not None:
         assert s.counterexamples == firsts
+
+
+@pytest.mark.parametrize(
+    "row, built", [("shape_table-no-p4-or-c5-at-v", 13), ("shape_table-no-p4-at-u", 49)]
+)
+def test_false_shape_flag_builds_the_child(monkeypatch, row, built):
+    """A false shape-table flag counts no violation, but sends its child to
+    the check from scratch. The clean sweep builds the n = 1 graph alone,
+    so each flagged child adds one to built: the 12 labeled gems, and 48."""
+    module, name, fault, sweep = next(r.values[:4] for r in ROWS if r.id == row)
+    assert run_stress(**sweep, workers=0).built == 1
+    monkeypatch.setattr(module, name, fault)
+    assert run_stress(**sweep, workers=0).built == built
 
 
 def test_every_category_is_raised_by_some_row():

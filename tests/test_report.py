@@ -22,9 +22,9 @@ from clawchroma.report import (
     find_induced_wheel6,
     trichotomy,
 )
-from graphzoo import claw, complete, empty, k4_minus_edge
+from graphzoo import claw, complete, empty, k4_minus_edge, petersen
 
-from clawchroma import blown_up_odd_cycle, wheel
+from clawchroma import blown_up_odd_cycle, line_graph, wheel
 
 
 def test_wheel_report():
@@ -104,6 +104,20 @@ def test_classify_trichotomy_raises_first_failure(monkeypatch):
     with pytest.raises(ClaimViolationError) as exc:
         classify_trichotomy(g)
     assert exc.value.category == "chi_equals_omega"
+
+
+def test_unchecked_chi_witness_is_a_violation(monkeypatch):
+    # a color step that always gives color 1 makes an all-1 "omega-coloring"
+    # of L(Petersen), whose chi is 4: chi = 3 would rest on an improper
+    # witness, which classify_trichotomy checks and rejects
+    def step(adj, colors, u, *_):
+        colors[u] = 1
+        return "direct"
+
+    monkeypatch.setattr(report, "color_step", step)
+    with pytest.raises(ClaimViolationError) as exc:
+        classify_trichotomy(line_graph(petersen()))
+    assert exc.value.category == "chi_within_one"
 
 
 def test_oracle_fallback_reuses_omega_and_coloring(monkeypatch):

@@ -265,14 +265,14 @@ def test_sweep_checks_each_coloring_once(monkeypatch):
 def _resumed_children(monkeypatch, max_n):
     """Every child of an exhaustive sweep that resume_last resumes (its
     parent has a record): the state insert_last makes from its step equals
-    insert_vertices' from the same parent in every slot. Returns how many
-    children it compared."""
+    insert_vertices' from vertex 0 in every slot, exact fallbacks included.
+    Returns how many children it compared."""
     compared = 0
 
     def resumed(g, parent, step):
         nonlocal compared
         state = colorer.insert_last(g, parent, step)
-        ref = colorer.insert_vertices(g, parent)
+        ref = colorer.insert_vertices(g)
         for slot in InsertionState.__slots__:
             assert getattr(state, slot) == getattr(ref, slot), slot
         compared += 1
@@ -334,8 +334,8 @@ def _children_match_the_full_check(monkeypatch, max_n):
     violation, and gives the same chi, vertices colored under the degree
     bound and exact fallbacks; check_child's witness, when it is not the
     colorer's coloring, is proper with chi colors and branches nowhere.
-    Where it leaves the child to that check, v needed the exact fallback or
-    the child fails a claim. Every kept child's state equals the full
+    Where it leaves the child to that check, the child fails a claim.
+    Every kept child's state equals the full
     check's, and its record has the same chi. Returns (closed, checked in
     full, kept)."""
     counts = Counter()
@@ -346,7 +346,7 @@ def _children_match_the_full_check(monkeypatch, max_n):
         viol, strict, fallbacks, record = check_in_class_graph(g, state)
         full[g.adj] = state, record
         if closed is None:
-            assert step[3] is None or viol
+            assert viol
             counts["checked in full"] += 1
         else:
             chi, witness = closed[:2]
@@ -374,15 +374,15 @@ def _children_match_the_full_check(monkeypatch, max_n):
 
 
 def test_children_match_the_full_check(monkeypatch):
-    # every graph but the n = 1 graph, whose parent has no record; the 12
-    # checked in full needed the exact fallback at v; the kept ones are
-    # those with n <= 5
-    assert _children_match_the_full_check(monkeypatch, 6) == (13204, 12, 809)
+    # every graph but the n = 1 graph, whose parent has no record, is
+    # closed, exact-fallback children included; the kept ones are those
+    # with n <= 5
+    assert _children_match_the_full_check(monkeypatch, 6) == (13216, 0, 809)
 
 
 @pytest.mark.slow
 def test_children_match_the_full_check_n7(monkeypatch):
-    assert _children_match_the_full_check(monkeypatch, 7) == (251140, 161, 13216)
+    assert _children_match_the_full_check(monkeypatch, 7) == (251301, 0, 13216)
 
 
 def test_n_v_rule_matches_check_classes_at_every_neighborhood_and_color(monkeypatch):
@@ -929,9 +929,9 @@ def _sweep_chi_from_parents(monkeypatch, max_n):
         assert witness.colors_used == chi and verify_proper(g, witness) is None
         taken[how] += 1
 
-    def proved(g, w, upper, colors_used=None, _fn=report.prove_chi):
+    def proved(g, w, upper, _fn=report.prove_chi):
         searched.append("prove_chi")
-        chi, witness = _fn(g, w, upper, colors_used)
+        chi, witness = _fn(g, w, upper)
         # a certificate's witness is upper
         if searched[-1] != "oracle" and witness is not upper:
             confirm(g, chi, witness, "omega-coloring")
